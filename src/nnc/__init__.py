@@ -11,27 +11,21 @@ from .estimators import (
     ht_estimate,
     load_outcome_table,
     mme_estimate,
-    mme_node,
     realize_outcomes,
 )
 from .exposure import (
-    ConfusionInverse,
     ConfusionMatrix,
     ExposureLevel,
     ExposureProbabilities,
     GeneralizedExposureConfig,
     LEVEL_NAMES,
-    SingularConfusionError,
     Treatment,
     assign_treatment,
     confusion_matrix,
-    exposure_level,
-    exposure_level_generalized,
     exposure_levels,
     exposure_levels_generalized,
     exposure_probabilities,
     exposure_probabilities_generalized,
-    invert_confusion,
     treated_neighbor_counts,
 )
 from .graphs import (
@@ -43,7 +37,6 @@ from .graphs import (
     build_graph_configuration,
     align_on_labels,
     build_true_graph_from_rounds,
-    common_neighbors,
     load_edge_list,
     load_rounds,
     sample_degree_sequence,

@@ -15,9 +15,7 @@ from .exposure import (
     DET_FLOOR,
     _level_probability_matrix,
     _s_inverse_entries,
-    confusion_matrix,
     exposure_levels,
-    invert_confusion,
 )
 from .graphs import Graph
 
@@ -108,21 +106,25 @@ def contrast(m: LevelMeans, k, l) -> float:
     return m[k] - m[l]
 
 
-def ht_estimate(g: Graph, t: Treatment, realized: RealizedOutcomes, p: float) -> LevelMeans:
+def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> LevelMeans:
     """Inverse-probability-weighted level means.
 
-    Levels and weights come from ``g``: pass the true graph for the ideal
-    estimator, or an observed graph for its plug-in on noisy data (outcomes
-    still come from ``realized``, i.e. from true exposures). Vertices whose
-    level probability is zero are never classified at that level, so they
-    contribute nothing to it.
+    ``levels`` are the exposure level codes of ``g``'s vertices
+    (``exposure_levels(t, g)``); the weights come from ``g``'s degrees. Pass
+    the true graph with ``realized.levels`` for the ideal estimator, or an
+    observed graph with its own levels for the plug-in on noisy data
+    (outcomes still come from ``realized``, i.e. from true exposures).
+    Vertices whose level probability is zero are never classified at that
+    level, so they contribute nothing to it.
     """
     n = g.n_v
     if n < 1:
         raise ValueError("graph has no vertices")
     if realized.values.shape != (n,):
         raise ValueError("realized outcomes do not match vertex count")
-    lv = exposure_levels(t, g)
+    lv = np.asarray(levels)
+    if lv.shape != (n,):
+        raise ValueError("exposure levels do not match vertex count")
     pm = _level_probability_matrix(g.degrees, p)
     pr = pm[np.arange(n), lv]
     if np.any(pr <= 0.0):
@@ -139,31 +141,6 @@ def degree_estimate(d_obs, alpha_hat: float, beta_hat: float, n_v: int):
     d = np.asarray(d_obs, dtype=np.float64)
     out = (d - (n_v - 1) * alpha_hat) / (1.0 - alpha_hat - beta_hat)
     return float(out) if out.ndim == 0 else out
-
-
-def mme_node(
-    y_tilde: np.ndarray,
-    d_hat: float,
-    alpha_hat: float,
-    beta_hat: float,
-    p: float,
-    n_v: int,
-) -> np.ndarray:
-    """Confusion-corrected per-node outcome vector.
-
-    ``y_tilde`` is the 4-vector carrying the observed outcome at the
-    observed level; the result multiplies it by the inverse expected
-    confusion matrix evaluated at the corrected degree.
-    """
-    y = np.asarray(y_tilde, dtype=np.float64)
-    if y.shape != (4,):
-        raise ValueError("y_tilde must be a 4-vector")
-    cm = confusion_matrix(d_hat, n_v, p, NoiseParams(alpha_hat, beta_hat))
-    inv = invert_confusion(cm)
-    out = np.empty(4)
-    out[:2] = inv.s_inv @ y[:2]
-    out[2:] = inv.q_inv @ y[2:]
-    return out
 
 
 _SQRT10 = math.sqrt(10.0)
@@ -222,7 +199,7 @@ class MmeResult:
 
 def mme_estimate(
     g_obs: Graph,
-    t: Treatment,
+    levels,
     realized: RealizedOutcomes,
     p: float,
     noise_hat: NoiseParams,
@@ -232,13 +209,15 @@ def mme_estimate(
 ) -> MmeResult:
     """Confusion-corrected level means on an observed graph.
 
-    ``g_obs`` classifies every vertex and gives the inverse-probability terms
-    of vertices that are not corrected. ``d_obs`` holds the observed degrees
-    behind the corrected degree d_hat (default: ``g_obs.degrees``). Any
-    statistic with the expectation of one replicate's degree will do; the
-    mean degree over several replicates is one with less variance. That
-    matters because the inverse-confusion entries are exponential in d_hat,
-    so their plug-in bias grows with the variance of d_hat.
+    ``levels`` are the exposure level codes of ``g_obs``'s vertices
+    (``exposure_levels(t, g_obs)``); ``g_obs``'s degrees give the
+    inverse-probability terms of vertices that are not corrected. ``d_obs``
+    holds the observed degrees behind the corrected degree d_hat (default:
+    ``g_obs.degrees``). Any statistic with the expectation of one
+    replicate's degree will do; the mean degree over several replicates is
+    one with less variance. That matters because the inverse-confusion
+    entries are exponential in d_hat, so their plug-in bias grows with the
+    variance of d_hat.
 
     Vertices accepted by the mixing rule (after clamping negative corrected
     degrees to zero) get the inverse-confusion reweighting; the rest, and
@@ -250,6 +229,9 @@ def mme_estimate(
     n = g_obs.n_v
     if realized.values.shape != (n,):
         raise ValueError("realized outcomes do not match vertex count")
+    lv = np.asarray(levels)
+    if lv.shape != (n,):
+        raise ValueError("exposure levels do not match vertex count")
     if d_obs is None:
         d_obs = g_obs.degrees
     elif np.shape(d_obs) != (n,):
@@ -262,7 +244,6 @@ def mme_estimate(
     ok = np.isfinite(det) & (det > DET_FLOOR)
     corrected = want & ok
 
-    lv = exposure_levels(t, g_obs)
     v = realized.values
     pm = _level_probability_matrix(g_obs.degrees, p)
     pr = pm[np.arange(n), lv]

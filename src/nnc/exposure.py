@@ -5,7 +5,6 @@ whether the treated-neighbor count clears the threshold (one by default).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -74,11 +73,6 @@ def exposure_levels(t: Treatment, g: Graph) -> np.ndarray:
     return _levels_from_counts(t.z, treated_neighbor_counts(g, t.z), 1)
 
 
-def exposure_level(t: Treatment, g: Graph, i: int) -> ExposureLevel:
-    g._check_vertex(i)
-    return ExposureLevel(int(exposure_levels(t, g)[i]))
-
-
 @dataclass(frozen=True)
 class GeneralizedExposureConfig:
     """Treated-neighbor threshold: absolute count ``m`` or fraction ``q`` of degree.
@@ -115,13 +109,6 @@ def exposure_levels_generalized(
     return _levels_from_counts(t.z, treated_neighbor_counts(g, t.z), cfg.thresholds(g))
 
 
-def exposure_level_generalized(
-    t: Treatment, g: Graph, i: int, cfg: GeneralizedExposureConfig
-) -> ExposureLevel:
-    g._check_vertex(i)
-    return ExposureLevel(int(exposure_levels_generalized(t, g, cfg)[i]))
-
-
 # -- closed-form exposure probabilities -----------------------------------
 
 
@@ -149,8 +136,7 @@ def exposure_probabilities(d: float, p: float) -> ExposureProbabilities:
         raise ValueError("treatment probability must lie in (0, 1)")
     if not (d >= 0.0):
         raise ValueError("degree must be nonnegative")
-    q = (1.0 - p) ** d
-    return ExposureProbabilities(p * (1.0 - q), p * q, (1.0 - p) * (1.0 - q), (1.0 - p) * q)
+    return ExposureProbabilities(*_level_probability_matrix([d], p)[0].tolist())
 
 
 def _level_probability_matrix(d: np.ndarray, p: float) -> np.ndarray:
@@ -185,20 +171,24 @@ def exposure_probabilities_generalized(d: int, p: float, m: int) -> ExposureProb
 # -- expected confusion between observed and true levels ------------------
 
 
-class SingularConfusionError(ValueError):
-    """Treated-block determinant at or below the floor; correction must fall back."""
-
-
 DET_FLOOR = 1e-12
+
+
+def _noise_factors(d, n_v, p, alpha, beta):
+    # for a vertex of true degree d: qd = P(no true neighbor treated),
+    # a = P(no false edge to a treated vertex), b = P(no kept true edge to a
+    # treated neighbor); vector-safe in d
+    d = np.asarray(d, dtype=np.float64)
+    qd = (1.0 - p) ** d
+    a = (1.0 - alpha * p) ** (n_v - 1 - d)
+    b = (1.0 - (1.0 - beta) * p) ** d
+    return qd, a, b
 
 
 def _s_entries(d, n_v, p, alpha, beta):
     # treated-arm joint probabilities of (observed level, true level) for a
     # vertex of true degree d; vector-safe in d
-    d = np.asarray(d, dtype=np.float64)
-    a = (1.0 - alpha * p) ** (n_v - 1 - d)
-    b = (1.0 - (1.0 - beta) * p) ** d
-    qd = (1.0 - p) ** d
+    qd, a, b = _noise_factors(d, n_v, p, alpha, beta)
     s11 = p * (1.0 - qd - a * (b - qd))
     s12 = p * qd * (1.0 - a)
     s21 = p * a * (b - qd)
@@ -207,11 +197,9 @@ def _s_entries(d, n_v, p, alpha, beta):
 
 
 def _s_inverse_entries(d, n_v, p, alpha, beta):
-    # closed-form inverse of the treated block, plus its determinant
-    d = np.asarray(d, dtype=np.float64)
-    a = (1.0 - alpha * p) ** (n_v - 1 - d)
-    b = (1.0 - (1.0 - beta) * p) ** d
-    qd = (1.0 - p) ** d
+    # closed-form inverse of the treated block, plus its determinant; the
+    # control block's inverse is p / (1 - p) times this one
+    qd, a, b = _noise_factors(d, n_v, p, alpha, beta)
     det = p * p * qd * a * (1.0 - b)
     denom = p * (1.0 - b)
     i11 = 1.0 / denom
@@ -232,17 +220,6 @@ class ConfusionMatrix:
 
     s: np.ndarray
     q: np.ndarray
-    d: float
-    n_v: int
-    p: float
-    alpha: float
-    beta: float
-
-    def full(self) -> np.ndarray:
-        out = np.zeros((4, 4))
-        out[:2, :2] = self.s
-        out[2:, 2:] = self.q
-        return out
 
 
 def confusion_matrix(d: float, n_v: int, p: float, noise: NoiseParams) -> ConfusionMatrix:
@@ -253,27 +230,4 @@ def confusion_matrix(d: float, n_v: int, p: float, noise: NoiseParams) -> Confus
     s11, s12, s21, s22 = _s_entries(float(d), n_v, p, noise.alpha, noise.beta)
     s = np.array([[s11, s12], [s21, s22]])
     q = (1.0 - p) / p * s
-    return ConfusionMatrix(s=s, q=q, d=float(d), n_v=int(n_v), p=p,
-                           alpha=noise.alpha, beta=noise.beta)
-
-
-@dataclass(frozen=True, eq=False)
-class ConfusionInverse:
-    s_inv: np.ndarray
-    q_inv: np.ndarray
-    det_s: float
-
-
-def invert_confusion(cm: ConfusionMatrix, det_floor: float = DET_FLOOR) -> ConfusionInverse:
-    """Closed-form inverse of both confusion blocks.
-
-    Raises ``SingularConfusionError`` when the treated-block determinant is
-    not safely positive, which happens as the degree approaches zero.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        i11, i12, i21, i22, det = _s_inverse_entries(cm.d, cm.n_v, cm.p, cm.alpha, cm.beta)
-    if not (det > det_floor and math.isfinite(det)):
-        raise SingularConfusionError(f"treated confusion block is singular (det={det:.3e})")
-    s_inv = np.array([[i11, i12], [i21, i22]])
-    q_inv = cm.p / (1.0 - cm.p) * s_inv
-    return ConfusionInverse(s_inv=s_inv, q_inv=q_inv, det_s=float(det))
+    return ConfusionMatrix(s=s, q=q)

@@ -165,11 +165,6 @@ class Graph:
         return f"Graph(n_v={self.n_v}, n_edges={self.n_edges})"
 
 
-def common_neighbors(g: Graph, i: int, j: int) -> int:
-    """Number of vertices adjacent to both ``i`` and ``j``."""
-    return g.common_neighbors(i, j)
-
-
 # -- degree distributions ------------------------------------------------
 
 

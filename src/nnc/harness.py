@@ -23,7 +23,7 @@ from .estimators import (
     mme_estimate,
     realize_outcomes,
 )
-from .exposure import LEVEL_NAMES, assign_treatment
+from .exposure import LEVEL_NAMES, assign_treatment, exposure_levels
 from .graphs import (
     Graph,
     ParetoExpCutoff,
@@ -199,10 +199,12 @@ def _run_trials(
     and are flagged. The per-trial draw order is fixed: graph (only when
     regenerating), three replicates, then treatment.
 
-    Replicate 0 classifies exposures for AS_noisy and MME. MME's corrected
-    degree is taken from the mean observed degree of all three replicates:
-    it has the same expectation as replicate 0's degree and a third of its
-    variance, and the inverse-confusion weights are exponential in it.
+    Each graph is classified once per trial: HT_true reuses the true-graph
+    levels that ``realize_outcomes`` computed, and replicate 0's levels are
+    shared by AS_noisy and MME. MME's corrected degree is taken from the
+    mean observed degree of all three replicates: it has the same
+    expectation as replicate 0's degree and a third of its variance, and the
+    inverse-confusion weights are exponential in it.
     """
     rule = _mixing_rule(cfg)
     n_trials = t1 - t0
@@ -233,14 +235,15 @@ def _run_trials(
             conv[row] = fit.converged
         t_assign = assign_treatment(g.n_v, cfg.p, rng)
         realized = realize_outcomes(g, t_assign, tbl)
+        lv_obs = exposure_levels(t_assign, reps[0])
         for e, name in enumerate(cfg.estimators):
             if name == "HT_true":
-                estimates[row, e] = ht_estimate(g, t_assign, realized, cfg.p).values
+                estimates[row, e] = ht_estimate(g, realized.levels, realized, cfg.p).values
             elif name == "AS_noisy":
-                estimates[row, e] = ht_estimate(reps[0], t_assign, realized, cfg.p).values
+                estimates[row, e] = ht_estimate(reps[0], lv_obs, realized, cfg.p).values
             else:
                 d_mean = (reps[0].degrees + reps[1].degrees + reps[2].degrees) / 3.0
-                res = mme_estimate(reps[0], t_assign, realized, cfg.p, noise_hat, rule,
+                res = mme_estimate(reps[0], lv_obs, realized, cfg.p, noise_hat, rule,
                                    d_obs=d_mean)
                 estimates[row, e] = res.means.values
                 rule_counts["corrected"] += res.n_corrected

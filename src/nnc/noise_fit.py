@@ -13,7 +13,8 @@ class NoiseFitError(RuntimeError):
 
 
 class DegenerateMomentsError(NoiseFitError):
-    """An iterate collided with the observed density; the update is undefined."""
+    """The first observation is empty, or an iterate collided with its
+    density; the update is undefined."""
 
 
 class DivergedError(NoiseFitError):
@@ -78,7 +79,8 @@ def fit_alpha_beta(
 ) -> NoiseFitResult:
     """Fixed-point fit of the false-edge rate, missed-edge rate and density.
 
-    Starting from ``alpha0`` (default: a tenth of the observed density), each
+    Starting from ``alpha0`` (default: a tenth of the observed density,
+    which raises ``DegenerateMomentsError`` when that density is zero), each
     pass solves the three moment equations in turn and feeds the new
     false-edge rate back in until successive values agree within ``eps``.
     Derived rate and density iterates are clamped into (0, 1) to absorb
@@ -92,6 +94,8 @@ def fit_alpha_beta(
         raise ValueError("max_iter must be at least 1")
     u1, u2, u3 = m.u1, m.u2, m.u3
     if alpha0 is None:
+        if u1 == 0.0:
+            raise DegenerateMomentsError("first observation has no edges")
         alpha0 = u1 / 10.0
     if not (0.0 < alpha0 < u1):
         raise ValueError("alpha0 must lie strictly between 0 and the observed density")

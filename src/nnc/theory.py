@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import OutcomeTable
-from .exposure import LEVEL_NAMES, _level_probability_matrix
+from .exposure import LEVEL_NAMES, _level_probability_matrix, _noise_factors
 from .graphs import Graph
 from .noise import NoiseParams
 
@@ -54,9 +54,7 @@ def naive_estimator_bias(
     tau_c = y[:, 2] - y[:, 3]
 
     miss = 1.0 - (1.0 - noise.beta * p) ** d
-    a = (1.0 - noise.alpha * p) ** (n_v - 1 - d)
-    b = (1.0 - (1.0 - noise.beta) * p) ** d
-    qd = (1.0 - p) ** d
+    qd, a, b = _noise_factors(d, n_v, p, noise.alpha, noise.beta)
     num = qd * (1.0 - a)
     den = 1.0 - a * b
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
@@ -91,9 +89,10 @@ def observed_degree_moments(
         raise ValueError("treatment probability must lie in (0, 1)")
     if not (0 <= d <= n_v - 1):
         raise ValueError("degree must lie in [0, n_v - 1]")
+    _, no_false, no_kept = _noise_factors(d, n_v, p, noise.alpha, noise.beta)
+    mean_decay = float(no_false * no_kept)
     a, b = noise.alpha, noise.beta
     k = n_v - 1 - d
-    mean_decay = (1.0 - a * p) ** k * (1.0 - (1.0 - b) * p) ** d
     mean_growth = (1.0 + a * p / (1.0 - p)) ** k * (1.0 + (1.0 - b) * p / (1.0 - p)) ** d
     var_decay = (1.0 - a * p * (2.0 - p)) ** k * (
         1.0 - (1.0 - b) * p * (2.0 - p)

@@ -14,6 +14,7 @@ from nnc.estimators import OutcomeTable, ht_estimate, realize_outcomes
 from nnc.exposure import (
     Treatment,
     confusion_matrix,
+    exposure_levels,
     exposure_probabilities,
     exposure_probabilities_generalized,
 )
@@ -103,7 +104,7 @@ def test_criterion_1_exact_ht_unbiasedness():
         z = np.array([(bits >> i) & 1 for i in range(10)], dtype=bool)
         w = p ** z.sum() * (1 - p) ** (10 - z.sum())
         t = Treatment(p, z)
-        est = ht_estimate(g, t, realize_outcomes(g, t, table), p)
+        est = ht_estimate(g, exposure_levels(t, g), realize_outcomes(g, t, table), p)
         for k in range(4):
             acc[k].append(w * est.values[k])
     got = np.array([math.fsum(a) for a in acc])

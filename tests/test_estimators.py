@@ -13,7 +13,6 @@ from nnc.estimators import (
     degree_estimate,
     ht_estimate,
     mme_estimate,
-    mme_node,
     realize_outcomes,
 )
 from nnc.exposure import (
@@ -22,8 +21,7 @@ from nnc.exposure import (
     Treatment,
     _level_probability_matrix,
     _s_inverse_entries,
-    confusion_matrix,
-    invert_confusion,
+    exposure_levels,
 )
 from nnc.graphs import Graph, build_graph_configuration
 from nnc.noise import NoiseParams, perturb
@@ -46,7 +44,7 @@ def exhaustive_ht_expectation(g, table, p):
         w = p ** z.sum() * (1 - p) ** (n - z.sum())
         t = Treatment(p, z)
         realized = realize_outcomes(g, t, table)
-        est = ht_estimate(g, t, realized, p)
+        est = ht_estimate(g, exposure_levels(t, g), realized, p)
         for k in range(4):
             acc[k].append(w * est.values[k])
     return np.array([math.fsum(a) for a in acc])
@@ -95,10 +93,10 @@ def test_ht_single_isolated_node():
     tab = OutcomeTable.constant(1, DILATED)
     p = 0.25
     t1 = Treatment(p, np.array([True]))
-    est1 = ht_estimate(g, t1, realize_outcomes(g, t1, tab), p)
+    est1 = ht_estimate(g, exposure_levels(t1, g), realize_outcomes(g, t1, tab), p)
     assert est1[ExposureLevel.C10] == pytest.approx(7.0 / p)
     t0 = Treatment(p, np.array([False]))
-    est0 = ht_estimate(g, t0, realize_outcomes(g, t0, tab), p)
+    est0 = ht_estimate(g, exposure_levels(t0, g), realize_outcomes(g, t0, tab), p)
     assert est0[ExposureLevel.C10] == 0.0
     assert est0[ExposureLevel.C00] == pytest.approx(1.0 / (1 - p))
 
@@ -110,9 +108,18 @@ def test_ht_noisy_mode_with_zero_noise_matches_true_mode():
     t = Treatment(0.2, rng.random(8) < 0.2)
     realized = realize_outcomes(g, t, tab)
     obs = perturb(g, NoiseParams(0.0, 0.0), rng)
-    a = ht_estimate(g, t, realized, 0.2)
-    b = ht_estimate(obs, t, realized, 0.2)
+    a = ht_estimate(g, realized.levels, realized, 0.2)
+    b = ht_estimate(obs, exposure_levels(t, obs), realized, 0.2)
     assert np.array_equal(a.values, b.values)
+
+
+def test_ht_rejects_levels_of_wrong_shape():
+    g = cycle_graph(5)
+    t = Treatment(0.2, np.array([True, False, False, True, False]))
+    realized = realize_outcomes(g, t, OutcomeTable.constant(5, DILATED))
+    for bad in (realized.levels[:-1], realized.levels[None, :], 0):
+        with pytest.raises(ValueError):
+            ht_estimate(g, bad, realized, 0.2)
 
 
 # -- degree correction --------------------------------------------------------
@@ -131,19 +138,6 @@ def test_degree_estimate_examples():
 # -- per-node correction ------------------------------------------------------
 
 
-def test_mme_node_noiseless_recovers_weighted_terms():
-    p, d, n_v = 0.1, 4, 30
-    y_tilde = np.array([0.0, 7.0, 0.0, 0.0])  # observed at c10
-    out = mme_node(y_tilde, d, 0.0, 0.0, p, n_v)
-    expected = np.array([0.0, 7.0 / (p * (1 - p) ** d), 0.0, 0.0])
-    assert out == pytest.approx(expected, rel=1e-12)
-
-
-def test_mme_node_zero_vector_maps_to_zero():
-    out = mme_node(np.zeros(4), 6.0, 0.01, 0.1, 0.1, 50)
-    assert out == pytest.approx(np.zeros(4), abs=0.0)
-
-
 def test_mme_node_monte_carlo_identity():
     # oracle: simulate (treatment, noise) for one vertex of true degree 8 and
     # check the corrected vector is unbiased for its potential outcomes
@@ -160,16 +154,14 @@ def test_mme_node_monte_carlo_identity():
     y_tilde = np.zeros((reps, 4))
     y_tilde[np.arange(reps), obs_lv] = y[true_lv]
 
-    inv = invert_confusion(confusion_matrix(d, n_v, p, NoiseParams(alpha, beta)))
+    i11, i12, i21, i22, _ = _s_inverse_entries(d, n_v, p, alpha, beta)
+    s_inv = np.array([[i11, i12], [i21, i22]])
     p_inv = np.zeros((4, 4))
-    p_inv[:2, :2] = inv.s_inv
-    p_inv[2:, 2:] = inv.q_inv
+    p_inv[:2, :2] = s_inv
+    p_inv[2:, 2:] = p / (1 - p) * s_inv
     corrected = y_tilde @ p_inv.T
     se = corrected.std(axis=0, ddof=1) / math.sqrt(reps)
     assert np.all(np.abs(corrected.mean(axis=0) - y) < 3 * se)
-    # single-draw path agrees with the vectorized oracle application
-    one = mme_node(y_tilde[0], d, alpha, beta, p, n_v)
-    assert one == pytest.approx(corrected[0], rel=1e-12, abs=1e-12)
 
 
 # -- mixing rule ---------------------------------------------------------------
@@ -205,9 +197,9 @@ def test_mme_estimate_zero_noise_matches_ht():
     rng = make_rng(44)
     t = Treatment(0.2, rng.random(12) < 0.2)
     realized = realize_outcomes(g, t, tab)
-    ht = ht_estimate(g, t, realized, 0.2)
+    ht = ht_estimate(g, realized.levels, realized, 0.2)
     for rule in (MixingRule.sparse_fallback(), MixingRule.order_of_magnitude(0.2)):
-        res = mme_estimate(g, t, realized, 0.2, NoiseParams(0.0, 0.0), rule)
+        res = mme_estimate(g, realized.levels, realized, 0.2, NoiseParams(0.0, 0.0), rule)
         assert res.means.values == pytest.approx(ht.values, rel=1e-12, abs=1e-12)
         assert res.n_singular_fallback == 0
 
@@ -221,11 +213,12 @@ def test_mme_estimate_fallback_terms_are_bit_identical_to_ht():
     t = Treatment(0.1, rng.random(10) < 0.1)
     obs = perturb(g, NoiseParams(0.05, 0.2), rng)
     realized = realize_outcomes(g, t, tab)
+    lv = exposure_levels(t, obs)
     noise_hat = NoiseParams(0.45, 0.3)  # (n-1) * 0.45 = 4.05 > max degree
-    res = mme_estimate(obs, t, realized, 0.1, noise_hat, MixingRule.sparse_fallback())
+    res = mme_estimate(obs, lv, realized, 0.1, noise_hat, MixingRule.sparse_fallback())
     assert res.n_corrected == 0
     assert res.n_rule_fallback == 10
-    ht = ht_estimate(obs, t, realized, 0.1)
+    ht = ht_estimate(obs, lv, realized, 0.1)
     assert np.array_equal(res.means.values, ht.values)
 
     # routing follows the corrected degree from d_obs: observed degree 9
@@ -238,10 +231,29 @@ def test_mme_estimate_fallback_terms_are_bit_identical_to_ht():
     # zero outcomes make the corrected vertices contribute exactly nothing,
     # leaving the fallback vertices' inverse-probability terms on obs
     quiet = RealizedOutcomes(realized.levels, np.where(high, 0.0, realized.values))
-    res = mme_estimate(obs, t, quiet, 0.1, noise_hat, MixingRule.sparse_fallback(),
+    res = mme_estimate(obs, lv, quiet, 0.1, noise_hat, MixingRule.sparse_fallback(),
                        d_obs=d_obs)
     assert (res.n_corrected, res.n_rule_fallback, res.n_singular_fallback) == (5, 5, 0)
-    assert np.array_equal(res.means.values, ht_estimate(obs, t, quiet, 0.1).values)
+    assert np.array_equal(res.means.values, ht_estimate(obs, lv, quiet, 0.1).values)
+
+
+def test_mme_estimate_singular_blocks_fall_back():
+    # beta_hat just below 1 is identifiable, but it blows every corrected
+    # degree up so far that (1-p)^d_hat, and with it the treated-block
+    # determinant, underflows to zero
+    g = Graph(13, list(range(12)), [(i + 1) % 12 for i in range(12)])  # vertex 12 isolated
+    tab = OutcomeTable.constant(13, DILATED)
+    rng = make_rng(48)
+    t = Treatment(0.2, rng.random(13) < 0.2)
+    realized = realize_outcomes(g, t, tab)
+    noise_hat = NoiseParams(0.0, 1 - 1e-13)
+    assert noise_hat.identifiable
+    res = mme_estimate(g, realized.levels, realized, 0.2, noise_hat,
+                       MixingRule.sparse_fallback())
+    # the rule accepts the twelve cycle vertices and rejects the isolated one
+    assert (res.n_corrected, res.n_rule_fallback, res.n_singular_fallback) == (0, 1, 12)
+    ht = ht_estimate(g, realized.levels, realized, 0.2)
+    assert np.array_equal(res.means.values, ht.values)
 
 
 def test_mme_estimate_default_degrees_are_the_observed_graphs():
@@ -251,16 +263,17 @@ def test_mme_estimate_default_degrees_are_the_observed_graphs():
     obs = perturb(g, NoiseParams(0.02, 0.1), rng)
     t = Treatment(0.2, rng.random(30) < 0.2)
     realized = realize_outcomes(g, t, tab)
+    lv = exposure_levels(t, obs)
     noise_hat = NoiseParams(0.02, 0.1)
     rule = MixingRule.sparse_fallback()
-    default = mme_estimate(obs, t, realized, 0.2, noise_hat, rule)
-    explicit = mme_estimate(obs, t, realized, 0.2, noise_hat, rule, d_obs=obs.degrees)
+    default = mme_estimate(obs, lv, realized, 0.2, noise_hat, rule)
+    explicit = mme_estimate(obs, lv, realized, 0.2, noise_hat, rule, d_obs=obs.degrees)
     assert default.n_corrected > 0
     assert np.array_equal(default.means.values, explicit.means.values)
     assert (default.n_corrected, default.n_rule_fallback, default.n_singular_fallback) == (
         explicit.n_corrected, explicit.n_rule_fallback, explicit.n_singular_fallback)
     with pytest.raises(ValueError):
-        mme_estimate(obs, t, realized, 0.2, noise_hat, rule, d_obs=obs.degrees[:-1])
+        mme_estimate(obs, lv, realized, 0.2, noise_hat, rule, d_obs=obs.degrees[:-1])
 
 
 def test_mme_estimate_counts_and_validation():
@@ -269,10 +282,13 @@ def test_mme_estimate_counts_and_validation():
     rng = make_rng(46)
     t = Treatment(0.1, rng.random(10) < 0.1)
     realized = realize_outcomes(g, t, tab)
-    res = mme_estimate(g, t, realized, 0.1, NoiseParams(0.01, 0.1), MixingRule.sparse_fallback())
+    lv, rule = realized.levels, MixingRule.sparse_fallback()
+    res = mme_estimate(g, lv, realized, 0.1, NoiseParams(0.01, 0.1), rule)
     assert res.n_corrected + res.n_rule_fallback + res.n_singular_fallback == 10
     with pytest.raises(ValueError):
-        mme_estimate(g, t, realized, 0.1, NoiseParams(0.6, 0.5), MixingRule.sparse_fallback())
+        mme_estimate(g, lv, realized, 0.1, NoiseParams(0.6, 0.5), rule)
+    with pytest.raises(ValueError):
+        mme_estimate(g, lv[:-1], realized, 0.1, NoiseParams(0.01, 0.1), rule)
 
 
 # -- exact expectation of the corrected estimator -------------------------------

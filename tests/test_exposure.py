@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nnc.exposure import (
+    DET_FLOOR,
     ExposureLevel,
     GeneralizedExposureConfig,
-    SingularConfusionError,
     Treatment,
+    _s_inverse_entries,
     assign_treatment,
     confusion_matrix,
-    exposure_level,
-    exposure_level_generalized,
     exposure_levels,
     exposure_levels_generalized,
     exposure_probabilities,
     exposure_probabilities_generalized,
-    invert_confusion,
 )
 from nnc.graphs import Graph
 from nnc.noise import NoiseParams
@@ -106,16 +104,14 @@ def test_assign_treatment_validation():
 
 def test_exposure_level_cases():
     g = Graph(4, [0, 0], [1, 2])  # node 3 isolated
-    t = Treatment(0.5, np.array([True, False, False, True]))
-    assert exposure_level(t, g, 3) == ExposureLevel.C10
-    assert exposure_level(t, g, 1) == ExposureLevel.C01
-    assert exposure_level(t, g, 2) == ExposureLevel.C01
-    t2 = Treatment(0.5, np.array([True, True, False, False]))
-    assert exposure_level(t2, g, 0) == ExposureLevel.C11
-    assert exposure_level(t2, g, 2) == ExposureLevel.C01
-    assert exposure_level(t2, g, 3) == ExposureLevel.C00
-    with pytest.raises(IndexError):
-        exposure_level(t2, g, 4)
+    lv = exposure_levels(Treatment(0.5, np.array([True, False, False, True])), g)
+    assert lv[3] == ExposureLevel.C10
+    assert lv[1] == ExposureLevel.C01
+    assert lv[2] == ExposureLevel.C01
+    lv2 = exposure_levels(Treatment(0.5, np.array([True, True, False, False])), g)
+    assert lv2[0] == ExposureLevel.C11
+    assert lv2[2] == ExposureLevel.C01
+    assert lv2[3] == ExposureLevel.C00
 
 
 def test_exposure_levels_partition_is_exhaustive():
@@ -140,10 +136,11 @@ def test_generalized_threshold_one_reduces_to_base():
 def test_generalized_threshold_cases():
     g = Graph(4, [0, 0, 0], [1, 2, 3])
     t = Treatment(0.5, np.array([True, True, True, False]))
+    cfg = GeneralizedExposureConfig(m=3)
     # center treated with 2 treated neighbors, threshold 3
-    assert exposure_level_generalized(t, g, 0, GeneralizedExposureConfig(m=3)) == ExposureLevel.C10
+    assert exposure_levels_generalized(t, g, cfg)[0] == ExposureLevel.C10
     t2 = Treatment(0.5, np.array([False, True, True, True]))
-    assert exposure_level_generalized(t2, g, 0, GeneralizedExposureConfig(m=3)) == ExposureLevel.C01
+    assert exposure_levels_generalized(t2, g, cfg)[0] == ExposureLevel.C01
 
 
 def test_generalized_fractional_threshold():
@@ -279,28 +276,33 @@ def test_confusion_validation():
         confusion_matrix(-1, 5, 0.1, NoiseParams(0.1, 0.1))
 
 
+def s_inverse(d, n_v, p, noise):
+    """Closed-form inverse of the treated confusion block, as a matrix."""
+    i11, i12, i21, i22, _ = _s_inverse_entries(d, n_v, p, noise.alpha, noise.beta)
+    return np.array([[i11, i12], [i21, i22]])
+
+
 def test_invert_confusion_identity_and_scaling():
+    # the control block's inverse is the treated one scaled by p / (1 - p)
     for d in (1.0, 3.5, 8.0, 20.0):
         for alpha, beta in [(0.005, 0.1), (0.02, 0.3), (0.0, 0.0)]:
-            cm = confusion_matrix(d, 60, 0.1, NoiseParams(alpha, beta))
-            inv = invert_confusion(cm)
-            assert inv.s_inv @ cm.s == pytest.approx(np.eye(2), abs=1e-10)
-            assert inv.q_inv @ cm.q == pytest.approx(np.eye(2), abs=1e-10)
-            assert inv.q_inv == pytest.approx(0.1 / 0.9 * inv.s_inv, abs=1e-10)
+            noise = NoiseParams(alpha, beta)
+            cm = confusion_matrix(d, 60, 0.1, noise)
+            s_inv = s_inverse(d, 60, 0.1, noise)
+            assert s_inv @ cm.s == pytest.approx(np.eye(2), abs=1e-10)
+            assert (0.1 / 0.9 * s_inv) @ cm.q == pytest.approx(np.eye(2), abs=1e-10)
 
 
 def test_invert_confusion_noiseless_diagonal():
     p, d = 0.2, 5
-    cm = confusion_matrix(d, 30, p, NoiseParams(0.0, 0.0))
-    inv = invert_confusion(cm)
     pr = exposure_probabilities(d, p)
-    assert inv.s_inv == pytest.approx(np.diag([1 / pr.c11, 1 / pr.c10]), rel=1e-12)
+    s_inv = s_inverse(d, 30, p, NoiseParams(0.0, 0.0))
+    assert s_inv == pytest.approx(np.diag([1 / pr.c11, 1 / pr.c10]), rel=1e-12)
 
 
 def test_invert_confusion_signals_singularity_near_zero_degree():
-    cm = confusion_matrix(1e-9, 30, 0.1, NoiseParams(0.01, 0.2))
-    with pytest.raises(SingularConfusionError):
-        invert_confusion(cm)
+    *_, det = _s_inverse_entries(1e-9, 30, 0.1, 0.01, 0.2)
+    assert 0.0 < det <= DET_FLOOR
 
 
 def test_level_frequencies_match_probabilities_monte_carlo():

@@ -15,7 +15,6 @@ from nnc.graphs import (
     _truncated_poisson_rate,
     build_graph_configuration,
     build_true_graph_from_rounds,
-    common_neighbors,
     load_edge_list,
     load_rounds,
     sample_degree_sequence,
@@ -65,14 +64,14 @@ def test_graph_from_adjacency_roundtrip():
 
 def test_common_neighbors_examples():
     triangle = Graph(3, [0, 0, 1], [1, 2, 2])
-    assert common_neighbors(triangle, 0, 1) == 1
+    assert triangle.common_neighbors(0, 1) == 1
     star = Graph(4, [0, 0, 0], [1, 2, 3])
-    assert common_neighbors(star, 0, 1) == 0
-    assert common_neighbors(star, 1, 2) == 1
+    assert star.common_neighbors(0, 1) == 0
+    assert star.common_neighbors(1, 2) == 1
     with pytest.raises(IndexError):
-        common_neighbors(star, 0, 9)
+        star.common_neighbors(0, 9)
     with pytest.raises(ValueError):
-        common_neighbors(star, 1, 1)
+        star.common_neighbors(1, 1)
 
 
 # -- zero-truncated Poisson sampler ---------------------------------------

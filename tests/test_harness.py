@@ -1,13 +1,25 @@
+import importlib.util
+import inspect
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nnc.estimators as estimators_mod
+import nnc.harness as harness_mod
 from nnc.estimators import MixingRule, ht_estimate, mme_estimate, realize_outcomes
-from nnc.exposure import assign_treatment
-from nnc.graphs import ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
+from nnc.exposure import assign_treatment, exposure_levels
+from nnc.graphs import (
+    Graph,
+    ZeroTruncatedPoisson,
+    build_graph_configuration,
+    sample_degree_sequence,
+)
 from nnc.harness import (
     _TRIAL_STREAM,
+    ESTIMATOR_NAMES,
     ExperimentConfig,
     ExperimentError,
     _run_trials,
@@ -186,7 +198,8 @@ def test_mme_degree_comes_from_all_three_replicates(small_graph):
     fit = fit_alpha_beta(moment_stats(*reps))
     t = assign_treatment(small_graph.n_v, cfg.p, rng)
     realized = realize_outcomes(small_graph, t, table)
-    args = (reps[0], t, realized, cfg.p, NoiseParams(fit.alpha_hat, fit.beta_hat),
+    lv = exposure_levels(t, reps[0])
+    args = (reps[0], lv, realized, cfg.p, NoiseParams(fit.alpha_hat, fit.beta_hat),
             MixingRule.sparse_fallback())
     d_mean = np.mean([r.degrees for r in reps], axis=0)
     mme = cfg.estimators.index("MME")
@@ -194,12 +207,50 @@ def test_mme_degree_comes_from_all_three_replicates(small_graph):
     assert not np.array_equal(est[0, mme], mme_estimate(*args).means.values)
     # the other estimators still see replicate 0 and the true graph only
     as_noisy = cfg.estimators.index("AS_noisy")
-    assert np.array_equal(est[0, as_noisy], ht_estimate(reps[0], t, realized, cfg.p).values)
+    assert np.array_equal(est[0, as_noisy], ht_estimate(reps[0], lv, realized, cfg.p).values)
+    ht_true = cfg.estimators.index("HT_true")
+    assert np.array_equal(est[0, ht_true],
+                          ht_estimate(small_graph, realized.levels, realized, cfg.p).values)
+
+
+def test_each_graph_is_classified_once_per_trial(small_graph, monkeypatch):
+    # the true graph (inside realize_outcomes) and replicate 0 (in the
+    # harness, shared by AS_noisy and MME) are the only distinct classifications
+    seen = []
+    for mod in (estimators_mod, harness_mod):
+        def counted(t, g, _real=mod.exposure_levels):
+            seen.append(g)
+            return _real(t, g)
+        monkeypatch.setattr(mod, "exposure_levels", counted)
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
+                           trials=6, master_seed=9)
+    assert cfg.estimators == ESTIMATOR_NAMES
+    table = _resolve_outcomes(cfg, small_graph.n_v)
+    _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    assert not failed.any()
+    assert len(seen) == 2 * cfg.trials
+    assert sum(g is small_graph for g in seen) == cfg.trials
+
+
+def test_empty_first_replicate_fails_trials_not_the_run():
+    # with alpha=0 and beta=0.9 a 6-edge graph loses every edge of replicate
+    # 0 in about half the trials, which leaves the rate fit no starting point
+    graph = Graph(6, [0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 5, 5])
+    cfg = ExperimentConfig(graph=graph, alpha=0.0, beta=0.9, p=0.5,
+                           trials=50, bootstrap_b=50)
+    table = _resolve_outcomes(cfg, graph.n_v)
+    _, failed, _, _ = _run_trials(cfg, graph, table, 0, cfg.trials)
+    empty = np.array([
+        replicate(graph, cfg.noise, 3, make_rng(cfg.master_seed, _TRIAL_STREAM, t))[0].n_edges == 0
+        for t in range(cfg.trials)
+    ])
+    assert empty.any() and failed[empty].all()
+    with pytest.raises(ExperimentError):
+        run_experiment(cfg)
 
 
 def test_failed_trials_are_excluded_and_counted(small_graph, monkeypatch):
     calls = {"n": 0}
-    import nnc.harness as harness_mod
     real_fit = harness_mod.fit_alpha_beta
 
     def flaky(stats, **kw):
@@ -217,8 +268,6 @@ def test_failed_trials_are_excluded_and_counted(small_graph, monkeypatch):
 
 
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
-    import nnc.harness as harness_mod
-
     def always_fail(stats, **kw):
         raise NoiseFitError("synthetic failure")
 
@@ -275,3 +324,22 @@ def test_emit_results_header_only_for_empty_estimators(small_graph, tmp_path):
         "estimator,level,truth,mean_estimate,bias,bias_ci_lo,bias_ci_hi,"
         "sd,sd_ci_lo,sd_ci_hi,n_trials,n_failed"
     )
+
+
+# -- benchmark tracer contract ----------------------------------------------------
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # perfbench/tracing.py swaps these module globals for timed wrappers and
+    # reads the observed graph's size off mme_estimate's first argument
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for module, name, _ in tracing.TARGETS:
+        assert callable(getattr(module, name, None)), (module.__name__, name)
+    assert isinstance(harness_mod._TRIAL_STREAM, int)
+    assert isinstance(harness_mod._BOOT_STREAM, int)
+    first = next(iter(inspect.signature(harness_mod.mme_estimate).parameters.values()))
+    assert first.name == "g_obs" and first.annotation in (Graph, "Graph")

@@ -172,6 +172,17 @@ def test_fit_validation_and_failure_modes():
         fit_alpha_beta(MomentStats(u1=0.05, u2=0.009, u3=0.9, n_v=10))
 
 
+def test_fit_empty_first_observation_is_degenerate():
+    # an empty first replicate leaves no default starting rate; that is a
+    # failed fit, not bad input
+    with pytest.raises(DegenerateMomentsError):
+        fit_alpha_beta(MomentStats(0, 0, 0, 6))
+    # an explicit starting rate is the caller's input and stays a ValueError
+    with pytest.raises(ValueError) as err:
+        fit_alpha_beta(MomentStats(0, 0, 0, 6), alpha0=0.01)
+    assert not isinstance(err.value, DegenerateMomentsError)
+
+
 def test_fit_hits_max_iter_without_exception():
     m = forward_moments(0.005, 0.1, 0.05)
     fit = fit_alpha_beta(m, eps=1e-300, max_iter=3)
