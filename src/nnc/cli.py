@@ -47,6 +47,7 @@ def cmd_generate(args) -> int:
     print(
         f"n_v={g.n_v} n_edges={g.n_edges}"
         f" erased_stubs={g.meta.get('erased_stub_count', 0)}"
+        f" matching_attempts={g.meta.get('matching_attempts')}"
         f" odd_repair_node={g.meta.get('odd_repair_node')}"
     )
     return 0

@@ -17,6 +17,23 @@ import numpy as np
 from scipy import integrate
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct elements of an integer array, equal to ``np.unique``.
+
+    Sorts, then keeps each element that differs from its predecessor. On
+    numpy 2.x ``np.unique`` of an int64 array takes a hash-based path that is
+    tens of times slower than this on the 5e5 edge codes of a ZTP(10) graph
+    with 1e5 vertices.
+    """
+    s = np.sort(values)
+    if s.size < 2:
+        return s
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 class EdgeListError(ValueError):
     """Malformed edge-list or contact-round input; message carries the line number."""
 
@@ -54,7 +71,7 @@ class Graph:
                 raise ValueError("self-edges are not allowed")
             lo = np.minimum(ei, ej)
             hi = np.maximum(ei, ej)
-            codes = np.unique(lo * n_v + hi)
+            codes = _sorted_unique(lo * n_v + hi)
         else:
             codes = np.empty(0, dtype=np.int64)
         self._init_from_codes(n_v, codes, labels, meta)
@@ -305,10 +322,22 @@ def build_graph_configuration(
     or parallel edges are redrawn up to ``max_attempts`` times, after which
     the offending pairs of the last matching are erased. Either way realized
     degrees never exceed the requested ones, and the number of stubs lost to
-    erasure is reported in ``meta['erased_stub_count']``. An odd stub total
-    is repaired by adding one stub to a uniformly chosen vertex that can
-    still take it (``meta['odd_repair_node']``).
+    erasure is reported in ``meta['erased_stub_count']`` beside the number
+    of matchings drawn (``meta['matching_attempts']``). An odd stub total is
+    repaired by adding one stub to a uniformly chosen vertex that can still
+    take it (``meta['odd_repair_node']``).
+
+    The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
+    nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
+    or the school Pareto essentially never yield one: all attempts run and
+    the last one is erased. Every attempt draws its permutation, but one
+    whose matching has a self-loop cannot be simple and is rejected before
+    its edge codes are built and deduplicated; only the last attempt is
+    always built. This saves time without changing any output: the graph,
+    ``meta`` and the generator's state are those of building every attempt.
     """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     d = np.asarray(degrees, dtype=np.int64).copy()
     n = d.size
     if n == 0:
@@ -325,15 +354,15 @@ def build_graph_configuration(
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     n_pairs = stubs.size // 2
-    codes = np.empty(0, dtype=np.int64)
-    attempts = 0
     for attempts in range(1, max_attempts + 1):
         perm = rng.permutation(stubs)
         a, b = perm[0::2], perm[1::2]
+        if attempts < max_attempts and np.any(a == b):
+            continue
         keep = a != b
         lo = np.minimum(a[keep], b[keep])
         hi = np.maximum(a[keep], b[keep])
-        codes = np.unique(lo * n + hi)
+        codes = _sorted_unique(lo * n + hi)
         if codes.size == n_pairs:
             break
     meta["matching_attempts"] = attempts

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _sorted_unique
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def _draw_uniform_nonedges(
     while chosen.size < k:
         r = rng.integers(0, total, size=k - chosen.size)
         cand = _decode_pair_rank(r, n, row_cum)
-        cand = np.unique(cand)
+        cand = _sorted_unique(cand)
         cand = cand[~_in_sorted(cand, edge_codes)]
         if chosen.size:
             cand = cand[~_in_sorted(cand, chosen)]

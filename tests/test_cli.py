@@ -14,6 +14,10 @@ def test_generate_perturb_noise_fit_roundtrip(tmp_path, capsys):
     ]) == 0
     g = load_edge_list(edges)
     assert g.n_v == 300
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    assert int(fields["n_edges"]) == g.n_edges
+    assert 1 <= int(fields["matching_attempts"]) <= 100
+    assert int(fields["erased_stubs"]) % 2 == 0
 
     reps = []
     for k in range(3):

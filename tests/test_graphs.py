@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from nnc.graphs import (
@@ -12,6 +12,7 @@ from nnc.graphs import (
     Graph,
     ParetoExpCutoff,
     ZeroTruncatedPoisson,
+    _sorted_unique,
     _truncated_poisson_rate,
     build_graph_configuration,
     build_true_graph_from_rounds,
@@ -24,6 +25,24 @@ from nnc.seeding import make_rng
 
 
 # -- Graph basics ----------------------------------------------------------
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), _INT64), max_size=60))
+@example([])
+@example([7])
+@example([5, 5, 5, 5])
+@example([2**63 - 1, -(2**63), 2**63 - 1, 0])
+def test_sorted_unique_equals_np_unique(values):
+    x = np.asarray(values, dtype=np.int64)
+    got = _sorted_unique(x)
+    want = np.unique(x)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert np.array_equal(x, np.asarray(values, dtype=np.int64))  # input untouched
 
 
 def test_graph_canonicalizes_and_dedupes_edges():
@@ -240,6 +259,62 @@ def test_configuration_rejects_bad_degrees():
         build_graph_configuration([0, 1], make_rng(0))
     with pytest.raises(ValueError):
         build_graph_configuration([2, 1], make_rng(0))
+
+
+def test_configuration_rejects_nonpositive_max_attempts():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_attempts"):
+            build_graph_configuration([2, 2, 2], make_rng(0), max_attempts=bad)
+
+
+def _reference_configuration(degrees, rng, max_attempts):
+    # plain stub matching: every attempt builds its edge codes and dedupes
+    # them with np.unique; the builder must agree with it bit for bit
+    d = np.asarray(degrees, dtype=np.int64).copy()
+    n = d.size
+    meta = {"odd_repair_node": None}
+    if d.sum() % 2 == 1:
+        pick = int(rng.choice(np.flatnonzero(d < n - 1)))
+        d[pick] += 1
+        meta["odd_repair_node"] = pick
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    n_pairs = stubs.size // 2
+    for attempts in range(1, max_attempts + 1):
+        perm = rng.permutation(stubs)
+        a, b = perm[0::2], perm[1::2]
+        keep = a != b
+        codes = np.unique(np.minimum(a[keep], b[keep]) * n + np.maximum(a[keep], b[keep]))
+        if codes.size == n_pairs:
+            break
+    meta["matching_attempts"] = attempts
+    meta["erased_stub_count"] = int(2 * (n_pairs - codes.size))
+    return codes, meta
+
+
+def test_configuration_matches_reference_matching_bit_for_bit():
+    laws = {
+        "ztp10": ZeroTruncatedPoisson(10.0),
+        "pareto": ParetoExpCutoff(rate=0.1, shape=1.2, lower=3.0, upper=299.0),
+        "ztp_sparse": ZeroTruncatedPoisson(1.3),  # nu ~ 0.56: simple matchings are common
+    }
+    outcomes = set()
+    for name, law in laws.items():
+        for seed in range(20):
+            degrees = sample_degree_sequence(law, 300, make_rng(seed))
+            for max_attempts in (1, 2, 100):
+                rng_a, rng_b = make_rng(1000 + seed), make_rng(1000 + seed)
+                g = build_graph_configuration(degrees, rng_a, max_attempts=max_attempts)
+                codes, meta = _reference_configuration(degrees, rng_b, max_attempts)
+                assert np.array_equal(g.codes, codes), (name, seed, max_attempts)
+                assert g.meta == meta, (name, seed, max_attempts)
+                assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+                outcomes.add((name, meta["matching_attempts"] < max_attempts,
+                              meta["erased_stub_count"] > 0))
+    # both ends of the loop are exercised: a final attempt erased, and a
+    # simple matching found before the last attempt
+    assert ("ztp10", False, True) in outcomes
+    assert ("pareto", False, True) in outcomes
+    assert ("ztp_sparse", True, False) in outcomes
 
 
 # -- edge-list ingestion ----------------------------------------------------

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
-from nnc.noise import NoiseParams, perturb, replicate
+from nnc.noise import (
+    NoiseParams,
+    _decode_pair_rank,
+    _draw_uniform_nonedges,
+    _in_sorted,
+    perturb,
+    replicate,
+)
 from nnc.noise_fit import moment_stats
 from nnc.seeding import make_rng
 
@@ -140,3 +147,43 @@ def test_dense_and_sparse_paths_share_the_law():
     for counts in (counts_d, counts_s):
         se = counts.std(ddof=1) / 20.0
         assert abs(counts.mean() - target) < 3.5 * se
+
+
+def _reference_uniform_nonedges(n, edge_codes, k, rng):
+    # the same rejection loop deduping each batch with np.unique
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    total = n * (n - 1) // 2
+    row_cum = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < k:
+        r = rng.integers(0, total, size=k - chosen.size)
+        cand = np.unique(_decode_pair_rank(r, n, row_cum))
+        cand = cand[~_in_sorted(cand, edge_codes)]
+        if chosen.size:
+            cand = cand[~_in_sorted(cand, chosen)]
+        chosen = np.sort(np.concatenate([chosen, cand]))
+    return chosen
+
+
+def test_sparse_nonedge_draw_matches_np_unique_reference(base_graph):
+    # k near the non-edge count forces many rejection rounds with repeats
+    cases = [(base_graph, k) for k in (0, 1, 50, 2_000)]
+    small = Graph(25, [0, 1, 2], [1, 2, 3])
+    cases += [(small, 100), (small, 297)]
+    for seed in range(10):
+        for g, k in cases:
+            rng_a, rng_b = make_rng(seed), make_rng(seed)
+            got = _draw_uniform_nonedges(g.n_v, g.codes, k, rng_a)
+            want = _reference_uniform_nonedges(g.n_v, g.codes, k, rng_b)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+    # and through perturb's sparse path, which draws kept edges, the false
+    # edge count, then the false edges
+    n, m = base_graph.n_v, base_graph.n_edges
+    got = perturb(base_graph, NoiseParams(0.01, 0.1), make_rng(3), method="sparse")
+    rng = make_rng(3)
+    kept = base_graph.codes[rng.random(m) < 1.0 - 0.1]
+    n_false = int(rng.binomial(n * (n - 1) // 2 - m, 0.01))
+    false = _reference_uniform_nonedges(n, base_graph.codes, n_false, rng)
+    assert np.array_equal(got.codes, np.sort(np.concatenate([kept, false])))
