@@ -16,7 +16,7 @@ from .estimators import OutcomeTable
 from .graphs import align_on_labels, load_edge_list, write_edge_list
 from .harness import (
     ExperimentConfig,
-    _GRAPH_STREAM,
+    _PERTURB_STREAM,
     emit_results,
     resolve_graph,
     run_experiment,
@@ -55,7 +55,7 @@ def cmd_generate(args) -> int:
 
 def cmd_perturb(args) -> int:
     g = load_edge_list(args.edges)
-    noisy = perturb(g, NoiseParams(args.alpha, args.beta), make_rng(args.seed, _GRAPH_STREAM))
+    noisy = perturb(g, NoiseParams(args.alpha, args.beta), make_rng(args.seed, _PERTURB_STREAM))
     write_edge_list(noisy, args.out)
     print(f"n_v={noisy.n_v} n_edges={noisy.n_edges}")
     return 0

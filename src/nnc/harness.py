@@ -45,6 +45,7 @@ MIXING_MODES = ("sparse_fallback", "order_of_magnitude")
 _GRAPH_STREAM = 1
 _TRIAL_STREAM = 2
 _BOOT_STREAM = 3
+_PERTURB_STREAM = 4  # ``nnc perturb``; never the generator's stream at the same seed
 
 
 class ExperimentError(RuntimeError):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _sorted_unique
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,8 @@ class NoiseParams:
         return self.alpha + self.beta < 1.0
 
 
-_DENSE_PAIR_LIMIT = 20_000
-
-
 def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(table, values)
-    pos = np.minimum(pos, table.size - 1)
-    return table[pos] == values
 
 
 def _decode_pair_rank(r: np.ndarray, n: int, row_cum: np.ndarray) -> np.ndarray:
@@ -55,75 +44,92 @@ def _decode_pair_rank(r: np.ndarray, n: int, row_cum: np.ndarray) -> np.ndarray:
     return i * n + j
 
 
-def _draw_uniform_nonedges(
-    n: int, edge_codes: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform random set of ``k`` distinct vertex pairs avoiding ``edge_codes``."""
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    total = _pair_count(n)
+def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tables that map non-edge ranks of ``g`` to pair codes, O(n + m) in size.
+
+    ``nonedges_before[k]`` counts the non-edges that precede the k-th true
+    edge in canonical pair order, and ``row_cum[i]`` counts the pairs whose
+    smaller vertex is at most ``i``.
+    """
+    n, m = g.n_v, g.n_edges
     row_cum = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < k:
-        r = rng.integers(0, total, size=k - chosen.size)
-        cand = _decode_pair_rank(r, n, row_cum)
-        cand = _sorted_unique(cand)
-        cand = cand[~_in_sorted(cand, edge_codes)]
-        if chosen.size:
-            cand = cand[~_in_sorted(cand, chosen)]
-        chosen = np.sort(np.concatenate([chosen, cand]))
-    return chosen
+    # the pair (i, j) has rank row_cum[i] + j - n, and k true edges precede
+    # the k-th; updated in place to keep one O(m) temporary
+    nonedges_before = row_cum[g.edge_i]
+    nonedges_before += g.edge_j
+    nonedges_before -= np.arange(n, n + m, dtype=np.int64)
+    return nonedges_before, row_cum
 
 
-def perturb(
-    g: Graph, noise: NoiseParams, rng: np.random.Generator, method: str = "auto"
+def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Increasing indices of the successes among ``n_trials`` Bernoulli(p) trials.
+
+    The gaps between successes are Geometric(p) (Batagelj & Brandes, Phys.
+    Rev. E 71, 036113, 2005), drawn in batches sized from the expected count
+    of successes still to come, so the work is proportional to the number of
+    successes, not of trials.
+    """
+    if p == 0.0 or n_trials == 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while True:
+        left = n_trials - 1 - last
+        mean = left * p
+        gaps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8)
+        # a gap past the last trial ends the draw; capping it keeps the
+        # running sum far from int64 overflow when p is tiny
+        np.minimum(gaps, left + 1, out=gaps)
+        ranks = last + np.cumsum(gaps)
+        end = int(np.searchsorted(ranks, n_trials))
+        parts.append(ranks[:end])
+        if end < ranks.size:
+            return np.concatenate(parts)
+        last = int(ranks[-1])
+
+
+def _observe(
+    g: Graph,
+    noise: NoiseParams,
+    rng: np.random.Generator,
+    tables: tuple[np.ndarray, np.ndarray],
 ) -> Graph:
+    n, m = g.n_v, g.n_edges
+    nonedges_before, row_cum = tables
+    kept = g.codes[rng.random(m) < 1.0 - noise.beta]
+    r = _success_ranks(_pair_count(n) - m, noise.alpha, rng)
+    r += np.searchsorted(nonedges_before, r, side="right")
+    false_codes = _decode_pair_rank(r, n, row_cum)
+    # both parts are sorted, so the stable sort is one merge of two runs
+    codes = np.concatenate([kept, false_codes])
+    del kept, false_codes, r
+    codes.sort(kind="stable")
+    return Graph._from_codes(n, codes, labels=g.labels)
+
+
+def perturb(g: Graph, noise: NoiseParams, rng: np.random.Generator) -> Graph:
     """One noisy observation of ``g``.
 
     Every true edge survives independently with probability 1 - beta and
     every non-edge turns on independently with probability alpha. The vertex
     set is unchanged and the output is again simple.
 
-    ``method="dense"`` draws one uniform per vertex pair in canonical
-    (i < j) order, so a fixed generator state reproduces the observation
-    bit for bit. ``method="sparse"`` thins the edge list and inserts a
-    Binomial(#non-edges, alpha) count of uniformly chosen non-edges, which
-    follows the same law without O(n^2) work. ``"auto"`` picks by size and
-    density.
+    Draw order: one uniform per true edge, in edge-code order, keeps the edge
+    when below 1 - beta; then Geometric(alpha) gaps pick the non-edges that
+    turn on, in increasing canonical (i < j) pair order, so a fixed generator
+    state reproduces the observation bit for bit. Time and memory are
+    O(n + m + observed edges); no array has one entry per vertex pair.
     """
-    if method not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown method {method!r}")
-    n = g.n_v
-    total = _pair_count(n)
-    if total == 0:
-        return Graph._from_codes(n, np.empty(0, dtype=np.int64), labels=g.labels)
-    if method == "auto":
-        dense = total <= _DENSE_PAIR_LIMIT or (g.density + noise.alpha) >= 0.25
-        method = "dense" if dense else "sparse"
-
-    if method == "dense":
-        iu_i, iu_j = np.triu_indices(n, 1)
-        flat_true = g.adjacency[iu_i, iu_j]
-        u = rng.random(total)
-        observed = np.where(flat_true, u < 1.0 - noise.beta, u < noise.alpha)
-        codes = (iu_i.astype(np.int64) * n + iu_j)[observed]
-        return Graph._from_codes(n, codes, labels=g.labels)
-
-    m = g.n_edges
-    if m:
-        kept = g.codes[rng.random(m) < 1.0 - noise.beta]
-    else:
-        kept = np.empty(0, dtype=np.int64)
-    n_false = int(rng.binomial(total - m, noise.alpha)) if total > m else 0
-    false_codes = _draw_uniform_nonedges(n, g.codes, n_false, rng)
-    codes = np.sort(np.concatenate([kept, false_codes]))
-    return Graph._from_codes(n, codes, labels=g.labels)
+    return _observe(g, noise, rng, _rank_tables(g))
 
 
-def replicate(
-    g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator, method: str = "auto"
-) -> list[Graph]:
-    """``k`` conditionally independent noisy observations of ``g``."""
+def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) -> list[Graph]:
+    """``k`` conditionally independent noisy observations of ``g``.
+
+    Equal to ``k`` successive ``perturb`` calls on ``rng``; the rank tables
+    of ``g`` are built once and shared by the ``k`` draws.
+    """
     if k < 1:
         raise ValueError("need at least one replicate")
-    return [perturb(g, noise, rng, method=method) for _ in range(k)]
+    tables = _rank_tables(g)
+    return [_observe(g, noise, rng, tables) for _ in range(k)]

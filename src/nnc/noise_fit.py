@@ -38,18 +38,34 @@ class MomentStats:
 
 
 def moment_stats(a1: Graph, a2: Graph, a3: Graph) -> MomentStats:
-    """Compute the three moment statistics from replicate observations."""
+    """Compute the three moment statistics from replicate observations.
+
+    All three counts come from one merge of the replicates' sorted edge
+    codes, in time and memory linear in their total edge count.
+    """
     if not (a1.n_v == a2.n_v == a3.n_v):
         raise ValueError("replicates must share the vertex set")
     n = a1.n_v
     if n < 2:
         raise ValueError("need at least two vertices")
     denom = n * (n - 1)
+    # tag each code with its replicate in the two low bits (codes stay below
+    # 2**61 while n_v < 1.5e9); the stable sort merges the three sorted runs,
+    # and a pair's copies end up adjacent, in replicate order
+    keys = np.concatenate([a1.codes << 2, (a2.codes << 2) | 1, (a3.codes << 2) | 2])
+    keys.sort(kind="stable")
+    tags = np.empty(keys.size, dtype=np.int8)
+    np.bitwise_and(keys, 3, out=tags, casting="unsafe")
+    keys >>= 2
+    same = keys[1:] == keys[:-1]
+    del keys
+    pairs = int(np.count_nonzero(same))
+    triples = int(np.count_nonzero(same[1:] & same[:-1]))
+    in_1_and_2 = int(np.count_nonzero(same & (tags[:-1] == 0) & (tags[1:] == 1)))
+    once = tags.size - 2 * pairs + triples
     u1 = 2.0 * a1.n_edges / denom
-    u2 = np.setxor1d(a2.codes, a1.codes, assume_unique=True).size / denom
-    stacked = np.concatenate([a1.codes, a2.codes, a3.codes])
-    _, counts = np.unique(stacked, return_counts=True)
-    u3 = 2.0 * int(np.count_nonzero(counts == 1)) / (3.0 * denom)
+    u2 = (a1.n_edges + a2.n_edges - 2 * in_1_and_2) / denom
+    u3 = 2.0 * once / (3.0 * denom)
     return MomentStats(u1=u1, u2=u2, u3=u3, n_v=n)
 
 

@@ -1,9 +1,14 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from nnc.cli import main
-from nnc.graphs import load_edge_list
+from nnc.graphs import load_edge_list, write_edge_list
+from nnc.harness import _GRAPH_STREAM, _PERTURB_STREAM
+from nnc.noise import NoiseParams, perturb
+from nnc.seeding import make_rng
 
 
 def test_generate_perturb_noise_fit_roundtrip(tmp_path, capsys):
@@ -48,6 +53,35 @@ def test_generate_pareto_requires_parameters(tmp_path):
         "generate", "--kind", "pareto", "--n-v", "100", "--rate", "0.1",
         "--shape", "1.5", "--lower", "2", "--seed", "4", "--out", str(tmp_path / "p.csv"),
     ]) == 0
+
+
+def test_perturb_stream_is_not_the_generators(tmp_path, capsys):
+    # generate and perturb both default to --seed 0; perturb must not reuse
+    # the degree sampler's uniforms as its edge-keep uniforms
+    seed = 7
+    edges = tmp_path / "true.csv"
+    noisy = tmp_path / "noisy.csv"
+    assert main([
+        "generate", "--kind", "pareto", "--n-v", "120", "--rate", "0.4", "--shape", "1.0",
+        "--lower", "7", "--seed", str(seed), "--out", str(edges),
+    ]) == 0
+    assert main(["perturb", "--edges", str(edges), "--alpha", "0.01", "--beta", "0.1",
+                 "--seed", str(seed), "--out", str(noisy)]) == 0
+    capsys.readouterr()
+    assert not np.array_equal(
+        make_rng(seed, _PERTURB_STREAM).random(64), make_rng(seed, _GRAPH_STREAM).random(64)
+    )
+
+    g = load_edge_list(edges)
+    noise = NoiseParams(0.01, 0.1)
+
+    def text(stream):
+        buf = io.StringIO()
+        write_edge_list(perturb(g, noise, make_rng(seed, stream)), buf)
+        return buf.getvalue()
+
+    assert noisy.read_text() == text(_PERTURB_STREAM)
+    assert noisy.read_text() != text(_GRAPH_STREAM)
 
 
 def test_perturb_preserves_labels(tmp_path, capsys):

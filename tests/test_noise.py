@@ -1,17 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
-from nnc.noise import (
-    NoiseParams,
-    _decode_pair_rank,
-    _draw_uniform_nonedges,
-    _in_sorted,
-    perturb,
-    replicate,
-)
+from nnc.noise import NoiseParams, _success_ranks, perturb, replicate
 from nnc.noise_fit import moment_stats
 from nnc.seeding import make_rng
+
+
+def random_graph(n, density, seed):
+    rng = make_rng(seed)
+    iu_i, iu_j = np.triu_indices(n, 1)
+    keep = rng.random(iu_i.size) < density
+    return Graph(n, iu_i[keep], iu_j[keep])
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +22,18 @@ def base_graph():
     rng = make_rng(101)
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(8.0), 200, rng)
     return build_graph_configuration(degrees, rng)
+
+
+@pytest.fixture(scope="module")
+def dense_graph():
+    return random_graph(40, 0.3, seed=102)
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def true_graph(request, base_graph, dense_graph):
+    # "dense" is a graph whose density plus a moderate false-edge rate
+    # exceeds 0.25, the regime that once had a sampler of its own
+    return dense_graph if request.param == "dense" else base_graph
 
 
 def test_noise_params_validation():
@@ -31,23 +46,20 @@ def test_noise_params_validation():
         NoiseParams(0.1, 1.01)
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_noiseless_perturb_is_identity(base_graph, method):
-    out = perturb(base_graph, NoiseParams(0.0, 0.0), make_rng(1), method=method)
-    assert out == base_graph
+def test_noiseless_perturb_is_identity(true_graph):
+    out = perturb(true_graph, NoiseParams(0.0, 0.0), make_rng(1))
+    assert out == true_graph
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_full_miss_rate_gives_empty_graph(base_graph, method):
-    out = perturb(base_graph, NoiseParams(0.0, 1.0), make_rng(1), method=method)
-    assert out.n_edges == 0 and out.n_v == base_graph.n_v
+def test_full_miss_rate_gives_empty_graph(true_graph):
+    out = perturb(true_graph, NoiseParams(0.0, 1.0), make_rng(1))
+    assert out.n_edges == 0 and out.n_v == true_graph.n_v
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_full_false_rate_gives_complete_graph(method):
-    g = Graph(30, [0, 1], [1, 2])
-    out = perturb(g, NoiseParams(1.0, 0.0), make_rng(1), method=method)
-    assert out.n_edges == 30 * 29 // 2
+def test_full_false_rate_gives_complete_graph(true_graph):
+    n = true_graph.n_v
+    out = perturb(true_graph, NoiseParams(1.0, 0.0), make_rng(1))
+    assert out.n_edges == n * (n - 1) // 2
 
 
 def test_perturb_preserves_simplicity_and_symmetry(base_graph):
@@ -74,16 +86,14 @@ def test_replicate_noiseless_returns_copies(base_graph):
         replicate(base_graph, NoiseParams(0.0, 0.0), 0, make_rng(2))
 
 
-@pytest.mark.parametrize("method", ["dense", "sparse"])
-def test_observed_density_matches_mixture_formula(base_graph, method):
+def test_observed_density_matches_mixture_formula(true_graph):
     # oracle: expected observed density (1-delta)*alpha + delta*(1-beta)
-    alpha, beta = 0.01, 0.1
-    delta = base_graph.density
+    alpha, beta = 0.02, 0.1
+    delta = true_graph.density
     rng = make_rng(77)
     reps = 300
     dens = np.array([
-        perturb(base_graph, NoiseParams(alpha, beta), rng, method=method).density
-        for _ in range(reps)
+        perturb(true_graph, NoiseParams(alpha, beta), rng).density for _ in range(reps)
     ])
     target = (1 - delta) * alpha + delta * (1 - beta)
     se = dens.std(ddof=1) / np.sqrt(reps)
@@ -135,55 +145,121 @@ def test_replicates_are_exchangeable_for_symmetric_statistics(base_graph):
     assert len(u3_orders) == 1
 
 
-def test_dense_and_sparse_paths_share_the_law():
-    # same graph and rates: both paths must hit the same expected edge count
-    g = Graph(80, [2 * i for i in range(30)], [2 * i + 1 for i in range(30)])
-    noise = NoiseParams(0.05, 0.3)
-    rng_d, rng_s = make_rng(6), make_rng(7)
-    n_pairs = 80 * 79 / 2
-    target = (n_pairs - 30) * 0.05 + 30 * 0.7
-    counts_d = np.array([perturb(g, noise, rng_d, method="dense").n_edges for _ in range(400)])
-    counts_s = np.array([perturb(g, noise, rng_s, method="sparse").n_edges for _ in range(400)])
-    for counts in (counts_d, counts_s):
-        se = counts.std(ddof=1) / 20.0
-        assert abs(counts.mean() - target) < 3.5 * se
+def test_replicate_equals_successive_perturbs(base_graph):
+    # sharing the rank tables across draws changes neither the draws nor
+    # the stream
+    noise = NoiseParams(0.01, 0.1)
+    rng_a, rng_b = make_rng(8), make_rng(8)
+    reps = replicate(base_graph, noise, 4, rng_a)
+    assert reps == [perturb(base_graph, noise, rng_b) for _ in range(4)]
+    assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
-def _reference_uniform_nonedges(n, edge_codes, k, rng):
-    # the same rejection loop deduping each batch with np.unique
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    total = n * (n - 1) // 2
-    row_cum = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < k:
-        r = rng.integers(0, total, size=k - chosen.size)
-        cand = np.unique(_decode_pair_rank(r, n, row_cum))
-        cand = cand[~_in_sorted(cand, edge_codes)]
-        if chosen.size:
-            cand = cand[~_in_sorted(cand, chosen)]
-        chosen = np.sort(np.concatenate([chosen, cand]))
-    return chosen
+def _inclusion_matrix(g, noise, draws, seed):
+    """Rows: draws; columns: vertex pairs in canonical order; True if observed."""
+    n = g.n_v
+    iu_i, iu_j = np.triu_indices(n, 1)
+    x = np.zeros((draws, n * n), dtype=bool)
+    for k, obs in enumerate(replicate(g, noise, draws, make_rng(seed))):
+        x[k, obs.codes] = True
+    return x[:, iu_i * n + iu_j]
 
 
-def test_sparse_nonedge_draw_matches_np_unique_reference(base_graph):
-    # k near the non-edge count forces many rejection rounds with repeats
-    cases = [(base_graph, k) for k in (0, 1, 50, 2_000)]
-    small = Graph(25, [0, 1, 2], [1, 2, 3])
-    cases += [(small, 100), (small, 297)]
-    for seed in range(10):
-        for g, k in cases:
-            rng_a, rng_b = make_rng(seed), make_rng(seed)
-            got = _draw_uniform_nonedges(g.n_v, g.codes, k, rng_a)
-            want = _reference_uniform_nonedges(g.n_v, g.codes, k, rng_b)
-            assert got.dtype == np.int64 and np.array_equal(got, want)
-            assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
-    # and through perturb's sparse path, which draws kept edges, the false
-    # edge count, then the false edges
-    n, m = base_graph.n_v, base_graph.n_edges
-    got = perturb(base_graph, NoiseParams(0.01, 0.1), make_rng(3), method="sparse")
-    rng = make_rng(3)
-    kept = base_graph.codes[rng.random(m) < 1.0 - 0.1]
-    n_false = int(rng.binomial(n * (n - 1) // 2 - m, 0.01))
-    false = _reference_uniform_nonedges(n, base_graph.codes, n_false, rng)
-    assert np.array_equal(got.codes, np.sort(np.concatenate([kept, false])))
+@pytest.mark.parametrize(
+    "n, density, alpha, beta",
+    [
+        (7, 0.3, 0.1, 0.3),
+        (10, 0.4, 0.3, 0.2),  # density + alpha >= 0.25
+        (12, 0.1, 0.02, 0.5),  # about one false edge per draw
+        (30, 0.05, 0.5, 0.1),
+    ],
+)
+def test_pair_inclusion_frequencies_follow_the_law(n, density, alpha, beta):
+    # every pair is an independent Bernoulli: 1 - beta on true edges,
+    # alpha on non-edges
+    g = random_graph(n, density, seed=n)
+    draws = 3000
+    x = _inclusion_matrix(g, NoiseParams(alpha, beta), draws, seed=1000 + n)
+    iu_i, iu_j = np.triu_indices(n, 1)
+    q = np.where(g.adjacency[iu_i, iu_j], 1.0 - beta, alpha)
+    counts = x.sum(axis=0)
+    chi2 = float(np.sum((counts - draws * q) ** 2 / (draws * q * (1.0 - q))))
+    assert stats.chi2.sf(chi2, df=q.size) > 1e-3
+
+    # per-vertex observed degree: mean d*(1-beta) + (n-1-d)*alpha, with the
+    # exact variance of the two binomials
+    deg_true = g.degrees.astype(float)
+    deg_obs = np.zeros((draws, n))
+    np.add.at(deg_obs.T, iu_i, x.T)
+    np.add.at(deg_obs.T, iu_j, x.T)
+    mean = deg_true * (1 - beta) + (n - 1 - deg_true) * alpha
+    var = deg_true * beta * (1 - beta) + (n - 1 - deg_true) * alpha * (1 - alpha)
+    z = (deg_obs.mean(axis=0) - mean) / np.sqrt(var / draws)
+    assert np.max(np.abs(z)) < 4.0
+
+    # pairwise independence: sqrt(draws) * corr is about N(0, 1) for every
+    # two pairs, neighbours in pair order included
+    corr = np.corrcoef(x, rowvar=False)
+    off = corr[np.triu_indices(q.size, 1)]
+    assert np.max(np.abs(off)) * np.sqrt(draws) < 5.0
+    assert stats.chi2.sf(draws * float(np.sum(off**2)), df=off.size) > 1e-3
+    # and the edge count's variance is the sum of the pairs' variances (a
+    # fixed false-edge count would make it smaller)
+    var_ratio = x.sum(axis=1).var(ddof=1) / float(np.sum(q * (1.0 - q)))
+    assert abs(var_ratio - 1.0) < 0.15
+
+
+def _deterministic_cases():
+    for n in (0, 1, 2, 7):
+        iu_i, iu_j = np.triu_indices(n, 1)
+        graphs = [Graph(n), Graph(n, iu_i, iu_j)]
+        if n == 7:
+            graphs.append(random_graph(7, 0.4, seed=3))
+        yield from graphs
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_boundary_rates_are_deterministic(alpha, beta):
+    # n in {0, 1, 2, 7}, empty and complete true graphs: with rates in
+    # {0, 1} the observation keeps every true edge iff beta = 0 and adds
+    # every non-edge iff alpha = 1
+    for g in _deterministic_cases():
+        n = g.n_v
+        out = perturb(g, NoiseParams(alpha, beta), make_rng(4))
+        iu_i, iu_j = np.triu_indices(n, 1)
+        true = g.adjacency[iu_i, iu_j]
+        want = (true & (beta == 0.0)) | (~true & (alpha == 1.0))
+        assert out.n_v == n and out.labels == g.labels
+        assert np.array_equal(out.codes, (iu_i * n + iu_j)[want])
+
+
+def test_success_ranks_continue_across_batches():
+    class FixedGaps:
+        def __init__(self, gap):
+            self.gap = gap
+
+        def geometric(self, p, size):
+            return np.full(size, self.gap, dtype=np.int64)
+
+    # unit gaps with a small p need many batches of about mean + 4 sd
+    assert np.array_equal(_success_ranks(1000, 0.01, FixedGaps(1)), np.arange(1000))
+    assert np.array_equal(_success_ranks(1000, 0.01, FixedGaps(3)), np.arange(2, 1000, 3))
+    assert _success_ranks(0, 0.5, FixedGaps(1)).size == 0
+    assert _success_ranks(10, 0.0, FixedGaps(1)).size == 0
+    # Geometric(1e-300) returns int64's maximum; the running sum must not
+    # wrap (1e15 trials: the pairs of 4.5e7 vertices)
+    assert _success_ranks(10**15, 1e-300, make_rng(5)).size == 0
+
+
+def test_replicate_memory_is_linear_in_vertices():
+    # 2e10 vertex pairs: a pass over all of them would need terabytes
+    g = Graph(200_000)
+    tracemalloc.start()
+    try:
+        reps = replicate(g, NoiseParams(1e-9, 0.1), 3, make_rng(6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert all(r.n_v == 200_000 and r.n_edges < 200 for r in reps)

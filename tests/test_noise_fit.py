@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nnc.graphs import Graph
 from nnc.noise import NoiseParams, perturb
@@ -91,6 +91,36 @@ def test_moments_invariant_under_consistent_relabeling():
     perm = make_rng(8).permutation(40)
     relabeled = [Graph(40, perm[r.edge_i], perm[r.edge_j]) for r in reps]
     assert moment_stats(*reps) == moment_stats(*relabeled)
+
+
+def _reference_moment_stats(a1, a2, a3):
+    # the set-operation formulas the merged counts replace
+    n = a1.n_v
+    denom = n * (n - 1)
+    u2 = np.setxor1d(a2.codes, a1.codes, assume_unique=True).size / denom
+    _, counts = np.unique(np.concatenate([a1.codes, a2.codes, a3.codes]), return_counts=True)
+    u3 = 2.0 * int(np.count_nonzero(counts == 1)) / (3.0 * denom)
+    return MomentStats(u1=2.0 * a1.n_edges / denom, u2=u2, u3=u3, n_v=n)
+
+
+def _graph_from_pair_mask(n, mask):
+    iu_i, iu_j = np.triu_indices(n, 1)
+    keep = np.resize(np.asarray(mask, dtype=bool), iu_i.size)
+    return Graph(n, iu_i[keep], iu_j[keep])
+
+
+_MASKS = st.lists(st.booleans(), min_size=1, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 14), _MASKS, _MASKS, _MASKS)
+@example(5, [False], [False], [False])  # all empty
+@example(6, [True, False, True], [True, False, True], [True, False, True])  # identical
+@example(6, [True, False, False], [False, True, False], [False, False, True])  # disjoint
+@example(9, [True], [True], [False])
+def test_merged_moments_equal_set_operation_reference(n, m1, m2, m3):
+    reps = [_graph_from_pair_mask(n, m) for m in (m1, m2, m3)]
+    assert moment_stats(*reps) == _reference_moment_stats(*reps)
 
 
 def test_moments_dimension_check():
