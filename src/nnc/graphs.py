@@ -81,13 +81,13 @@ class Graph:
         self.codes = codes
         if codes.size:
             self.edge_i = codes // n_v
-            self.edge_j = codes % n_v
+            self.edge_j = codes - self.edge_i * n_v
         else:
             self.edge_i = np.empty(0, dtype=np.int64)
             self.edge_j = np.empty(0, dtype=np.int64)
-        self.degrees = np.bincount(
-            np.concatenate([self.edge_i, self.edge_j]), minlength=n_v
-        ).astype(np.int64)
+        self.degrees = (
+            np.bincount(self.edge_i, minlength=n_v) + np.bincount(self.edge_j, minlength=n_v)
+        ).astype(np.int64, copy=False)
         for arr in (self.codes, self.edge_i, self.edge_j, self.degrees):
             arr.flags.writeable = False
         self.labels = tuple(labels) if labels is not None else None

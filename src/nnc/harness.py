@@ -2,9 +2,11 @@
 and bootstrap summaries, all reproducible from one master seed.
 
 Per-trial randomness comes from an independent PCG64 stream seeded by an
-avalanche mix of (master_seed, trial index); bootstrap columns use their own
-mix domain. Aggregation runs in trial-index order, so results do not depend
-on how trials would be scheduled.
+avalanche mix of (master_seed, trial index). The bootstrap draws one set of
+resamples per experiment from its own mix domain, and every summary column
+(estimator x level, mean and SD) is read off those same resamples.
+Aggregation runs in trial-index order, so results do not depend on how
+trials would be scheduled.
 """
 from __future__ import annotations
 
@@ -46,6 +48,9 @@ _GRAPH_STREAM = 1
 _TRIAL_STREAM = 2
 _BOOT_STREAM = 3
 _PERTURB_STREAM = 4  # ``nnc perturb``; never the generator's stream at the same seed
+
+# entries of one block of the shared bootstrap's count matrix (1 MB of float64)
+_BOOT_BLOCK_ENTRIES = 2**17
 
 
 class ExperimentError(RuntimeError):
@@ -206,6 +211,9 @@ def _run_trials(
     mean observed degree of all three replicates: it has the same
     expectation as replicate 0's degree and a third of its variance, and the
     inverse-confusion weights are exponential in it.
+
+    A trial drops its replicates before the next trial draws new ones, so at
+    most one trial's three observed graphs are alive at a time.
     """
     rule = _mixing_rule(cfg)
     n_trials = t1 - t0
@@ -231,6 +239,7 @@ def _run_trials(
                 fit = fit_alpha_beta(moment_stats(*reps))
             except NoiseFitError:
                 failed[row] = True
+                del reps
                 continue
             noise_hat = NoiseParams(fit.alpha_hat, fit.beta_hat)
             conv[row] = fit.converged
@@ -250,6 +259,7 @@ def _run_trials(
                 rule_counts["corrected"] += res.n_corrected
                 rule_counts["rule_fallback"] += res.n_rule_fallback
                 rule_counts["singular_fallback"] += res.n_singular_fallback
+        del reps
     return estimates, failed, conv, rule_counts
 
 
@@ -274,6 +284,7 @@ class EstimateSummary:
     n_failed: int
     noise_fit_convergence_rate: float | None
     mme_rule_counts: dict
+    mme_bias_reduction: tuple[dict, ...] | None
     config: dict
 
 
@@ -319,6 +330,79 @@ def bootstrap_ci(
     )
 
 
+def _bootstrap_columns(
+    x: np.ndarray, b: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Means and SDs (ddof=1) of every column of ``x`` over ``b`` resamples.
+
+    Each resample draws ``n = len(x)`` row indices with replacement, and all
+    columns share them. A block of resamples becomes a count matrix C, one
+    ``bincount`` over ``resample * n + index`` of at most
+    ``_BOOT_BLOCK_ENTRIES`` entries (or one resample), so the resampled sums
+    are ``C @ X`` and ``C @ X**2``. X is centred per column first, so the
+    SD's difference of sums does not cancel away the digits of a column far
+    from zero. Returns two (b, k) arrays; the SDs are NaN when n < 2.
+    """
+    n, k = x.shape
+    centre = x.mean(axis=0)
+    xc = x - centre
+    xc2 = xc * xc
+    sums = np.empty((b, k))
+    sq_sums = np.empty((b, k))
+    block = max(1, min(b, _BOOT_BLOCK_ENTRIES // n))
+    pos = 0
+    while pos < b:
+        take = min(block, b - pos)
+        idx = rng.integers(0, n, size=(take, n))
+        idx += np.arange(0, take * n, n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=take * n).reshape(take, n)
+        del idx
+        counts = counts.astype(np.float64)
+        sums[pos : pos + take] = counts @ xc
+        sq_sums[pos : pos + take] = counts @ xc2
+        pos += take
+    means = sums / n
+    if n < 2:
+        sds = np.full((b, k), np.nan)
+    else:
+        var = (sq_sums - n * means * means) / (n - 1)
+        sds = np.sqrt(np.maximum(var, 0.0))
+    return means + centre, sds
+
+
+def _percentile_interval(stats: np.ndarray, level: float) -> np.ndarray:
+    """Symmetric percentile interval of each column of resampled statistics.
+
+    ``stats`` holds one resample per row; the result stacks the lower and
+    upper ends (shape ``(2,) + stats.shape[1:]``), computed as in
+    ``bootstrap_ci``.
+    """
+    lo = (1.0 - level) / 2.0 * 100.0
+    return np.percentile(stats, [lo, 100.0 - lo], axis=0)
+
+
+def _mme_bias_reduction(cfg, rows, boot_means, truth) -> tuple[dict, ...]:
+    """|bias(AS_noisy)| - |bias(MME)| per level, with a percentile interval.
+
+    ``boot_means`` holds the shared (b, estimator, level) resampled means,
+    so each resample's difference pairs the two estimators on the same
+    trials and the interval costs no new draws.
+    """
+    a = cfg.estimators.index("AS_noisy")
+    m = cfg.estimators.index("MME")
+    gaps = np.abs(boot_means[:, a] - truth) - np.abs(boot_means[:, m] - truth)
+    ci = _percentile_interval(gaps, cfg.bootstrap_level)
+    return tuple(
+        {
+            "level": LEVEL_NAMES[k],
+            "reduction": abs(rows[4 * a + k].bias) - abs(rows[4 * m + k].bias),
+            "ci_lo": float(ci[0, k]),
+            "ci_hi": float(ci[1, k]),
+        }
+        for k in range(4)
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
     """Monte Carlo experiment under the configured scenario.
 
@@ -329,6 +413,10 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
     MME's corrected degrees come from the mean observed degree over all
     three replicates. Trials whose rate fit fails are dropped and counted;
     more than 1% of them aborts the run.
+
+    The bias and SD intervals of all columns come from one set of
+    ``bootstrap_b`` resamples of the surviving trials; when AS_noisy and MME
+    both run, the same resamples give ``mme_bias_reduction``.
     """
     if cfg.regenerate_graph:
         graph = table = None
@@ -346,7 +434,15 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         )
     ok = ~failed
     data = estimates[ok]
-    n_ok = int(ok.sum())
+    n_ok, n_est = data.shape[:2]
+    # one set of resamples for every (estimator, level) column
+    boot_means, boot_sds = _bootstrap_columns(
+        data.reshape(n_ok, 4 * n_est), cfg.bootstrap_b,
+        make_rng(cfg.master_seed, _BOOT_STREAM),
+    )
+    boot_means = boot_means.reshape(cfg.bootstrap_b, n_est, 4)
+    mean_ci = _percentile_interval(boot_means, cfg.bootstrap_level)
+    sd_ci = _percentile_interval(boot_sds.reshape(boot_means.shape), cfg.bootstrap_level)
 
     rows = []
     for e, name in enumerate(cfg.estimators):
@@ -354,14 +450,6 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
             samples = data[:, e, k]
             mean = float(samples.mean())
             sd = float(samples.std(ddof=1)) if n_ok > 1 else float("nan")
-            ci_mean = bootstrap_ci(
-                samples, cfg.bootstrap_b, cfg.bootstrap_level,
-                make_rng(cfg.master_seed, _BOOT_STREAM, e, k, 0), "mean",
-            )
-            ci_sd = bootstrap_ci(
-                samples, cfg.bootstrap_b, cfg.bootstrap_level,
-                make_rng(cfg.master_seed, _BOOT_STREAM, e, k, 1), "sd",
-            )
             rows.append(
                 LevelSummary(
                     estimator=name,
@@ -369,13 +457,16 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
                     truth=float(truth[k]),
                     mean_estimate=mean,
                     bias=mean - float(truth[k]),
-                    bias_ci_lo=ci_mean[0] - float(truth[k]),
-                    bias_ci_hi=ci_mean[1] - float(truth[k]),
+                    bias_ci_lo=float(mean_ci[0, e, k]) - float(truth[k]),
+                    bias_ci_hi=float(mean_ci[1, e, k]) - float(truth[k]),
                     sd=sd,
-                    sd_ci_lo=ci_sd[0],
-                    sd_ci_hi=ci_sd[1],
+                    sd_ci_lo=float(sd_ci[0, e, k]),
+                    sd_ci_hi=float(sd_ci[1, e, k]),
                 )
             )
+    reduction = None
+    if "AS_noisy" in cfg.estimators and "MME" in cfg.estimators:
+        reduction = _mme_bias_reduction(cfg, rows, boot_means, truth)
     conv_rate = None if cfg.noise_known else (float(conv[ok].mean()) if n_ok else 0.0)
     return EstimateSummary(
         rows=tuple(rows),
@@ -383,6 +474,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         n_failed=n_failed,
         noise_fit_convergence_rate=conv_rate,
         mme_rule_counts=rule_counts,
+        mme_bias_reduction=reduction,
         config=cfg.echo(),
     )
 
@@ -432,6 +524,8 @@ def emit_results(summary: EstimateSummary, csv_path, sidecar_path=None) -> None:
             "noise_fit_convergence_rate": summary.noise_fit_convergence_rate,
             "mme_rule_counts": summary.mme_rule_counts,
         }
+        if summary.mme_bias_reduction is not None:
+            sidecar["mme_bias_reduction"] = list(summary.mme_bias_reduction)
         Path(sidecar_path).write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

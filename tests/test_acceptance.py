@@ -1,11 +1,15 @@
 """End-to-end acceptance suite.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all);
-tolerances are fixed here, not tuned at runtime. The Monte Carlo criteria use
-fixed master seeds, so outcomes are reproducible bit for bit.
+Each test prints one PASS/FAIL line (run with ``pytest -s`` or ``-rP`` to see
+them all), ending in the test body's wall time; module fixtures such as the six
+school-cell experiments are built before that clock starts, and
+``pytest --durations`` reports their set-up. Tolerances are fixed here, not
+tuned at runtime. The Monte Carlo criteria use fixed master seeds, so outcomes
+are reproducible bit for bit.
 """
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,8 +39,18 @@ DILATED = (10.0, 7.0, 5.0, 1.0)
 SCHOOL_TRIALS = 10_000
 
 
+_clock = {"start": 0.0}
+
+
+@pytest.fixture(autouse=True)
+def _start_clock():
+    _clock["start"] = time.perf_counter()
+
+
 def _report(cid: str, ok: bool, detail: str):
-    print(f"\n[acceptance] {cid}: {'PASS' if ok else 'FAIL'} - {detail}", flush=True)
+    elapsed = time.perf_counter() - _clock["start"]
+    print(f"\n[acceptance] {cid}: {'PASS' if ok else 'FAIL'} - {detail} ({elapsed:.2f} s)",
+          flush=True)
     assert ok, f"{cid}: {detail}"
 
 

@@ -45,6 +45,34 @@ def test_sorted_unique_equals_np_unique(values):
     assert np.array_equal(x, np.asarray(values, dtype=np.int64))  # input untouched
 
 
+@st.composite
+def _vertex_pairs(draw):
+    n = draw(st.one_of(st.integers(1, 6), st.integers(7, 10**6)))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    return n, [(i, j) for i, j in pairs if i != j]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vertex_pairs())
+@example((1, []))
+@example((2, []))
+@example((2, [(1, 0)]))
+@example((3, [(0, 1), (1, 2), (2, 0)]))
+def test_edge_arrays_equal_divmod_reference(case):
+    n, pairs = case
+    g = Graph(n, [i for i, _ in pairs], [j for _, j in pairs])
+    edge_i, edge_j = np.divmod(g.codes, n)
+    degrees = np.bincount(np.concatenate([edge_i, edge_j]), minlength=n).astype(np.int64)
+    for got, want in ((g.edge_i, edge_i), (g.edge_j, edge_j), (g.degrees, degrees)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert set(zip(g.edge_i.tolist(), g.edge_j.tolist())) == {
+        (min(i, j), max(i, j)) for i, j in pairs
+    }
+
+
 def test_graph_canonicalizes_and_dedupes_edges():
     g = Graph(4, [1, 0, 2, 1], [0, 1, 3, 0])
     assert g.n_edges == 2

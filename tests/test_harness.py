@@ -1,7 +1,10 @@
 import importlib.util
 import inspect
 import json
+import math
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 import nnc.estimators as estimators_mod
 import nnc.harness as harness_mod
 from nnc.estimators import MixingRule, ht_estimate, mme_estimate, realize_outcomes
-from nnc.exposure import assign_treatment, exposure_levels
+from nnc.exposure import LEVEL_NAMES, assign_treatment, exposure_levels
 from nnc.graphs import (
     Graph,
     ZeroTruncatedPoisson,
@@ -18,10 +21,13 @@ from nnc.graphs import (
     sample_degree_sequence,
 )
 from nnc.harness import (
+    _BOOT_STREAM,
     _TRIAL_STREAM,
     ESTIMATOR_NAMES,
     ExperimentConfig,
     ExperimentError,
+    _bootstrap_columns,
+    _percentile_interval,
     _run_trials,
     _resolve_outcomes,
     bootstrap_ci,
@@ -86,6 +92,64 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], 10, 1.0, make_rng(0))
     with pytest.raises(ValueError):
         bootstrap_ci([1.0], 10, 0.95, make_rng(0), statistic="median")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_shared_bootstrap_equals_per_column_gather(n, monkeypatch):
+    # columns of very different location and spread (column 0 sits at 1e4
+    # with spread 1e-3, where uncentred sums of squares lose every digit),
+    # resampled in blocks of 5; the oracle draws the same stream as one
+    # (b, n) index array
+    rng = make_rng(40, n)
+    spread = np.r_[1e-3, rng.uniform(0.1, 10.0, 11)]
+    x = rng.normal(size=(n, 12)) * spread + np.r_[1e4, rng.uniform(-50.0, 50.0, 11)]
+    b = 23
+    monkeypatch.setattr(harness_mod, "_BOOT_BLOCK_ENTRIES", 5 * n)
+    means, sds = _bootstrap_columns(x, b, make_rng(41, n))
+    draw = x[make_rng(41, n).integers(0, n, size=(b, n))]
+    # relative to the value or to the column's spread, so near-zero means
+    # and SDs compare too
+    tol = 1e-12 * spread
+    want = draw.mean(axis=1)
+    assert means.shape == sds.shape == (b, 12)
+    assert np.all(np.abs(means - want) <= 1e-12 * np.abs(want) + tol)
+    if n == 1:
+        assert np.isnan(sds).all()
+    else:
+        want = draw.std(axis=1, ddof=1)
+        assert np.all(np.abs(sds - want) <= 1e-12 * want + tol)
+    # the block size changes neither the draws nor the statistics beyond rounding
+    monkeypatch.undo()
+    means_one, sds_one = _bootstrap_columns(x, b, make_rng(41, n))
+    assert np.allclose(means_one, means, rtol=1e-12, atol=0.0)
+    assert np.allclose(sds_one, sds, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+def test_shared_bootstrap_quick_coverage_smoke():
+    rng = make_rng(7)
+    metas = 100
+    hits_mean = hits_sd = 0
+    for _ in range(metas):
+        x = rng.normal(size=(2_000, 12))
+        means, sds = _bootstrap_columns(x, 200, rng)
+        lo, hi = _percentile_interval(means, 0.95)
+        hits_mean += int(((lo <= 0.0) & (0.0 <= hi)).sum())
+        lo, hi = _percentile_interval(sds, 0.95)
+        hits_sd += int(((lo <= 1.0) & (1.0 <= hi)).sum())
+    assert 0.92 <= hits_mean / (12 * metas) <= 0.98
+    assert 0.92 <= hits_sd / (12 * metas) <= 0.98
+
+
+def test_shared_bootstrap_memory_is_blocked():
+    # a whole (B x n) count matrix would be 80 MB here
+    x = make_rng(8).normal(size=(10_000, 12))
+    tracemalloc.start()
+    try:
+        _bootstrap_columns(x, 1_000, make_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 # -- configuration ------------------------------------------------------------
@@ -267,6 +331,40 @@ def test_failed_trials_are_excluded_and_counted(small_graph, monkeypatch):
     assert summary.noise_fit_convergence_rate == 1.0
 
 
+@pytest.mark.parametrize("fail_every", [0, 3])
+def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeypatch,
+                                                            fail_every):
+    # Graph has __slots__ without __weakref__, so watch the arrays of every
+    # returned graph: they die with it
+    watched, alive_at_call = [], []
+    real_replicate = harness_mod.replicate
+
+    def recording(g, noise, k, rng):
+        alive_at_call.append(sum(ref() is not None for ref in watched))
+        reps = real_replicate(g, noise, k, rng)
+        watched[:] = [weakref.ref(a) for r in reps
+                      for a in (r.codes, r.edge_i, r.edge_j, r.degrees)]
+        return reps
+
+    calls = {"n": 0}
+    real_fit = harness_mod.fit_alpha_beta
+
+    def flaky(stats, **kw):
+        calls["n"] += 1
+        if fail_every and calls["n"] % fail_every == 1:
+            raise NoiseFitError("synthetic failure")
+        return real_fit(stats, **kw)
+
+    monkeypatch.setattr(harness_mod, "replicate", recording)
+    monkeypatch.setattr(harness_mod, "fit_alpha_beta", flaky)
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
+                           trials=7, master_seed=23)
+    table = _resolve_outcomes(cfg, small_graph.n_v)
+    _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    assert failed.any() == bool(fail_every)
+    assert alive_at_call == [0] * cfg.trials
+
+
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
     def always_fail(stats, **kw):
         raise NoiseFitError("synthetic failure")
@@ -312,6 +410,60 @@ def test_emit_results_files_and_determinism(small_graph, tmp_path):
     sidecar = json.loads((tmp_path / "r1.json").read_text())
     assert sidecar["config"]["alpha"] == 0.01
     assert sidecar["n_trials"] == 40
+
+
+def test_single_trial_run_has_nan_sd_intervals(small_graph):
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
+                           trials=1, bootstrap_b=20, master_seed=4)
+    summary = run_experiment(cfg)
+    assert summary.n_failed == 0
+    for r in summary.rows:
+        assert math.isnan(r.sd) and math.isnan(r.sd_ci_lo) and math.isnan(r.sd_ci_hi)
+        assert r.bias_ci_lo == r.bias == r.bias_ci_hi
+
+
+def test_mme_bias_reduction_comes_from_the_shared_resamples(small_graph, tmp_path):
+    # MME listed first, so the estimator columns are found by name, not position
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1, trials=60,
+                           bootstrap_b=80, bootstrap_level=0.9, master_seed=12,
+                           estimators=("MME", "AS_noisy"))
+    summary = run_experiment(cfg)
+    table = _resolve_outcomes(cfg, small_graph.n_v)
+    est, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    data = est[~failed]
+    means, _ = _bootstrap_columns(data.reshape(len(data), 8), cfg.bootstrap_b,
+                                  make_rng(cfg.master_seed, _BOOT_STREAM))
+    truth = table.truth()
+    gaps = np.array([[abs(means[r, 4 + k] - truth[k]) - abs(means[r, k] - truth[k])
+                      for k in range(4)] for r in range(cfg.bootstrap_b)])
+    q = (1.0 - cfg.bootstrap_level) / 2.0 * 100.0  # bootstrap_ci's percentile
+    lo, hi = np.percentile(gaps, [q, 100.0 - q], axis=0)
+    rows = {(r.estimator, r.level): r for r in summary.rows}
+    assert len(summary.mme_bias_reduction) == 4
+    for k, entry in enumerate(summary.mme_bias_reduction):
+        level = LEVEL_NAMES[k]
+        assert entry == {
+            "level": level,
+            "reduction": abs(rows[("AS_noisy", level)].bias) - abs(rows[("MME", level)].bias),
+            "ci_lo": lo[k],
+            "ci_hi": hi[k],
+        }
+    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    emit_results(summary, out1)
+    emit_results(run_experiment(cfg), out2)
+    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+    sidecar = json.loads((tmp_path / "r1.json").read_text())
+    assert sidecar["mme_bias_reduction"] == list(summary.mme_bias_reduction)
+
+
+@pytest.mark.parametrize("estimators", [("HT_true", "AS_noisy"), ("HT_true", "MME"), ()])
+def test_mme_bias_reduction_needs_both_noisy_estimators(small_graph, tmp_path, estimators):
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1, trials=20,
+                           bootstrap_b=30, master_seed=12, estimators=estimators)
+    summary = run_experiment(cfg)
+    assert summary.mme_bias_reduction is None
+    emit_results(summary, tmp_path / "r.csv")
+    assert "mme_bias_reduction" not in json.loads((tmp_path / "r.json").read_text())
 
 
 def test_emit_results_header_only_for_empty_estimators(small_graph, tmp_path):
