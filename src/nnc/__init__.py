@@ -6,7 +6,6 @@ from .estimators import (
     MmeResult,
     OutcomeTable,
     RealizedOutcomes,
-    contrast,
     degree_estimate,
     ht_estimate,
     load_outcome_table,
@@ -17,13 +16,11 @@ from .exposure import (
     ConfusionMatrix,
     ExposureLevel,
     ExposureProbabilities,
-    GeneralizedExposureConfig,
     LEVEL_NAMES,
     Treatment,
     assign_treatment,
     confusion_matrix,
     exposure_levels,
-    exposure_levels_generalized,
     exposure_probabilities,
     exposure_probabilities_generalized,
     treated_neighbor_counts,

@@ -101,11 +101,6 @@ class LevelMeans:
         return float(self.values[int(level)])
 
 
-def contrast(m: LevelMeans, k, l) -> float:
-    """Estimated mean difference between levels ``k`` and ``l``."""
-    return m[k] - m[l]
-
-
 def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> LevelMeans:
     """Inverse-probability-weighted level means.
 

@@ -1,13 +1,13 @@
 """Treatment assignment, exposure classification, and its misclassification law.
 
 Level order everywhere is (c11, c10, c01, c00): own treatment crossed with
-whether the treated-neighbor count clears the threshold (one by default).
+whether any neighbor is treated. Closed-form level probabilities are also
+given for a general treated-neighbor threshold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -63,50 +63,10 @@ def treated_neighbor_counts(g: Graph, z: np.ndarray) -> np.ndarray:
     return cnt.astype(np.int64)
 
 
-def _levels_from_counts(z: np.ndarray, cnt: np.ndarray, threshold) -> np.ndarray:
-    hit = cnt >= threshold
-    return np.where(z, np.where(hit, 0, 1), np.where(hit, 2, 3)).astype(np.int64)
-
-
 def exposure_levels(t: Treatment, g: Graph) -> np.ndarray:
     """Exposure level code per vertex (0..3 in ``LEVEL_NAMES`` order)."""
-    return _levels_from_counts(t.z, treated_neighbor_counts(g, t.z), 1)
-
-
-@dataclass(frozen=True)
-class GeneralizedExposureConfig:
-    """Treated-neighbor threshold: absolute count ``m`` or fraction ``q`` of degree.
-
-    Fractional thresholds round up and never drop below one, so ``q = 0``
-    reduces to the default any-treated-neighbor classification.
-    """
-
-    m: int | Sequence[int] | None = None
-    q: float | None = None
-
-    def __post_init__(self):
-        if (self.m is None) == (self.q is None):
-            raise ValueError("specify exactly one of m and q")
-        if self.q is not None and not (0.0 <= self.q <= 1.0):
-            raise ValueError("fraction q must lie in [0, 1]")
-
-    def thresholds(self, g: Graph) -> np.ndarray:
-        if self.m is not None:
-            m = np.asarray(self.m, dtype=np.int64)
-            if m.ndim == 0:
-                m = np.full(g.n_v, int(m), dtype=np.int64)
-            elif m.size != g.n_v:
-                raise ValueError("per-node threshold length does not match vertex count")
-            if m.size and m.min() < 1:
-                raise ValueError("absolute thresholds must be at least 1")
-            return m
-        return np.maximum(1, np.ceil(self.q * g.degrees).astype(np.int64))
-
-
-def exposure_levels_generalized(
-    t: Treatment, g: Graph, cfg: GeneralizedExposureConfig
-) -> np.ndarray:
-    return _levels_from_counts(t.z, treated_neighbor_counts(g, t.z), cfg.thresholds(g))
+    hit = treated_neighbor_counts(g, t.z) >= 1
+    return np.where(t.z, np.where(hit, 0, 1), np.where(hit, 2, 3)).astype(np.int64)
 
 
 # -- closed-form exposure probabilities -----------------------------------

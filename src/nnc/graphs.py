@@ -1,9 +1,9 @@
 """Simple undirected graphs, degree-law samplers, and contact-data ingestion.
 
 Vertices are dense 0-based indices; labelled inputs are mapped to indices in
-first-seen order. Graphs are immutable once built: edge arrays are stored
-read-only and the dense adjacency matrix is materialized lazily for the
-operations that need it.
+first-seen order. Graphs are immutable once built: the sorted edge arrays are
+their only storage, kept read-only, so memory grows with n + m and never with
+the n^2 vertex pairs.
 """
 from __future__ import annotations
 
@@ -42,12 +42,13 @@ class Graph:
     """Simple undirected graph with canonical ``i < j`` edge storage.
 
     Edges are kept as a sorted array of linear pair codes ``i * n_v + j``
-    with ``i < j``, which makes set operations on edge sets (noise
-    perturbation, replicate comparison) cheap without touching the dense
-    adjacency matrix. ``adjacency`` is built on first use and cached.
+    with ``i < j``, decoded into ``edge_i`` (nondecreasing) and ``edge_j``.
+    This is the only edge format: set operations on edge sets (noise
+    perturbation, replicate comparison) work on the codes, and neighbor
+    queries on the decoded arrays.
     """
 
-    __slots__ = ("n_v", "codes", "edge_i", "edge_j", "degrees", "labels", "meta", "_adj")
+    __slots__ = ("n_v", "codes", "edge_i", "edge_j", "degrees", "labels", "meta")
 
     def __init__(
         self,
@@ -94,7 +95,6 @@ class Graph:
         if self.labels is not None and len(self.labels) != n_v:
             raise ValueError("label count does not match vertex count")
         self.meta = dict(meta) if meta else {}
-        self._adj = None
 
     @classmethod
     def _from_codes(cls, n_v, codes, labels=None, meta=None) -> "Graph":
@@ -129,17 +129,6 @@ class Graph:
             return 0.0
         return 2.0 * self.n_edges / (self.n_v * (self.n_v - 1))
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        if self._adj is None:
-            a = np.zeros((self.n_v, self.n_v), dtype=bool)
-            if self.codes.size:
-                a[self.edge_i, self.edge_j] = True
-                a[self.edge_j, self.edge_i] = True
-            a.flags.writeable = False
-            self._adj = a
-        return self._adj
-
     def _check_vertex(self, i: int) -> int:
         i = int(i)
         if not 0 <= i < self.n_v:
@@ -160,14 +149,22 @@ class Graph:
         return pos < self.codes.size and self.codes[pos] == code
 
     def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[self._check_vertex(i)])
+        """Sorted neighbors of ``i``: the lower ones, then the higher ones.
+
+        Lower neighbors are the ``edge_i`` of edges ending at ``i``; higher
+        ones are the ``edge_j`` run where ``edge_i == i``. Both come out
+        sorted because the codes are.
+        """
+        i = self._check_vertex(i)
+        lo, hi = np.searchsorted(self.edge_i, [i, i + 1])
+        return np.concatenate([self.edge_i[self.edge_j == i], self.edge_j[lo:hi]])
 
     def common_neighbors(self, i: int, j: int) -> int:
         i = self._check_vertex(i)
         j = self._check_vertex(j)
         if i == j:
             raise ValueError("common_neighbors needs two distinct vertices")
-        return int(np.count_nonzero(self.adjacency[i] & self.adjacency[j]))
+        return int(np.intersect1d(self.neighbors(i), self.neighbors(j), assume_unique=True).size)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):

@@ -11,7 +11,7 @@ trials would be scheduled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -120,26 +120,16 @@ class ExperimentConfig:
         return cls(**data)
 
     def echo(self) -> dict:
-        """JSON-serializable copy of the configuration."""
+        """JSON-serializable copy of the configuration, one key per field."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if isinstance(self.graph, Graph):
-            graph = {"source": "in_memory", "n_v": self.graph.n_v, "n_edges": self.graph.n_edges}
+            g = self.graph
+            out["graph"] = {"source": "in_memory", "n_v": g.n_v, "n_edges": g.n_edges}
         else:
-            graph = dict(self.graph)
-        out = {
-            "graph": graph,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "p": self.p,
-            "outcomes": list(self.outcomes) if not isinstance(self.outcomes, str) else self.outcomes,
-            "noise_known": self.noise_known,
-            "trials": self.trials,
-            "bootstrap_b": self.bootstrap_b,
-            "bootstrap_level": self.bootstrap_level,
-            "mixing": self.mixing,
-            "master_seed": self.master_seed,
-            "estimators": list(self.estimators),
-            "regenerate_graph": self.regenerate_graph,
-        }
+            out["graph"] = dict(self.graph)
+        if not isinstance(self.outcomes, str):
+            out["outcomes"] = list(self.outcomes)
+        out["estimators"] = list(self.estimators)
         return out
 
 

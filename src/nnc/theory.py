@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .estimators import OutcomeTable
 from .exposure import LEVEL_NAMES, _level_probability_matrix, _noise_factors
@@ -114,6 +115,9 @@ class ConditionDiagnostics:
     ``dependency_fraction`` is the share of ordered vertex pairs whose
     exposures can be dependent (shared edge or common neighbor). Values far
     below 1 indicate the regime where the estimators concentrate.
+
+    The dependency count is the off-diagonal support of A + A @ A for the
+    sparse adjacency A, so time and memory grow with n + sum(d^2), not n^2.
     """
 
     inverse_prob_sums: dict[str, float]
@@ -137,11 +141,12 @@ def condition_diagnostics(g: Graph, p: float) -> ConditionDiagnostics:
     }
     norm = {k: v / n**2 for k, v in sums.items()}
 
-    adj = g.adjacency
-    af = adj.astype(np.float32)
-    dep = ((af @ af) > 0.5) | adj
-    np.fill_diagonal(dep, False)
-    frac = float(dep.sum()) / n**2
+    # boolean entries add as logical or, so no count can overflow or cancel
+    rows = np.concatenate([g.edge_i, g.edge_j])
+    cols = np.concatenate([g.edge_j, g.edge_i])
+    a = sparse.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+    dep = a + a @ a
+    frac = float(dep.nnz - np.count_nonzero(dep.diagonal())) / n**2
     return ConditionDiagnostics(
         inverse_prob_sums=norm,
         dependency_fraction=frac,

@@ -5,11 +5,9 @@ import pytest
 from scipy.stats import binom
 
 from nnc.estimators import (
-    LevelMeans,
     MixingRule,
     OutcomeTable,
     RealizedOutcomes,
-    contrast,
     degree_estimate,
     ht_estimate,
     mme_estimate,
@@ -374,17 +372,3 @@ def test_three_replicate_degree_cuts_exact_mme_bias():
     pooled = exact_mme_bias(g.degrees, y, p, noise, pooled=True)
     assert np.all(np.abs(pooled) < np.abs(single)), (single, pooled)
     assert np.all(np.abs(pooled[[1, 3]]) < 0.5 * np.abs(single[[1, 3]])), (single, pooled)
-
-
-# -- contrasts -----------------------------------------------------------------
-
-
-def test_contrast_properties():
-    m = LevelMeans(np.asarray(DILATED))
-    assert contrast(m, ExposureLevel.C11, ExposureLevel.C11) == 0.0
-    assert contrast(m, ExposureLevel.C11, ExposureLevel.C00) == pytest.approx(9.0)
-    assert contrast(m, ExposureLevel.C10, ExposureLevel.C00) == pytest.approx(6.0)
-    assert contrast(m, ExposureLevel.C01, ExposureLevel.C00) == pytest.approx(4.0)
-    assert contrast(m, ExposureLevel.C00, ExposureLevel.C01) == -contrast(
-        m, ExposureLevel.C01, ExposureLevel.C00
-    )

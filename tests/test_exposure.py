@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 from nnc.exposure import (
     DET_FLOOR,
     ExposureLevel,
-    GeneralizedExposureConfig,
     Treatment,
     _s_inverse_entries,
     assign_treatment,
     confusion_matrix,
     exposure_levels,
-    exposure_levels_generalized,
     exposure_probabilities,
     exposure_probabilities_generalized,
 )
 from nnc.graphs import Graph
 from nnc.noise import NoiseParams
 from nnc.seeding import make_rng
+
+from dense_oracle import dense_adjacency
 
 
 # -- independent oracles -----------------------------------------------------
@@ -122,37 +122,6 @@ def test_exposure_levels_partition_is_exhaustive():
         lv = exposure_levels(t, g)
         assert lv.shape == (6,)
         assert np.isin(lv, [0, 1, 2, 3]).all()
-
-
-def test_generalized_threshold_one_reduces_to_base():
-    rng = make_rng(34)
-    g = Graph(7, [0, 0, 1, 2, 3, 5], [1, 2, 3, 4, 6, 6])
-    cfg = GeneralizedExposureConfig(m=1)
-    for _ in range(200):
-        t = assign_treatment(7, 0.3, rng)
-        assert np.array_equal(exposure_levels(t, g), exposure_levels_generalized(t, g, cfg))
-
-
-def test_generalized_threshold_cases():
-    g = Graph(4, [0, 0, 0], [1, 2, 3])
-    t = Treatment(0.5, np.array([True, True, True, False]))
-    cfg = GeneralizedExposureConfig(m=3)
-    # center treated with 2 treated neighbors, threshold 3
-    assert exposure_levels_generalized(t, g, cfg)[0] == ExposureLevel.C10
-    t2 = Treatment(0.5, np.array([False, True, True, True]))
-    assert exposure_levels_generalized(t2, g, cfg)[0] == ExposureLevel.C01
-
-
-def test_generalized_fractional_threshold():
-    g = Graph(5, [0, 0, 0, 0], [1, 2, 3, 4])
-    cfg = GeneralizedExposureConfig(q=0.5)
-    assert list(cfg.thresholds(g)) == [2, 1, 1, 1, 1]
-    cfg0 = GeneralizedExposureConfig(q=0.0)
-    assert list(cfg0.thresholds(g)) == [1, 1, 1, 1, 1]
-    with pytest.raises(ValueError):
-        GeneralizedExposureConfig(m=1, q=0.5)
-    with pytest.raises(ValueError):
-        GeneralizedExposureConfig()
 
 
 # -- closed-form probabilities ------------------------------------------------
@@ -311,7 +280,7 @@ def test_level_frequencies_match_probabilities_monte_carlo():
     p, reps = 0.3, 100_000
     rng = make_rng(35)
     z = rng.random((reps, 4)) < p
-    adj = g.adjacency.astype(np.float64)
+    adj = dense_adjacency(g).astype(np.float64)
     counts = z @ adj
     hit = counts > 0
     for i in range(4):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -189,6 +190,20 @@ def test_config_from_json_roundtrip(tmp_path):
     assert cfg.trials == 25
     assert cfg.estimators == ("HT_true", "AS_noisy")
     assert cfg.echo()["graph"]["kind"] == "ztp"
+
+
+def test_config_echo_has_one_key_per_field_and_roundtrips():
+    cfg = ExperimentConfig(
+        graph={"source": "generate", "kind": "ztp", "n_v": 40, "mean_degree": 5.0, "seed": 3},
+        alpha=0.005, beta=0.1, p=0.1, trials=25, bootstrap_b=50, master_seed=9,
+        estimators=("AS_noisy", "MME"), mixing="order_of_magnitude",
+    )
+    echo = cfg.echo()
+    assert set(echo) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert echo["outcomes"] == [10.0, 7.0, 5.0, 1.0]
+    assert echo["estimators"] == ["AS_noisy", "MME"]
+    assert ExperimentConfig.from_json(echo).echo() == echo
+    assert json.loads(json.dumps(echo)) == echo
 
 
 def test_resolve_graph_sources(tmp_path):

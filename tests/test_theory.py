@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nnc.estimators import OutcomeTable
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
@@ -12,6 +15,8 @@ from nnc.theory import (
     naive_estimator_bias,
     observed_degree_moments,
 )
+
+from dense_oracle import dense_adjacency, random_graph
 
 DILATED = (10.0, 7.0, 5.0, 1.0)
 
@@ -113,18 +118,88 @@ def test_condition_diagnostics_complete_graph():
     assert diag.zero_degree_nodes == 0
 
 
+def dense_dependency_fraction(g):
+    # integer recount of the dependency proxy (shared edge or common
+    # neighbor) over the dense adjacency
+    adj = dense_adjacency(g)
+    common = adj.astype(np.int64) @ adj.astype(np.int64)
+    dep = (common >= 1) | adj
+    np.fill_diagonal(dep, False)
+    return float(dep.sum()) / g.n_v**2
+
+
+def assert_sparse_queries_equal_dense(g):
+    adj = dense_adjacency(g)
+    assert condition_diagnostics(g, 0.1).dependency_fraction == dense_dependency_fraction(g)
+    for i in range(g.n_v):
+        assert np.array_equal(g.neighbors(i), np.flatnonzero(adj[i]))
+    for i, j in itertools.permutations(range(g.n_v), 2):
+        assert g.common_neighbors(i, j) == np.count_nonzero(adj[i] & adj[j])
+
+
+SMALL_GRAPHS = {
+    "single_vertex": Graph(1),
+    "empty": Graph(6),
+    "one_edge": Graph(2, [0], [1]),
+    "complete": Graph(9, *np.triu_indices(9, 1)),
+    "star": Graph(8, [0] * 7, range(1, 8)),
+    "star_centre_last": Graph(8, range(7), [7] * 7),
+    "triangle_and_isolated": Graph(7, [1, 1, 3], [3, 5, 5]),
+    "path_and_isolated": Graph(9, [0, 2, 3, 4], [2, 3, 4, 8]),
+    "two_components": Graph(8, [0, 0, 1, 4, 5, 6], [1, 2, 2, 5, 6, 7]),
+    "random_sparse": random_graph(30, 0.08, seed=1),
+    "random_dense": random_graph(25, 0.6, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+def test_sparse_queries_equal_dense_recount(name):
+    assert_sparse_queries_equal_dense(SMALL_GRAPHS[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_queries_equal_dense_recount_random(n, density, seed):
+    assert_sparse_queries_equal_dense(random_graph(n, density, seed))
+
+
 def test_condition_diagnostics_sparse_graph_has_low_dependency():
     rng = make_rng(53)
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 1000, rng)
     g = build_graph_configuration(degrees, rng)
     diag = condition_diagnostics(g, 0.1)
-    # direct integer recount of the dependency proxy (shared edge or common
-    # neighbor); at mean degree 10 on 1000 nodes it sits near 0.10, far
-    # below the dependent-everywhere value of 1
-    adj = g.adjacency
-    common = adj.astype(np.int64) @ adj.astype(np.int64)
-    dep = (common >= 1) | adj
-    np.fill_diagonal(dep, False)
-    exact = dep.sum() / 1000**2
-    assert diag.dependency_fraction == pytest.approx(exact, abs=1e-12)
+    # at mean degree 10 on 1000 nodes the dependency proxy sits near 0.10,
+    # far below the dependent-everywhere value of 1
+    assert diag.dependency_fraction == dense_dependency_fraction(g)
     assert diag.dependency_fraction < 0.12
+
+
+def test_sparse_queries_scale_to_100k_vertices():
+    # the dense adjacency alone would take n^2 = 1e10 bytes here
+    n = 100_000
+    rng = make_rng(54)
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), n, rng)
+    g = build_graph_configuration(degrees, rng)
+    d = g.degrees.astype(np.float64)
+    tracemalloc.start()
+    try:
+        diag = condition_diagnostics(g, 0.01)
+        hub = int(np.argmax(g.degrees))
+        hub_nbrs = g.neighbors(hub)
+        pair_common = g.common_neighbors(int(g.edge_i[0]), int(g.edge_j[0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**30, peak
+    # vertex i depends on its d_i neighbors and on at most sum(d_k - 1) over
+    # its neighbors k at distance two, so sum(d) <= count <= sum(d^2)
+    count = diag.dependency_fraction * n**2
+    assert d.sum() <= count <= (d**2).sum()
+    assert diag.zero_degree_nodes == int(np.count_nonzero(g.degrees == 0))
+    assert hub_nbrs.size == g.degrees[hub] and np.all(np.diff(hub_nbrs) > 0)
+    assert all(g.has_edge(hub, k) for k in hub_nbrs)
+    assert 0 <= pair_common <= min(g.degrees[g.edge_i[0]], g.degrees[g.edge_j[0]]) - 1
