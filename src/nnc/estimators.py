@@ -110,7 +110,8 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
     observed graph with its own levels for the plug-in on noisy data
     (outcomes still come from ``realized``, i.e. from true exposures).
     Vertices whose level probability is zero are never classified at that
-    level, so they contribute nothing to it.
+    level, so they contribute nothing to it. This is the one-trial case of
+    ``_ht_means``.
     """
     n = g.n_v
     if n < 1:
@@ -120,18 +121,44 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
     lv = np.asarray(levels)
     if lv.shape != (n,):
         raise ValueError("exposure levels do not match vertex count")
-    pm = _level_probability_matrix(g.degrees, p)
-    pr = pm[np.arange(n), lv]
+    lv = lv[None]
+    pr = _own_level_probability(g.degrees[None], lv, p)
+    return LevelMeans(_ht_means(lv, realized.values[None], pr)[0])
+
+
+def _own_level_probability(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
+    # probability of each vertex's own exposure level, from its degree
+    pm = _level_probability_matrix(degrees.ravel(), p)
+    return pm[np.arange(pm.shape[0]), levels.ravel()].reshape(levels.shape)
+
+
+def _level_sum_keys(levels: np.ndarray) -> np.ndarray:
+    # bincount keys 4 t + level of a (T, n) level array
+    return levels + 4 * np.arange(levels.shape[0])[:, None]
+
+
+def _ht_means(levels: np.ndarray, values: np.ndarray, pr: np.ndarray) -> np.ndarray:
+    """Inverse-probability-weighted level means of T trials at once.
+
+    All arguments are (T, n): level codes, realized outcomes and the
+    probability of each vertex's level. Each level sum adds its terms in
+    vertex order, so a trial's means do not depend on the others.
+    """
+    t, n = levels.shape
     if np.any(pr <= 0.0):
         raise ValueError("zero exposure probability at an attained level")
-    contrib = realized.values / pr
-    est = np.bincount(lv, weights=contrib, minlength=4) / n
-    return LevelMeans(est)
+    sums = np.bincount(_level_sum_keys(levels).ravel(), weights=(values / pr).ravel(),
+                       minlength=4 * t)
+    return sums.reshape(t, 4) / n
 
 
-def degree_estimate(d_obs, alpha_hat: float, beta_hat: float, n_v: int):
-    """Noise-corrected degree from an observed degree; may be negative."""
-    if not (alpha_hat >= 0 and beta_hat >= 0 and alpha_hat + beta_hat < 1.0):
+def degree_estimate(d_obs, alpha_hat, beta_hat, n_v: int):
+    """Noise-corrected degree from an observed degree; may be negative.
+
+    The rates may be arrays that broadcast against ``d_obs``.
+    """
+    a, b = np.asarray(alpha_hat), np.asarray(beta_hat)
+    if not np.all((a >= 0) & (b >= 0) & (a + b < 1.0)):
         raise ValueError("need alpha_hat, beta_hat >= 0 with alpha_hat + beta_hat < 1")
     d = np.asarray(d_obs, dtype=np.float64)
     out = (d - (n_v - 1) * alpha_hat) / (1.0 - alpha_hat - beta_hat)
@@ -217,7 +244,8 @@ def mme_estimate(
     Vertices accepted by the mixing rule (after clamping negative corrected
     degrees to zero) get the inverse-confusion reweighting; the rest, and
     any vertex whose confusion block is numerically singular, keep their
-    plain inverse-probability term.
+    plain inverse-probability term. This is the one-trial case of
+    ``_mme_means``.
     """
     if not noise_hat.identifiable:
         raise ValueError("need alpha + beta < 1 for the correction")
@@ -231,40 +259,72 @@ def mme_estimate(
         d_obs = g_obs.degrees
     elif np.shape(d_obs) != (n,):
         raise ValueError("observed degrees do not match vertex count")
-    a, b = noise_hat.alpha, noise_hat.beta
+    lv = lv[None]
+    pr = _own_level_probability(g_obs.degrees[None], lv, p)
+    means, counts = _mme_means(
+        lv, realized.values[None], pr, np.asarray(d_obs)[None], p,
+        np.array([noise_hat.alpha]), np.array([noise_hat.beta]), rule,
+    )
+    corrected, rule_fallback, singular_fallback = (int(c) for c in counts[0])
+    return MmeResult(
+        means=LevelMeans(means[0]),
+        n_corrected=corrected,
+        n_rule_fallback=rule_fallback,
+        n_singular_fallback=singular_fallback,
+    )
+
+
+def _mme_means(
+    levels: np.ndarray,
+    values: np.ndarray,
+    pr: np.ndarray,
+    d_obs: np.ndarray,
+    p: float,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    rule: MixingRule,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Confusion-corrected level means of T trials at once.
+
+    ``levels``, ``values``, ``pr`` (as in ``_ht_means``) and ``d_obs`` are
+    (T, n); ``alpha``/``beta`` hold each trial's rates, with alpha + beta
+    < 1. Returns the (T, 4) means and the (T, 3) counts of corrected,
+    rule-fallback and singular-fallback vertices. A corrected vertex adds
+    one term to each level of its arm, taken from the closed-form inverse
+    of its confusion block; every level sum adds its terms in vertex order.
+    """
+    t, n = levels.shape
+    a, b = alpha[:, None], beta[:, None]
     d_hat = np.maximum(degree_estimate(d_obs, a, b, n), 0.0)
     want = rule.accepts(d_hat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, a, b)
-    ok = np.isfinite(det) & (det > DET_FLOOR)
-    corrected = want & ok
+        ok = np.isfinite(det) & (det > DET_FLOOR)
+        corrected = want & ok
+        # c11 and c01 vertices weigh by the inverse's first column, c10 and
+        # c00 ones by its second
+        first = levels % 2 == 0
+        top = values * np.where(first, i11, i12)
+        bottom = values * np.where(first, i21, i22)
 
-    v = realized.values
-    pm = _level_probability_matrix(g_obs.degrees, p)
-    pr = pm[np.arange(n), lv]
-    est = np.zeros(4)
-
+    keys = _level_sum_keys(levels)
     fall = ~corrected
-    if fall.any():
-        est += np.bincount(lv[fall], weights=v[fall] / pr[fall], minlength=4)
-
+    est = np.zeros(4 * t)
+    est += np.bincount(keys[fall], weights=values[fall] / pr[fall], minlength=4 * t)
+    est = est.reshape(t, 4)
+    top = np.bincount(keys[corrected], weights=top[corrected], minlength=4 * t).reshape(t, 4)
+    bottom = np.bincount(keys[corrected], weights=bottom[corrected], minlength=4 * t)
+    bottom = bottom.reshape(t, 4)
     f = p / (1.0 - p)
-    m = corrected & (lv == 0)
-    est[0] += float((v[m] * i11[m]).sum())
-    est[1] += float((v[m] * i21[m]).sum())
-    m = corrected & (lv == 1)
-    est[0] += float((v[m] * i12[m]).sum())
-    est[1] += float((v[m] * i22[m]).sum())
-    m = corrected & (lv == 2)
-    est[2] += f * float((v[m] * i11[m]).sum())
-    est[3] += f * float((v[m] * i21[m]).sum())
-    m = corrected & (lv == 3)
-    est[2] += f * float((v[m] * i12[m]).sum())
-    est[3] += f * float((v[m] * i22[m]).sum())
-
-    return MmeResult(
-        means=LevelMeans(est / n),
-        n_corrected=int(corrected.sum()),
-        n_rule_fallback=int((~want).sum()),
-        n_singular_fallback=int((want & ~ok).sum()),
+    est[:, 0] += top[:, 0]
+    est[:, 0] += top[:, 1]
+    est[:, 1] += bottom[:, 0]
+    est[:, 1] += bottom[:, 1]
+    est[:, 2] += f * top[:, 2]
+    est[:, 2] += f * top[:, 3]
+    est[:, 3] += f * bottom[:, 2]
+    est[:, 3] += f * bottom[:, 3]
+    counts = np.stack(
+        [corrected.sum(axis=1), (~want).sum(axis=1), (want & ~ok).sum(axis=1)], axis=1
     )
+    return est / n, counts

@@ -57,16 +57,28 @@ def treated_neighbor_counts(g: Graph, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=bool)
     if z.size != g.n_v:
         raise ValueError("assignment length does not match vertex count")
-    zf = z.astype(np.float64)
-    cnt = np.bincount(g.edge_i, weights=zf[g.edge_j], minlength=g.n_v)
-    cnt += np.bincount(g.edge_j, weights=zf[g.edge_i], minlength=g.n_v)
-    return cnt.astype(np.int64)
+    return _treated_counts(z, g.edge_i, g.edge_j)
+
+
+def _treated_counts(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Treated-neighbor counts over the edges (src, dst) for flags ``z``.
+
+    The vertices may be those of several graphs laid end to end (trial t's
+    vertex v at t * n_v + v), each with its own edges and assignment.
+    """
+    return (np.bincount(dst[z[src]], minlength=z.size)
+            + np.bincount(src[z[dst]], minlength=z.size))
 
 
 def exposure_levels(t: Treatment, g: Graph) -> np.ndarray:
     """Exposure level code per vertex (0..3 in ``LEVEL_NAMES`` order)."""
-    hit = treated_neighbor_counts(g, t.z) >= 1
-    return np.where(t.z, np.where(hit, 0, 1), np.where(hit, 2, 3)).astype(np.int64)
+    return _levels(t.z, treated_neighbor_counts(g, t.z))
+
+
+def _levels(z: np.ndarray, treated_counts: np.ndarray) -> np.ndarray:
+    # own treatment crossed with "any neighbor treated"
+    hit = treated_counts >= 1
+    return np.where(z, np.where(hit, 0, 1), np.where(hit, 2, 3)).astype(np.int64)
 
 
 # -- closed-form exposure probabilities -----------------------------------

@@ -5,27 +5,29 @@ Per-trial randomness comes from an independent PCG64 stream seeded by an
 avalanche mix of (master_seed, trial index). The bootstrap draws one set of
 resamples per experiment from its own mix domain, and every summary column
 (estimator x level, mean and SD) is read off those same resamples.
-Aggregation runs in trial-index order, so results do not depend on how
-trials would be scheduled.
+Trials run in blocks: a short per-trial loop makes each trial's draws, and
+everything after the draws runs once per block on arrays keyed by (trial,
+replicate). Aggregation runs in trial-index order, so results do not
+depend on the block size or on how trials would be scheduled.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .estimators import (
     MixingRule,
     OutcomeTable,
-    ht_estimate,
+    _ht_means,
+    _mme_means,
+    _own_level_probability,
     load_outcome_table,
-    mme_estimate,
-    realize_outcomes,
 )
-from .exposure import LEVEL_NAMES, assign_treatment, exposure_levels
+from .exposure import LEVEL_NAMES, _levels, _treated_counts, assign_treatment
 from .graphs import (
     Graph,
     ParetoExpCutoff,
@@ -36,9 +38,24 @@ from .graphs import (
     load_rounds,
     sample_degree_sequence,
 )
-from .noise import NoiseParams, replicate
-from .noise_fit import NoiseFitError, fit_alpha_beta, moment_stats
+from .noise import NoiseParams, _draw_observation, _nonedge_pairs, _pair_count, _rank_tables
+from .noise_fit import (
+    FIT_CONVERGED,
+    FIT_DEGENERATE,
+    FIT_DIVERGED,
+    FIT_UNCONVERGED,
+    RateFits,
+    _fit_rates,
+    _replicate_moments,
+)
 from .seeding import make_rng
+
+# The per-graph forms of the block kernels, which the trial loop does not
+# call. perfbench/tracing.py wraps its targets as module globals of this
+# module, so these stay importable from here.
+from .estimators import ht_estimate, mme_estimate, realize_outcomes  # noqa: F401
+from .noise import replicate  # noqa: F401
+from .noise_fit import fit_alpha_beta, moment_stats  # noqa: F401
 
 ESTIMATOR_NAMES = ("HT_true", "AS_noisy", "MME")
 MIXING_MODES = ("sparse_fallback", "order_of_magnitude")
@@ -51,6 +68,11 @@ _PERTURB_STREAM = 4  # ``nnc perturb``; never the generator's stream at the same
 
 # entries of one block of the shared bootstrap's count matrix (1 MB of float64)
 _BOOT_BLOCK_ENTRIES = 2**17
+# entries (3 observations x (true edges + vertices) per trial) of one block of
+# trials: about 75 trials of the 115-vertex school graph (a traced peak of
+# about 3.5 MiB), one of a 1e5-vertex one; on a 2-core machine 2**16 ran the
+# school trials about 12% slower and 2**18 no faster
+_BLOCK_ENTRIES = 2**17
 
 
 class ExperimentError(RuntimeError):
@@ -182,6 +204,192 @@ def _mixing_rule(cfg: ExperimentConfig) -> MixingRule:
     return MixingRule.sparse_fallback()
 
 
+class _Draws(NamedTuple):
+    """The random draws of a block of consecutive trials, in trial order.
+
+    Per trial: its true graph, the index of that graph's rank tables in
+    ``tables``, the keep flags of each of its three observations
+    (``keeps[replicate][trial]``), the non-edge ranks each observation
+    turned on (``ranks[3 * trial + replicate]``) and its treatment flags.
+    """
+
+    graphs: list
+    tables: list
+    table_of: list
+    keeps: tuple
+    ranks: list
+    z: list
+
+
+def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int, t1: int) -> _Draws:
+    """Draws of trials t0, t0 + 1, ... until the block budget is spent.
+
+    Each trial has its own stream and keeps its draw order: its graph (only
+    when regenerating), then each replicate's keep uniforms and non-edge
+    gaps, then treatment. A block holds at least one trial and stops before
+    the next trial would take its entries (three observations of m edges
+    and n vertices each) past ``_BLOCK_ENTRIES``.
+    """
+    draws = _Draws([], [] if graph is None else [tables], [], ([], [], []), [], [])
+    entries = 0
+    for t in range(t0, t1):
+        rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
+        if graph is None:
+            g = _build_generated_graph(cfg.graph, rng)
+            draws.tables.append(_rank_tables(g))
+        else:
+            g = graph
+        draws.graphs.append(g)
+        draws.table_of.append(len(draws.tables) - 1)
+        nonedges = _pair_count(g.n_v) - g.n_edges
+        for keeps in draws.keeps:
+            keep, ranks = _draw_observation(g.n_edges, nonedges, cfg.noise, rng)
+            keeps.append(keep)
+            draws.ranks.append(ranks)
+        draws.z.append(assign_treatment(g.n_v, cfg.p, rng).z)
+        size = 3 * (g.n_edges + g.n_v)
+        entries += size
+        if entries + size > _BLOCK_ENTRIES:
+            break
+    return draws
+
+
+class _Changes(NamedTuple):
+    """What a block's replicates changed in their trials' true graphs.
+
+    Trial t's vertex v sits at t * n + v. ``src``/``dst`` are the endpoints
+    of every trial's true edges, laid end to end (``n_true[t]`` of them for
+    trial t; ``edge_row`` says whose each edge is). Each
+    replicate's missed true edges are ``missed`` (block edge indices,
+    replicate 0's first, then 1's and 2's, as ``miss_rep`` says), its false
+    edges are the pairs (``false_i``, ``false_j``) with non-edge ranks
+    ``false_ranks`` in trial ``false_row``, replicate ``false_rep``.
+    """
+
+    n: int
+    n_true: np.ndarray
+    edge_row: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    missed: np.ndarray
+    miss_rep: np.ndarray
+    false_ranks: np.ndarray
+    false_row: np.ndarray
+    false_rep: np.ndarray
+    false_i: np.ndarray
+    false_j: np.ndarray
+
+
+def _replicate_changes(draws: _Draws) -> _Changes:
+    """Missed and false edges of every replicate of a block, at once."""
+    graphs = draws.graphs
+    n_t, n = len(graphs), graphs[0].n_v
+    n_true = np.array([g.n_edges for g in graphs])
+    edge_row = np.repeat(np.arange(n_t), n_true)
+    src = np.concatenate([g.edge_i for g in graphs])
+    src += edge_row * n
+    dst = np.concatenate([g.edge_j for g in graphs])
+    dst += edge_row * n
+
+    missed = np.flatnonzero(~np.concatenate([k for keeps in draws.keeps for k in keeps]))
+    miss_rep = missed // src.size
+    missed -= miss_rep * src.size
+
+    false_ranks = np.concatenate(draws.ranks)
+    seg = np.repeat(np.arange(3 * n_t), [r.size for r in draws.ranks])
+    false_row = seg // 3
+    false_rep = seg - 3 * false_row
+    del seg
+    false_i, false_j = _nonedge_pairs(
+        false_ranks, np.asarray(draws.table_of)[false_row], draws.tables, n
+    )
+    false_i += false_row * n
+    false_j += false_row * n
+    return _Changes(n, n_true, edge_row, src, dst, missed, miss_rep,
+                    false_ranks, false_row, false_rep, false_i, false_j)
+
+
+def _block_moments(ch: _Changes):
+    """(u1, u2, u3) of every trial of a block, from its replicates' changes."""
+    pairs = _pair_count(ch.n)
+    miss_row = ch.edge_row[ch.missed]
+    edge_start = np.cumsum(ch.n_true) - ch.n_true
+    return _replicate_moments(
+        ch.n_true, miss_row * pairs + ch.missed - edge_start[miss_row], ch.miss_rep,
+        ch.false_row * pairs + ch.false_ranks, ch.false_rep, ch.n,
+    )
+
+
+def _observed_degrees(draws: _Draws, ch: _Changes) -> np.ndarray:
+    """(replicate, trial, vertex) observed degrees: each true degree, less
+    the missed edges, plus the false ones."""
+    n_t, n = len(draws.graphs), ch.n
+    size = n_t * n
+    deg = np.empty((3, size), dtype=np.int64)
+    deg[:] = np.concatenate([g.degrees for g in draws.graphs])
+    at = ch.miss_rep * size
+    deg -= np.bincount(np.concatenate([at + ch.src[ch.missed], at + ch.dst[ch.missed]]),
+                       minlength=3 * size).reshape(3, size)
+    at = ch.false_rep * size
+    deg += np.bincount(np.concatenate([at + ch.false_i, at + ch.false_j]),
+                       minlength=3 * size).reshape(3, size)
+    return deg.reshape(3, n_t, n)
+
+
+def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: int, t1: int):
+    """Draw one block of trials from t0 on, then estimate them all at once.
+
+    Nothing after the draws is per trial. The replicates are never built as
+    graphs: each is kept as what it changed in its trial's true graph
+    (``_replicate_changes``). HT_true classifies the true graphs and AS_noisy
+    and MME share replicate 0's classification and level probabilities.
+    Returns the block's estimates (NaN for failed fits), its rate fits
+    (``RateFits``) and its summed MME routing counts.
+    """
+    draws = _draw_block(cfg, graph, tables, t0, t1)
+    ch = _replicate_changes(draws)
+    n_t, n = len(draws.graphs), ch.n
+    if cfg.noise_known:
+        fits = RateFits(
+            np.full(n_t, cfg.alpha), np.full(n_t, cfg.beta), np.full(n_t, np.nan),
+            np.zeros(n_t, dtype=np.int64), np.full(n_t, FIT_CONVERGED, dtype=np.int8),
+        )
+    else:
+        fits = _fit_rates(*_block_moments(ch))
+
+    estimates = np.full((n_t, len(cfg.estimators), 4), np.nan)
+    rule_counts = np.zeros(3, dtype=np.int64)
+    rows = np.flatnonzero(fits.status <= FIT_UNCONVERGED)
+    if not (rows.size and cfg.estimators):
+        return estimates, fits, rule_counts
+    deg = _observed_degrees(draws, ch)[:, rows]
+    z = np.concatenate(draws.z)
+    treated = _treated_counts(z, ch.src, ch.dst)
+    lv_true = _levels(z, treated).reshape(n_t, n)[rows]
+    values = table.values[np.arange(n), lv_true]
+    # replicate 0: the true graph, less its missed edges, plus its false ones
+    first = ch.missed[: np.searchsorted(ch.miss_rep, 1)]
+    treated -= _treated_counts(z, ch.src[first], ch.dst[first])
+    first = ch.false_rep == 0
+    treated += _treated_counts(z, ch.false_i[first], ch.false_j[first])
+    lv_obs = _levels(z, treated).reshape(n_t, n)[rows]
+    pr_obs = _own_level_probability(deg[0], lv_obs, cfg.p)
+    for e, name in enumerate(cfg.estimators):
+        if name == "HT_true":
+            d_true = np.stack([draws.graphs[r].degrees for r in rows])
+            pr_true = _own_level_probability(d_true, lv_true, cfg.p)
+            estimates[rows, e] = _ht_means(lv_true, values, pr_true)
+        elif name == "AS_noisy":
+            estimates[rows, e] = _ht_means(lv_obs, values, pr_obs)
+        else:
+            d_mean = (deg[0] + deg[1] + deg[2]) / 3.0
+            means, counts = _mme_means(lv_obs, values, pr_obs, d_mean, cfg.p,
+                                       fits.alpha_hat[rows], fits.beta_hat[rows], rule)
+            estimates[rows, e] = means
+            rule_counts += counts.sum(axis=0)
+    return estimates, fits, rule_counts
+
+
 def _run_trials(
     cfg: ExperimentConfig,
     graph: Graph | None,
@@ -191,66 +399,49 @@ def _run_trials(
 ):
     """Run trials [t0, t1); returns per-trial estimates and bookkeeping.
 
-    Failed trials (rate fitting degenerate or diverged) carry NaN estimates
-    and are flagged. The per-trial draw order is fixed: graph (only when
-    regenerating), three replicates, then treatment.
+    Returns (estimates, failed, fits, rule_counts): a (trials, estimators,
+    4) array, the failed-trial flags, every trial's ``RateFits`` entry (the
+    configured rates and status converged when they are known) and the
+    summed MME routing counts. A trial fails when its rate fit is
+    degenerate or diverged; its estimates are NaN.
 
-    Each graph is classified once per trial: HT_true reuses the true-graph
-    levels that ``realize_outcomes`` computed, and replicate 0's levels are
-    shared by AS_noisy and MME. MME's corrected degree is taken from the
-    mean observed degree of all three replicates: it has the same
-    expectation as replicate 0's degree and a third of its variance, and the
-    inverse-confusion weights are exponential in it.
-
-    A trial drops its replicates before the next trial draws new ones, so at
-    most one trial's three observed graphs are alive at a time.
+    Trials run in blocks (``_run_block``); every trial has its own stream,
+    so no result depends on the block size. HT_true classifies the true
+    graph and AS_noisy and MME share replicate 0's classification and
+    level probabilities. MME's corrected degree is the mean observed degree
+    of all three replicates: it has the expectation of replicate 0's degree
+    and a third of its variance, and the inverse-confusion weights are
+    exponential in it. A block's arrays are released before the next block
+    draws. ``graph`` and ``table`` are None when every trial regenerates
+    its graph.
     """
     rule = _mixing_rule(cfg)
+    tables = None
+    if graph is None:
+        table = OutcomeTable.constant(int(cfg.graph["n_v"]), cfg.outcomes)
+    else:
+        tables = _rank_tables(graph)
     n_trials = t1 - t0
-    n_est = len(cfg.estimators)
-    estimates = np.full((n_trials, n_est, 4), np.nan)
-    failed = np.zeros(n_trials, dtype=bool)
-    conv = np.zeros(n_trials, dtype=bool)
-    rule_counts = {"corrected": 0, "rule_fallback": 0, "singular_fallback": 0}
-
-    for row, t in enumerate(range(t0, t1)):
-        rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
-        if cfg.regenerate_graph:
-            g = _build_generated_graph(cfg.graph, rng)
-            tbl = _resolve_outcomes(cfg, g.n_v)
-        else:
-            g, tbl = graph, table
-        reps = replicate(g, cfg.noise, 3, rng)
-        if cfg.noise_known:
-            noise_hat = cfg.noise
-            conv[row] = True
-        else:
-            try:
-                fit = fit_alpha_beta(moment_stats(*reps))
-            except NoiseFitError:
-                failed[row] = True
-                del reps
-                continue
-            noise_hat = NoiseParams(fit.alpha_hat, fit.beta_hat)
-            conv[row] = fit.converged
-        t_assign = assign_treatment(g.n_v, cfg.p, rng)
-        realized = realize_outcomes(g, t_assign, tbl)
-        lv_obs = exposure_levels(t_assign, reps[0])
-        for e, name in enumerate(cfg.estimators):
-            if name == "HT_true":
-                estimates[row, e] = ht_estimate(g, realized.levels, realized, cfg.p).values
-            elif name == "AS_noisy":
-                estimates[row, e] = ht_estimate(reps[0], lv_obs, realized, cfg.p).values
-            else:
-                d_mean = (reps[0].degrees + reps[1].degrees + reps[2].degrees) / 3.0
-                res = mme_estimate(reps[0], lv_obs, realized, cfg.p, noise_hat, rule,
-                                   d_obs=d_mean)
-                estimates[row, e] = res.means.values
-                rule_counts["corrected"] += res.n_corrected
-                rule_counts["rule_fallback"] += res.n_rule_fallback
-                rule_counts["singular_fallback"] += res.n_singular_fallback
-        del reps
-    return estimates, failed, conv, rule_counts
+    estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)
+    fits = RateFits(
+        np.empty(n_trials), np.empty(n_trials), np.empty(n_trials),
+        np.empty(n_trials, dtype=np.int64), np.empty(n_trials, dtype=np.int8),
+    )
+    rule_counts = np.zeros(3, dtype=np.int64)
+    done = 0
+    while done < n_trials:
+        est, block_fits, counts = _run_block(cfg, graph, tables, table, rule,
+                                             t0 + done, t1)
+        k = est.shape[0]
+        estimates[done : done + k] = est
+        for whole, part in zip(fits, block_fits):
+            whole[done : done + k] = part
+        rule_counts += counts
+        done += k
+    failed = fits.status >= FIT_DEGENERATE
+    counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
+                      (int(c) for c in rule_counts)))
+    return estimates, failed, fits, counts
 
 
 @dataclass(frozen=True)
@@ -275,6 +466,7 @@ class EstimateSummary:
     noise_fit_convergence_rate: float | None
     mme_rule_counts: dict
     mme_bias_reduction: tuple[dict, ...] | None
+    noise_fit: dict | None
     config: dict
 
 
@@ -402,7 +594,8 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
     estimators; the noisy ones classify exposures on the first replicate.
     MME's corrected degrees come from the mean observed degree over all
     three replicates. Trials whose rate fit fails are dropped and counted;
-    more than 1% of them aborts the run.
+    more than 1% of them aborts the run. With fitted rates, ``noise_fit``
+    summarises the fits (``_fit_summary``).
 
     The bias and SD intervals of all columns come from one set of
     ``bootstrap_b`` resamples of the surviving trials; when AS_noisy and MME
@@ -416,7 +609,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         table = _resolve_outcomes(cfg, graph.n_v)
         truth = table.truth()
 
-    estimates, failed, conv, rule_counts = _run_trials(cfg, graph, table, 0, cfg.trials)
+    estimates, failed, fits, rule_counts = _run_trials(cfg, graph, table, 0, cfg.trials)
     n_failed = int(failed.sum())
     if n_failed > 0.01 * cfg.trials:
         raise ExperimentError(
@@ -457,7 +650,10 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
     reduction = None
     if "AS_noisy" in cfg.estimators and "MME" in cfg.estimators:
         reduction = _mme_bias_reduction(cfg, rows, boot_means, truth)
-    conv_rate = None if cfg.noise_known else (float(conv[ok].mean()) if n_ok else 0.0)
+    conv_rate = fit_summary = None
+    if not cfg.noise_known:
+        conv_rate = float((fits.status[ok] == FIT_CONVERGED).mean()) if n_ok else 0.0
+        fit_summary = _fit_summary(fits, ok)
     return EstimateSummary(
         rows=tuple(rows),
         n_trials=cfg.trials,
@@ -465,8 +661,35 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         noise_fit_convergence_rate=conv_rate,
         mme_rule_counts=rule_counts,
         mme_bias_reduction=reduction,
+        noise_fit=fit_summary,
         config=cfg.echo(),
     )
+
+
+def _fit_summary(fits: RateFits, ok: np.ndarray) -> dict:
+    """Failed fits by reason, unconverged fits, and the spread of the fitted
+    rates and iteration counts over the trials that kept their fit."""
+    def spread(x):
+        q25, median, q75 = np.percentile(x, [25, 50, 75])
+        return {
+            "mean": float(x.mean()),
+            "sd": float(x.std(ddof=1)) if x.size > 1 else None,
+            "q25": float(q25),
+            "median": float(median),
+            "q75": float(q75),
+        }
+
+    iterations = fits.iterations[ok]
+    return {
+        "failed": {
+            "degenerate": int(np.count_nonzero(fits.status == FIT_DEGENERATE)),
+            "diverged": int(np.count_nonzero(fits.status == FIT_DIVERGED)),
+        },
+        "unconverged": int(np.count_nonzero(fits.status == FIT_UNCONVERGED)),
+        "alpha_hat": spread(fits.alpha_hat[ok]),
+        "beta_hat": spread(fits.beta_hat[ok]),
+        "iterations": {"mean": float(iterations.mean()), "max": int(iterations.max())},
+    }
 
 
 _CSV_COLUMNS = (
@@ -513,6 +736,7 @@ def emit_results(summary: EstimateSummary, csv_path, sidecar_path=None) -> None:
             "n_failed": summary.n_failed,
             "noise_fit_convergence_rate": summary.noise_fit_convergence_rate,
             "mme_rule_counts": summary.mme_rule_counts,
+            "noise_fit": summary.noise_fit,
         }
         if summary.mme_bias_reduction is not None:
             sidecar["mme_bias_reduction"] = list(summary.mme_bias_reduction)

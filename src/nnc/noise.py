@@ -35,13 +35,12 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _decode_pair_rank(r: np.ndarray, n: int, row_cum: np.ndarray) -> np.ndarray:
-    # rank r in [0, n(n-1)/2) -> linear code i*n + j of the r-th pair in
-    # canonical (i < j) order
+def _pair_of_rank(r: np.ndarray, row_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # rank r in [0, n(n-1)/2) -> the r-th pair (i, j) in canonical (i < j)
+    # order; row_cum as in _rank_tables
     i = np.searchsorted(row_cum, r, side="right")
     base = np.where(i > 0, row_cum[np.maximum(i - 1, 0)], 0)
-    j = i + 1 + (r - base)
-    return i * n + j
+    return i, i + 1 + (r - base)
 
 
 def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -59,6 +58,27 @@ def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     nonedges_before += g.edge_j
     nonedges_before -= np.arange(n, n + m, dtype=np.int64)
     return nonedges_before, row_cum
+
+
+def _nonedge_pairs(
+    ranks: np.ndarray, owner: np.ndarray, tables: list, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex pairs (i, j) of non-edges given by their ranks.
+
+    ``ranks[k]`` counts among the non-edges, in canonical pair order, of
+    the ``n``-vertex graph whose rank tables are ``tables[owner[k]]``. A
+    non-edge rank r maps to the pair rank r + (true edges before it); one
+    search over all the tables, laid end to end with the t-th shifted by
+    t * n(n-1)/2, serves every graph.
+    """
+    pairs = _pair_count(n)
+    sizes = [tab[0].size for tab in tables]
+    nonedges_before = np.concatenate([tab[0] for tab in tables])
+    nonedges_before += np.repeat(np.arange(len(sizes)) * pairs, sizes)
+    pair_rank = np.searchsorted(nonedges_before, owner * pairs + ranks, side="right")
+    del nonedges_before
+    pair_rank += ranks - (np.cumsum(sizes) - sizes)[owner]
+    return _pair_of_rank(pair_rank, tables[0][1])
 
 
 def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -80,12 +100,27 @@ def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndar
         # a gap past the last trial ends the draw; capping it keeps the
         # running sum far from int64 overflow when p is tiny
         np.minimum(gaps, left + 1, out=gaps)
-        ranks = last + np.cumsum(gaps)
-        end = int(np.searchsorted(ranks, n_trials))
-        parts.append(ranks[:end])
+        ranks = gaps.cumsum()
+        ranks += last
+        end = int(ranks.searchsorted(n_trials))
         if end < ranks.size:
-            return np.concatenate(parts)
+            # usually the first batch already ends the draw
+            return np.concatenate(parts + [ranks[:end]]) if parts else ranks[:end]
+        parts.append(ranks)
         last = int(ranks[-1])
+
+
+def _draw_observation(
+    m: int, n_nonedges: int, noise: NoiseParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of one observation of a graph with ``m`` edges.
+
+    One uniform per true edge, in edge-code order, keeps the edge when
+    below 1 - beta; then the increasing ranks, among the ``n_nonedges``
+    non-edges, of those that turn on. Returns (keep flags, ranks).
+    """
+    keep = rng.random(m) < 1.0 - noise.beta
+    return keep, _success_ranks(n_nonedges, noise.alpha, rng)
 
 
 def _observe(
@@ -95,11 +130,11 @@ def _observe(
     tables: tuple[np.ndarray, np.ndarray],
 ) -> Graph:
     n, m = g.n_v, g.n_edges
-    nonedges_before, row_cum = tables
-    kept = g.codes[rng.random(m) < 1.0 - noise.beta]
-    r = _success_ranks(_pair_count(n) - m, noise.alpha, rng)
-    r += np.searchsorted(nonedges_before, r, side="right")
-    false_codes = _decode_pair_rank(r, n, row_cum)
+    keep, r = _draw_observation(m, _pair_count(n) - m, noise, rng)
+    kept = g.codes[keep]
+    i, j = _nonedge_pairs(r, np.zeros(r.size, dtype=np.int64), [tables], n)
+    false_codes = i * n + j
+    del i, j
     # both parts are sorted, so the stable sort is one merge of two runs
     codes = np.concatenate([kept, false_codes])
     del kept, false_codes, r

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,27 +47,73 @@ def moment_stats(a1: Graph, a2: Graph, a3: Graph) -> MomentStats:
     if not (a1.n_v == a2.n_v == a3.n_v):
         raise ValueError("replicates must share the vertex set")
     n = a1.n_v
-    if n < 2:
+    codes = np.concatenate([a1.codes, a2.codes, a3.codes])
+    rep = np.repeat(np.arange(3), [a1.n_edges, a2.n_edges, a3.n_edges])
+    # every code is below n * n, so all of them belong to "trial" 0
+    pairs, triples, in_1_and_2 = (int(c[0]) for c in _coincidences(codes, rep, 1, n * n))
+    once = codes.size - 2 * pairs + triples
+    u1, u2, u3 = _moments(a1.n_edges, a2.n_edges, in_1_and_2, once, n)
+    return MomentStats(u1=u1, u2=u2, u3=u3, n_v=n)
+
+
+def _moments(e1, e2, in_1_and_2, once, n_v):
+    # (u1, u2, u3) from the edge counts of the first two observations, the
+    # pairs in both of them and the pairs in exactly one of the three;
+    # scalars or arrays alike
+    if n_v < 2:
         raise ValueError("need at least two vertices")
-    denom = n * (n - 1)
-    # tag each code with its replicate in the two low bits (codes stay below
-    # 2**61 while n_v < 1.5e9); the stable sort merges the three sorted runs,
-    # and a pair's copies end up adjacent, in replicate order
-    keys = np.concatenate([a1.codes << 2, (a2.codes << 2) | 1, (a3.codes << 2) | 2])
+    denom = n_v * (n_v - 1)
+    u1 = 2.0 * e1 / denom
+    u2 = (e1 + e2 - 2 * in_1_and_2) / denom
+    u3 = 2.0 * once / (3.0 * denom)
+    return u1, u2, u3
+
+
+def _replicate_moments(n_true, missed, missed_rep, false, false_rep, n_v):
+    """Moment statistics of many trials' three observations of known graphs.
+
+    Trial t's observations are noisy copies of its own true graph, which
+    has ``n_true[t]`` edges. Each observation is described by what it
+    changed: the true edges it missed (``missed``: t * P + k for the
+    trial's k-th edge, with P = n_v (n_v - 1) / 2) and the false edges it
+    turned on (``false``: t * P + the non-edge's rank), and ``*_rep`` says
+    which observation (0, 1, 2) each entry belongs to. A missed edge is
+    never a false one, so the two kinds are counted apart. Returns (u1,
+    u2, u3), one entry per trial, equal to ``moment_stats`` on the same
+    observations.
+    """
+    n_trials = n_true.size
+    pairs = n_v * (n_v - 1) // 2
+    lost = np.bincount(missed_rep * n_trials + missed // pairs, minlength=3 * n_trials)
+    gained = np.bincount(false_rep * n_trials + false // pairs, minlength=3 * n_trials)
+    lost, gained = lost.reshape(3, n_trials), gained.reshape(3, n_trials)
+    n_edges = n_true - lost + gained
+    m_pairs, m_triples, m_01 = _coincidences(missed, missed_rep, n_trials, pairs)
+    f_pairs, f_triples, f_01 = _coincidences(false, false_rep, n_trials, pairs)
+    # a true edge is in exactly one observation when two of them missed it
+    once = m_pairs - 2 * m_triples + gained.sum(axis=0) - 2 * f_pairs + f_triples
+    in_1_and_2 = n_true - lost[0] - lost[1] + m_01 + f_01
+    return _moments(n_edges[0], n_edges[1], in_1_and_2, once, n_v)
+
+
+def _coincidences(items, rep, n_trials: int, pairs: int):
+    # per trial t (items t * pairs + k): the adjacent equal items, the
+    # adjacent equal triples, and the items of observation 0 also in 1.
+    # Each item is tagged with its observation in the two low bits (items
+    # stay below 2**61), and one sort, a merge when each observation's
+    # items come sorted, leaves an item's copies adjacent, in observation
+    # order
+    keys = (items << 2) | rep
     keys.sort(kind="stable")
-    tags = np.empty(keys.size, dtype=np.int8)
-    np.bitwise_and(keys, 3, out=tags, casting="unsafe")
+    tags = keys & 3
     keys >>= 2
     same = keys[1:] == keys[:-1]
-    del keys
-    pairs = int(np.count_nonzero(same))
-    triples = int(np.count_nonzero(same[1:] & same[:-1]))
-    in_1_and_2 = int(np.count_nonzero(same & (tags[:-1] == 0) & (tags[1:] == 1)))
-    once = tags.size - 2 * pairs + triples
-    u1 = 2.0 * a1.n_edges / denom
-    u2 = (a1.n_edges + a2.n_edges - 2 * in_1_and_2) / denom
-    u3 = 2.0 * once / (3.0 * denom)
-    return MomentStats(u1=u1, u2=u2, u3=u3, n_v=n)
+    row = keys[1:] // pairs
+    return (
+        np.bincount(row[same], minlength=n_trials),
+        np.bincount(row[1:][same[1:] & same[:-1]], minlength=n_trials),
+        np.bincount(row[same & (tags[:-1] == 0) & (tags[1:] == 1)], minlength=n_trials),
+    )
 
 
 @dataclass(frozen=True)
@@ -78,13 +125,107 @@ class NoiseFitResult:
     converged: bool
 
 
+# per-fit outcome of ``_fit_rates``; the last two are failed fits
+FIT_CONVERGED, FIT_UNCONVERGED, FIT_DEGENERATE, FIT_DIVERGED = range(4)
+
+
+class RateFits(NamedTuple):
+    """Fixed-point fits of many moment triples, one entry each.
+
+    ``status`` holds a ``FIT_*`` code; the rates of failed fits are NaN and
+    their ``iterations`` count the passes completed before the failure.
+    """
+
+    alpha_hat: np.ndarray
+    beta_hat: np.ndarray
+    delta_hat: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+
+
 _CLAMP_LO = 1e-12
 _CLAMP_HI = 1.0 - 1e-9
 _BAND = 0.05
 
 
-def _clamp(x: float) -> float:
-    return min(max(x, _CLAMP_LO), _CLAMP_HI)
+def _clamp(x: np.ndarray) -> np.ndarray:
+    # in place
+    np.maximum(x, _CLAMP_LO, out=x)
+    return np.minimum(x, _CLAMP_HI, out=x)
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    # the C library's pow(x, 2), as Python's ``x ** 2`` on a float computes
+    # it; numpy's float_power loop calls it element by element, while
+    # ``np.power`` (vectorised) and ``x * x`` round a few squares per
+    # thousand differently
+    return np.float_power(x, 2.0)
+
+
+def _fit_rates(u1, u2, u3, alpha0=None, eps: float = 1e-10, max_iter: int = 10_000) -> RateFits:
+    """Vector form of ``fit_alpha_beta``: every fit takes the same passes,
+    in the same floating-point order, as the scalar iteration would.
+
+    ``alpha0`` defaults to a tenth of each observed density, and a zero
+    density is a degenerate fit. A fit leaves when it converges, fails, or
+    after ``max_iter`` passes (unconverged), and keeps the iterate of the
+    pass it left on. Fitted rates with alpha + beta >= 1 are not
+    identifiable and count as diverged, converged or not.
+    """
+    u1, u2, u3 = (np.asarray(u, dtype=np.float64).ravel() for u in (u1, u2, u3))
+    k = u1.size
+    status = np.full(k, FIT_UNCONVERGED, dtype=np.int8)
+    if alpha0 is None:
+        alpha0 = u1 / 10.0
+        status[u1 == 0.0] = FIT_DEGENERATE
+    alpha = np.array(np.broadcast_to(alpha0, k), dtype=np.float64)
+    beta = np.full(k, np.nan)
+    delta = np.full(k, np.nan)
+    iterations = np.zeros(k, dtype=np.int64)
+
+    active = status == FIT_UNCONVERGED
+    prev = alpha.copy()
+    a1_a2, two_a1 = u1 - u2, 2.0 * u1
+    passes = 0
+    with np.errstate(all="ignore"):
+        # all fits take every pass, which costs no more numpy calls than
+        # dropping the finished ones; only the active fits' results are kept
+        while passes < max_iter and np.count_nonzero(active):
+            passes += 1
+            gap = u1 - prev
+            b = _clamp((u2 - prev + u1 * prev) / gap)
+            denom = a1_a2 - two_a1 * prev + prev * prev
+            gap2, b2, q2 = _square(np.stack([gap, b, 1.0 - prev]))
+            d = _clamp(gap2 / denom)
+            raw = (u3 - d * b2 * (1.0 - b)) / ((1.0 - d) * q2)
+            # any NaN comparison fails the pass as well
+            ok = np.abs(gap) >= 1e-12
+            ok &= np.abs(denom) >= 1e-300
+            ok &= raw >= -_BAND
+            ok &= raw <= 1.0 + _BAND
+            a = _clamp(raw)
+            leave = active & ~(ok & (np.abs(a - prev) > eps))
+            if passes == max_iter:
+                leave = active
+            if np.count_nonzero(leave):
+                done = ok[leave]
+                degenerate = (np.abs(gap[leave]) < 1e-12) | (np.abs(denom[leave]) < 1e-300)
+                status[leave] = np.where(
+                    done,
+                    np.where(np.abs(a[leave] - prev[leave]) > eps, FIT_UNCONVERGED,
+                             FIT_CONVERGED),
+                    np.where(degenerate, FIT_DEGENERATE, FIT_DIVERGED),
+                )
+                iterations[leave] = passes - 1 + done
+                alpha[leave], beta[leave], delta[leave] = a[leave], b[leave], d[leave]
+                active &= ~leave
+            prev = a
+
+    status[(status <= FIT_UNCONVERGED) & (alpha + beta >= 1.0)] = FIT_DIVERGED
+    failed = status >= FIT_DEGENERATE
+    for rate in (alpha, beta, delta):
+        rate[failed] = np.nan
+    return RateFits(alpha, beta, delta, iterations, status)
 
 
 def fit_alpha_beta(
@@ -102,50 +243,35 @@ def fit_alpha_beta(
     Derived rate and density iterates are clamped into (0, 1) to absorb
     sampling noise; the fed-back rate itself aborts with ``DivergedError``
     if it overshoots [0, 1] by more than 0.05. Hitting ``max_iter`` returns
-    the last iterate flagged unconverged rather than raising.
+    the last iterate flagged unconverged rather than raising, unless its
+    rates are not identifiable (alpha + beta >= 1), which raises
+    ``DivergedError`` as for a converged fit.
+
+    This is the one-fit case of ``_fit_rates``, the vector form the
+    experiment harness runs.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    u1, u2, u3 = m.u1, m.u2, m.u3
-    if alpha0 is None:
-        if u1 == 0.0:
-            raise DegenerateMomentsError("first observation has no edges")
-        alpha0 = u1 / 10.0
-    if not (0.0 < alpha0 < u1):
+    if alpha0 is not None and not (0.0 < alpha0 < m.u1):
         raise ValueError("alpha0 must lie strictly between 0 and the observed density")
-
-    alpha_hat = float(alpha0)
-    beta_hat = delta_hat = float("nan")
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        prev = alpha_hat
-        if abs(u1 - prev) < 1e-12:
-            raise DegenerateMomentsError("iterate collided with the observed density")
-        beta_hat = _clamp((u2 - prev + u1 * prev) / (u1 - prev))
-        denom = u1 - u2 - 2.0 * u1 * prev + prev * prev
-        if abs(denom) < 1e-300:
-            raise DegenerateMomentsError("density update is undefined at this iterate")
-        delta_hat = _clamp((u1 - prev) ** 2 / denom)
-        alpha_raw = (u3 - delta_hat * beta_hat**2 * (1.0 - beta_hat)) / (
-            (1.0 - delta_hat) * (1.0 - prev) ** 2
+    fit = _fit_rates(m.u1, m.u2, m.u3, alpha0, eps, max_iter)
+    status = int(fit.status[0])
+    if status == FIT_DEGENERATE:
+        raise DegenerateMomentsError(
+            "rate fit is degenerate: the first observation is empty or an "
+            "iterate collided with its density"
         )
-        if not (-_BAND <= alpha_raw <= 1.0 + _BAND):
-            raise DivergedError(f"rate iterate left [0, 1] by more than {_BAND}")
-        alpha_hat = _clamp(alpha_raw)
-        iterations += 1
-        if abs(alpha_hat - prev) <= eps:
-            converged = True
-            break
-
-    if converged and alpha_hat + beta_hat >= 1.0:
-        raise DivergedError("fitted rates are not identifiable (alpha + beta >= 1)")
+    if status == FIT_DIVERGED:
+        raise DivergedError(
+            f"rate fit diverged: an iterate left [0, 1] by more than {_BAND} "
+            "or the fitted rates are not identifiable (alpha + beta >= 1)"
+        )
     return NoiseFitResult(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
-        delta_hat=delta_hat,
-        iterations=iterations,
-        converged=converged,
+        alpha_hat=float(fit.alpha_hat[0]),
+        beta_hat=float(fit.beta_hat[0]),
+        delta_hat=float(fit.delta_hat[0]),
+        iterations=int(fit.iterations[0]),
+        converged=status == FIT_CONVERGED,
     )

@@ -292,6 +292,55 @@ def test_mme_estimate_counts_and_validation():
 # -- exact expectation of the corrected estimator -------------------------------
 
 
+def _per_level_mme(g_obs, lv, v, p, alpha, beta, d_obs):
+    """Reference: the corrected estimator with one numpy sum per level, the
+    form the one-trial estimator had before the block kernel. Returns the
+    level means and, per level, the sum of the absolute terms."""
+    n = g_obs.n_v
+    d_hat = np.maximum((d_obs - (n - 1) * alpha) / (1.0 - alpha - beta), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, alpha, beta)
+    corrected = (d_hat >= 1.0) & np.isfinite(det) & (det > DET_FLOOR)
+    pr = _level_probability_matrix(g_obs.degrees, p)[np.arange(n), lv]
+    fall = ~corrected
+    est = np.bincount(lv[fall], weights=v[fall] / pr[fall], minlength=4).astype(float)
+    size = np.bincount(lv[fall], weights=np.abs(v[fall] / pr[fall]), minlength=4)
+    f = p / (1.0 - p)
+    for level, top, bottom, scale, first in (
+        (0, i11, i21, 1.0, 0), (1, i12, i22, 1.0, 0), (2, i11, i21, f, 2), (3, i12, i22, f, 2),
+    ):
+        m = corrected & (lv == level)
+        for k, entry in ((first, top), (first + 1, bottom)):
+            est[k] += scale * float((v[m] * entry[m]).sum())
+            size[k] += scale * float(np.abs(v[m] * entry[m]).sum())
+    return est / n, size / n
+
+
+def test_mme_level_sums_agree_with_per_level_sums_to_rounding():
+    # the block kernel adds each level's corrected terms in vertex order
+    # (one bincount); a per-level numpy sum adds them pairwise. Both are
+    # float64 sums of the same n terms, so they differ by rounding only,
+    # within n * eps of the sum of the absolute terms
+    rng = make_rng(47)
+    n = 3000
+    g = build_graph_configuration(np.minimum(rng.poisson(12.0, n) + 1, 40), rng)
+    t = Treatment(0.1, rng.random(n) < 0.1)
+    noise = NoiseParams(0.002, 0.1)
+    obs = perturb(g, noise, rng)
+    values = rng.normal(size=(n, 4)) * 3.0 + np.array(DILATED)
+    realized = realize_outcomes(g, t, OutcomeTable(values))
+    lv = exposure_levels(t, obs)
+    d_obs = obs.degrees + rng.integers(-1, 2, n)
+    res = mme_estimate(obs, lv, realized, 0.1, noise, MixingRule.sparse_fallback(),
+                       d_obs=d_obs)
+    want, size = _per_level_mme(obs, lv, realized.values, 0.1, noise.alpha, noise.beta,
+                                d_obs)
+    assert res.n_corrected > n // 2
+    gap = np.abs(res.means.values - want)
+    assert np.all(gap <= n * np.finfo(float).eps * size), (gap, size)
+    assert np.any(gap > 0.0)  # the two summation orders do differ here
+
+
 def _binomial_pmf(n, q):
     return binom.pmf(np.arange(n + 1), n, q)
 

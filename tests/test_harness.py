@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -28,7 +29,11 @@ from nnc.harness import (
     ExperimentConfig,
     ExperimentError,
     _bootstrap_columns,
+    _block_moments,
+    _draw_block,
+    _observed_degrees,
     _percentile_interval,
+    _replicate_changes,
     _run_trials,
     _resolve_outcomes,
     bootstrap_ci,
@@ -36,8 +41,14 @@ from nnc.harness import (
     resolve_graph,
     run_experiment,
 )
-from nnc.noise import NoiseParams, replicate
-from nnc.noise_fit import NoiseFitError, fit_alpha_beta, moment_stats
+from nnc.noise import NoiseParams, _rank_tables, replicate
+from nnc.noise_fit import (
+    FIT_DEGENERATE,
+    FIT_DIVERGED,
+    FIT_UNCONVERGED,
+    fit_alpha_beta,
+    moment_stats,
+)
 from nnc.seeding import make_rng
 
 DILATED = (10.0, 7.0, 5.0, 1.0)
@@ -293,22 +304,31 @@ def test_mme_degree_comes_from_all_three_replicates(small_graph):
 
 
 def test_each_graph_is_classified_once_per_trial(small_graph, monkeypatch):
-    # the true graph (inside realize_outcomes) and replicate 0 (in the
-    # harness, shared by AS_noisy and MME) are the only distinct classifications
-    seen = []
-    for mod in (estimators_mod, harness_mod):
-        def counted(t, g, _real=mod.exposure_levels):
-            seen.append(g)
-            return _real(t, g)
-        monkeypatch.setattr(mod, "exposure_levels", counted)
+    # a block classifies its true graphs once and its replicates 0 once, each
+    # call covering every trial's vertices once; AS_noisy and MME share
+    # replicate 0's levels and no estimator classifies on its own
+    sizes = []
+    real_levels = harness_mod._levels
+
+    def counted(z, treated):
+        sizes.append(z.size)
+        return real_levels(z, treated)
+
+    def forbidden(*args):
+        raise AssertionError("the block path classifies through _levels only")
+
+    monkeypatch.setattr(harness_mod, "_levels", counted)
+    monkeypatch.setattr(estimators_mod, "exposure_levels", forbidden)
+    per_trial = 3 * (small_graph.n_edges + small_graph.n_v)
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 2 * per_trial)
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=6, master_seed=9)
     assert cfg.estimators == ESTIMATOR_NAMES
     table = _resolve_outcomes(cfg, small_graph.n_v)
     _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
     assert not failed.any()
-    assert len(seen) == 2 * cfg.trials
-    assert sum(g is small_graph for g in seen) == cfg.trials
+    # three blocks of two trials, two classifications each
+    assert sizes == [2 * small_graph.n_v] * 6
 
 
 def test_empty_first_replicate_fails_trials_not_the_run():
@@ -328,67 +348,94 @@ def test_empty_first_replicate_fails_trials_not_the_run():
         run_experiment(cfg)
 
 
+def _failing_fits(monkeypatch, fail):
+    # route the harness's rate fits through a wrapper that marks the block
+    # rows ``fail(call, rows)`` selects as degenerate fits
+    real_fit = harness_mod._fit_rates
+    calls = []
+
+    def flaky(*args, **kw):
+        fits = real_fit(*args, **kw)
+        bad = fail(len(calls), np.arange(fits.status.size))
+        calls.append(None)
+        fits.status[bad] = FIT_DEGENERATE
+        for rate in (fits.alpha_hat, fits.beta_hat, fits.delta_hat):
+            rate[bad] = np.nan
+        return fits
+
+    monkeypatch.setattr(harness_mod, "_fit_rates", flaky)
+
+
 def test_failed_trials_are_excluded_and_counted(small_graph, monkeypatch):
-    calls = {"n": 0}
-    real_fit = harness_mod.fit_alpha_beta
-
-    def flaky(stats, **kw):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise NoiseFitError("synthetic failure")
-        return real_fit(stats, **kw)
-
-    monkeypatch.setattr(harness_mod, "fit_alpha_beta", flaky)
+    _failing_fits(monkeypatch, lambda call, row: (call == 0) & (row == 0))
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=200, bootstrap_b=50, master_seed=3)
     summary = run_experiment(cfg)
     assert summary.n_failed == 1
     assert summary.noise_fit_convergence_rate == 1.0
+    assert summary.noise_fit["failed"] == {"degenerate": 1, "diverged": 0}
 
 
 @pytest.mark.parametrize("fail_every", [0, 3])
 def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeypatch,
                                                             fail_every):
-    # Graph has __slots__ without __weakref__, so watch the arrays of every
-    # returned graph: they die with it
+    # a block's draws (keep flags, false-edge ranks, treatments) and the
+    # replicate changes made from them are released before the next block
+    # draws
     watched, alive_at_call = [], []
-    real_replicate = harness_mod.replicate
+    real_draw = harness_mod._draw_block
+    real_changes = harness_mod._replicate_changes
 
-    def recording(g, noise, k, rng):
+    def recording(*args):
         alive_at_call.append(sum(ref() is not None for ref in watched))
-        reps = real_replicate(g, noise, k, rng)
-        watched[:] = [weakref.ref(a) for r in reps
-                      for a in (r.codes, r.edge_i, r.edge_j, r.degrees)]
-        return reps
+        draws = real_draw(*args)
+        watched[:] = [weakref.ref(a) for part in (*draws.keeps, draws.ranks, draws.z)
+                      for a in part]
+        return draws
 
-    calls = {"n": 0}
-    real_fit = harness_mod.fit_alpha_beta
+    def watching(draws):
+        changes = real_changes(draws)
+        watched.extend(weakref.ref(a) for a in changes if isinstance(a, np.ndarray))
+        return changes
 
-    def flaky(stats, **kw):
-        calls["n"] += 1
-        if fail_every and calls["n"] % fail_every == 1:
-            raise NoiseFitError("synthetic failure")
-        return real_fit(stats, **kw)
-
-    monkeypatch.setattr(harness_mod, "replicate", recording)
-    monkeypatch.setattr(harness_mod, "fit_alpha_beta", flaky)
+    monkeypatch.setattr(harness_mod, "_draw_block", recording)
+    monkeypatch.setattr(harness_mod, "_replicate_changes", watching)
+    if fail_every:
+        _failing_fits(monkeypatch, lambda call, row: row % fail_every == 1)
+    per_trial = 3 * (small_graph.n_edges + small_graph.n_v)
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 2 * per_trial)
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=7, master_seed=23)
     table = _resolve_outcomes(cfg, small_graph.n_v)
     _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
     assert failed.any() == bool(fail_every)
-    assert alive_at_call == [0] * cfg.trials
+    assert alive_at_call == [0] * 4
 
 
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
-    def always_fail(stats, **kw):
-        raise NoiseFitError("synthetic failure")
-
-    monkeypatch.setattr(harness_mod, "fit_alpha_beta", always_fail)
+    _failing_fits(monkeypatch, lambda call, row: row >= 0)
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=50, master_seed=3)
     with pytest.raises(ExperimentError):
         run_experiment(cfg)
+
+
+def test_unconverged_unidentifiable_fit_fails_the_trial_not_the_run(small_graph,
+                                                                    monkeypatch):
+    # after one pass some fits have alpha_hat + beta_hat >= 1; they are
+    # unconverged, not diverged by the band check, yet no MME weight exists
+    # for them, so they count as diverged fits and the run goes on
+    monkeypatch.setattr(harness_mod, "_fit_rates",
+                        functools.partial(harness_mod._fit_rates, max_iter=1))
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.3, beta=0.6, p=0.1,
+                           trials=40, master_seed=3)
+    table = _resolve_outcomes(cfg, small_graph.n_v)
+    est, failed, fits, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    stuck = (fits.status == FIT_DIVERGED) & (fits.iterations == 1)
+    assert stuck.any()
+    assert failed[stuck].all() and np.isnan(est[stuck]).all()
+    assert (fits.status[~failed] == FIT_UNCONVERGED).all()
+    assert np.isfinite(est[~failed]).all()
 
 
 def test_known_noise_skips_fitting(small_graph):
@@ -406,6 +453,134 @@ def test_regenerated_graphs_vary_but_stay_deterministic():
     a = run_experiment(ExperimentConfig(**cfg))
     b = run_experiment(ExperimentConfig(**cfg))
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regenerate):
+    # heavy noise, so that replicates share missed and false edges; a
+    # regenerating config gives every trial its own graph and rank tables
+    spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
+    cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
+                           p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
+    graph = None if regenerate else small_graph
+    tables = None if regenerate else _rank_tables(small_graph)
+    draws = _draw_block(cfg, graph, tables, 0, cfg.trials)
+    assert len(draws.graphs) == cfg.trials
+    changes = _replicate_changes(draws)
+    degrees = _observed_degrees(draws, changes)
+    u1, u2, u3 = _block_moments(changes)
+    shared = 0
+    for t in range(cfg.trials):
+        # trial t's graph and replicates, drawn by hand from its own stream
+        rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
+        g = harness_mod._build_generated_graph(spec, rng) if regenerate else small_graph
+        assert g == draws.graphs[t]
+        reps = replicate(g, cfg.noise, 3, rng)
+        for r in range(3):
+            assert np.array_equal(degrees[r, t], reps[r].degrees)
+        m = moment_stats(*reps)
+        assert (u1[t], u2[t], u3[t]) == (m.u1, m.u2, m.u3)
+        both = np.intersect1d(reps[1].codes, reps[2].codes)
+        shared += np.setdiff1d(both, g.codes).size
+    assert shared > 0  # some false edges coincide across replicates
+
+
+def _homogeneous_graph(n, seed):
+    rng = make_rng(seed)
+    return build_graph_configuration(
+        sample_degree_sequence(ZeroTruncatedPoisson(10.0), n, rng), rng)
+
+
+def _budget_case(case, tmp_path, small_graph):
+    # the three benchmark workloads (the 1e5-vertex ZTP graph scaled down to
+    # 2e4 vertices), per-vertex outcomes, and the estimator subsets of
+    # acceptance criteria 5 and 7
+    if case == "school_dense":
+        school = {"source": "generate", "kind": "pareto", "n_v": 115, "rate": 0.40,
+                  "shape": 1.0, "lower": 7, "seed": 12345}
+        return dict(graph=resolve_graph(school), alpha=0.01, beta=0.10, p=0.1, trials=300)
+    if case == "ztp_sparse":
+        ztp = {"source": "generate", "kind": "ztp", "n_v": 20_000, "mean_degree": 10.0,
+               "seed": 12345}
+        return dict(graph=resolve_graph(ztp), alpha=1e-5, beta=0.10, p=0.01, trials=8)
+    if case == "pareto_regen_known":
+        pareto = {"source": "generate", "kind": "pareto", "n_v": 500, "rate": 0.1,
+                  "shape": 1.2, "lower": 3, "seed": 12345}
+        return dict(graph=pareto, alpha=0.005, beta=0.10, p=0.1, trials=30, noise_known=True,
+                    mixing="order_of_magnitude", regenerate_graph=True)
+    if case == "vertex_outcomes":
+        outcomes = tmp_path / "outcomes.csv"
+        rows = make_rng(5).normal(size=(small_graph.n_v, 4)) * 3.0 + np.array(DILATED)
+        outcomes.write_text("y_c11,y_c10,y_c01,y_c00\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        return dict(graph=small_graph, alpha=0.01, beta=0.1, p=0.1, outcomes=str(outcomes),
+                    trials=200, mixing="order_of_magnitude")
+    if case == "criterion_5":
+        return dict(graph=_homogeneous_graph(500, 72), alpha=0.005, beta=0.10, p=0.1,
+                    noise_known=True, trials=300, estimators=("AS_noisy",))
+    assert case == "criterion_7"
+    return dict(graph=_homogeneous_graph(250, 71), alpha=0.005, beta=0.10, p=0.1,
+                trials=300, estimators=("AS_noisy", "MME"))
+
+
+@pytest.mark.parametrize("case", ["school_dense", "ztp_sparse", "pareto_regen_known",
+                                  "vertex_outcomes", "criterion_5", "criterion_7"])
+def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, monkeypatch):
+    kwargs = dict(_budget_case(case, tmp_path, small_graph), bootstrap_b=200, master_seed=777)
+    graph = resolve_graph(kwargs["graph"])  # a regenerating run's set-up graph
+    per_trial = 3 * (graph.n_edges + graph.n_v)
+    blocks = []
+    real_draw = harness_mod._draw_block
+
+    def counted(*args):
+        blocks[-1] += 1
+        return real_draw(*args)
+
+    monkeypatch.setattr(harness_mod, "_draw_block", counted)
+    outputs = []
+    for budget in (per_trial, 7 * per_trial, harness_mod._BLOCK_ENTRIES):
+        monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", budget)
+        blocks.append(0)
+        summary = run_experiment(ExperimentConfig(**kwargs))
+        csv_path = tmp_path / f"run_{budget}.csv"
+        emit_results(summary, csv_path)
+        outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
+    assert blocks[0] == kwargs["trials"] and blocks[1] < blocks[0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1, trials=80,
+                           bootstrap_b=50, master_seed=31)
+    summary = run_experiment(cfg)
+    table = _resolve_outcomes(cfg, small_graph.n_v)
+    _, failed, fits, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    assert not failed.any()
+
+    def spread(x):
+        return {"mean": x.mean(), "sd": x.std(ddof=1), "q25": np.percentile(x, 25),
+                "median": np.percentile(x, 50), "q75": np.percentile(x, 75)}
+
+    assert summary.noise_fit == {
+        "failed": {"degenerate": 0, "diverged": 0},
+        "unconverged": 0,
+        "alpha_hat": spread(fits.alpha_hat),
+        "beta_hat": spread(fits.beta_hat),
+        "iterations": {"mean": fits.iterations.mean(), "max": fits.iterations.max()},
+    }
+    assert 0.005 < summary.noise_fit["alpha_hat"]["median"] < 0.02
+    out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    emit_results(summary, out1)
+    emit_results(run_experiment(cfg), out2)
+    assert out1.read_bytes() == out2.read_bytes()
+    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+    sidecar = json.loads((tmp_path / "r1.json").read_text())
+    assert sidecar["noise_fit"] == summary.noise_fit
+    # known rates have no fit to summarise
+    known = run_experiment(dataclasses.replace(cfg, noise_known=True))
+    emit_results(known, out1)
+    assert known.noise_fit is None
+    assert json.loads((tmp_path / "r1.json").read_text())["noise_fit"] is None
 
 
 # -- results emission -----------------------------------------------------------

@@ -5,9 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 from nnc.graphs import Graph
 from nnc.noise import NoiseParams, perturb
 from nnc.noise_fit import (
+    FIT_CONVERGED,
+    FIT_DEGENERATE,
+    FIT_DIVERGED,
+    FIT_UNCONVERGED,
     DegenerateMomentsError,
     DivergedError,
     MomentStats,
+    _fit_rates,
     fit_alpha_beta,
     moment_stats,
 )
@@ -218,3 +223,107 @@ def test_fit_hits_max_iter_without_exception():
     fit = fit_alpha_beta(m, eps=1e-300, max_iter=3)
     assert not fit.converged
     assert fit.iterations == 3
+
+
+def test_unconverged_fit_with_unidentifiable_rates_diverges():
+    # one pass from the default start lands at alpha_hat + beta_hat > 1; an
+    # unconverged fit like that is as unusable as a converged one
+    m = MomentStats(0.1, 0.2, 0.1, 100)
+    with pytest.raises(DivergedError):
+        fit_alpha_beta(m, max_iter=1)
+    fits = _fit_rates([m.u1], [m.u2], [m.u3], max_iter=1)
+    assert fits.status[0] == FIT_DIVERGED and fits.iterations[0] == 1
+    assert np.isnan(fits.alpha_hat[0]) and np.isnan(fits.beta_hat[0])
+
+
+# -- vector fit -----------------------------------------------------------------
+
+
+def _scalar_fit(u1, u2, u3, eps=1e-10, max_iter=10_000):
+    """The scalar fixed-point fit as it stood before the vector form, on
+    Python floats, returning (status, iterations, alpha, beta, delta)
+    instead of raising; a failed fit reports the passes it completed."""
+    def clamp(x):
+        return min(max(x, 1e-12), 1.0 - 1e-9)
+
+    if u1 == 0.0:
+        return FIT_DEGENERATE, 0, None, None, None
+    alpha_hat = u1 / 10.0
+    beta_hat = delta_hat = float("nan")
+    iterations = 0
+    while iterations < max_iter:
+        prev = alpha_hat
+        if abs(u1 - prev) < 1e-12:
+            return FIT_DEGENERATE, iterations, None, None, None
+        beta_hat = clamp((u2 - prev + u1 * prev) / (u1 - prev))
+        denom = u1 - u2 - 2.0 * u1 * prev + prev * prev
+        if abs(denom) < 1e-300:
+            return FIT_DEGENERATE, iterations, None, None, None
+        delta_hat = clamp((u1 - prev) ** 2 / denom)
+        alpha_raw = (u3 - delta_hat * beta_hat**2 * (1.0 - beta_hat)) / (
+            (1.0 - delta_hat) * (1.0 - prev) ** 2
+        )
+        if not (-0.05 <= alpha_raw <= 1.05):
+            return FIT_DIVERGED, iterations, None, None, None
+        alpha_hat = clamp(alpha_raw)
+        iterations += 1
+        if abs(alpha_hat - prev) <= eps:
+            status = FIT_CONVERGED
+            break
+    else:
+        status = FIT_UNCONVERGED
+    if alpha_hat + beta_hat >= 1.0:
+        return FIT_DIVERGED, iterations, None, None, None
+    return status, iterations, alpha_hat, beta_hat, delta_hat
+
+
+_moment_triples = st.one_of(
+    # sampled moments around the population values of plausible rates
+    st.builds(
+        lambda a, b, d, e1, e2, e3: (
+            forward_moments(a, b, d).u1 * e1,
+            forward_moments(a, b, d).u2 * e2,
+            forward_moments(a, b, d).u3 * e3,
+        ),
+        st.floats(0.0, 0.05), st.floats(0.0, 0.5), st.floats(0.001, 0.5),
+        st.floats(0.9, 1.1), st.floats(0.7, 1.3), st.floats(0.3, 1.7),
+    ),
+    # anything, for the failure modes
+    st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    st.just((0.0, 0.0, 0.0)),
+    st.just((2e-13, 1e-13, 1e-13)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_moment_triples, min_size=1, max_size=30), st.sampled_from([1, 2, 7, 10_000]))
+@example([(0.1, 0.2, 0.1), (0.05, 0.009, 0.9), (0.0, 0.0, 0.0), (2e-13, 1e-13, 1e-13)], 1)
+def test_vector_fit_is_bit_equal_to_the_scalar_iteration(triples, max_iter):
+    u1, u2, u3 = (np.array(col) for col in zip(*triples))
+    fits = _fit_rates(u1, u2, u3, max_iter=max_iter)
+    for k, triple in enumerate(triples):
+        status, iterations, alpha, beta, delta = _scalar_fit(*triple, max_iter=max_iter)
+        assert (fits.status[k], fits.iterations[k]) == (status, iterations), triple
+        if status <= FIT_UNCONVERGED:
+            assert (fits.alpha_hat[k], fits.beta_hat[k], fits.delta_hat[k]) == (
+                alpha, beta, delta), triple
+        else:
+            assert np.isnan([fits.alpha_hat[k], fits.beta_hat[k], fits.delta_hat[k]]).all()
+
+
+def test_vector_fit_is_bit_equal_to_the_scalar_iteration_on_sampled_moments():
+    # a rounding difference in one pass (say, x * x for the C library's
+    # x ** 2, which disagree on about one square in a thousand) shows up in
+    # some of a few thousand fits
+    rng = make_rng(48)
+    alpha, beta, delta = rng.uniform(0.001, 0.03, (3, 3000)) * [[1.0], [10.0], [5.0]]
+    m = forward_moments(alpha, beta, delta)
+    u1, u2, u3 = (u * rng.normal(1.0, s, alpha.size)
+                  for u, s in ((m.u1, 0.05), (m.u2, 0.1), (m.u3, 0.3)))
+    fits = _fit_rates(u1, u2, u3)
+    assert (fits.status == FIT_CONVERGED).mean() > 0.9
+    for k in range(alpha.size):
+        status, iterations, a, b, d = _scalar_fit(u1[k], u2[k], u3[k])
+        assert (fits.status[k], fits.iterations[k]) == (status, iterations)
+        if status <= FIT_UNCONVERGED:
+            assert (fits.alpha_hat[k], fits.beta_hat[k], fits.delta_hat[k]) == (a, b, d)
