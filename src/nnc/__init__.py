@@ -23,7 +23,6 @@ from .exposure import (
     exposure_levels,
     exposure_probabilities,
     exposure_probabilities_generalized,
-    treated_neighbor_counts,
 )
 from .graphs import (
     EdgeListError,
@@ -60,7 +59,7 @@ from .noise_fit import (
     fit_alpha_beta,
     moment_stats,
 )
-from .seeding import derive_seed, make_rng
+from .seeding import make_rng
 from .theory import (
     BiasPrediction,
     ConditionDiagnostics,

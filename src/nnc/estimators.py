@@ -47,10 +47,6 @@ class OutcomeTable:
     def n_v(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def y_max(self) -> float:
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
     def truth(self) -> np.ndarray:
         """Population mean outcome per level."""
         return self.values.mean(axis=0)

@@ -52,14 +52,6 @@ def assign_treatment(n: int, p: float, rng: np.random.Generator) -> Treatment:
     return Treatment(p, rng.random(n) < p)
 
 
-def treated_neighbor_counts(g: Graph, z: np.ndarray) -> np.ndarray:
-    """Number of treated neighbors per vertex."""
-    z = np.asarray(z, dtype=bool)
-    if z.size != g.n_v:
-        raise ValueError("assignment length does not match vertex count")
-    return _treated_counts(z, g.edge_i, g.edge_j)
-
-
 def _treated_counts(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Treated-neighbor counts over the edges (src, dst) for flags ``z``.
 
@@ -72,7 +64,9 @@ def _treated_counts(z: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarr
 
 def exposure_levels(t: Treatment, g: Graph) -> np.ndarray:
     """Exposure level code per vertex (0..3 in ``LEVEL_NAMES`` order)."""
-    return _levels(t.z, treated_neighbor_counts(g, t.z))
+    if t.z.size != g.n_v:
+        raise ValueError("assignment length does not match vertex count")
+    return _levels(t.z, _treated_counts(t.z, g.edge_i, g.edge_j))
 
 
 def _levels(z: np.ndarray, treated_counts: np.ndarray) -> np.ndarray:

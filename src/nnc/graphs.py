@@ -135,9 +135,6 @@ class Graph:
             raise IndexError(f"vertex {i} out of range for {self.n_v} vertices")
         return i
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees[self._check_vertex(i)])
-
     def has_edge(self, i: int, j: int) -> bool:
         i = self._check_vertex(i)
         j = self._check_vertex(j)

@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.mixing not in MIXING_MODES:
             raise ValueError(f"mixing must be one of {MIXING_MODES}")
+        for name in ("trials", "bootstrap_b", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.bootstrap_b < 1:
@@ -221,8 +225,9 @@ class _Draws(NamedTuple):
     z: list
 
 
-def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int, t1: int) -> _Draws:
-    """Draws of trials t0, t0 + 1, ... until the block budget is spent.
+def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int) -> _Draws:
+    """Draws of trials t0, t0 + 1, ... until the block budget or the trials
+    are spent.
 
     Each trial has its own stream and keeps its draw order: its graph (only
     when regenerating), then each replicate's keep uniforms and non-edge
@@ -232,7 +237,7 @@ def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int, t1: int) -> _Draw
     """
     draws = _Draws([], [] if graph is None else [tables], [], ([], [], []), [], [])
     entries = 0
-    for t in range(t0, t1):
+    for t in range(t0, cfg.trials):
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
         if graph is None:
             g = _build_generated_graph(cfg.graph, rng)
@@ -336,7 +341,7 @@ def _observed_degrees(draws: _Draws, ch: _Changes) -> np.ndarray:
     return deg.reshape(3, n_t, n)
 
 
-def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: int, t1: int):
+def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: int):
     """Draw one block of trials from t0 on, then estimate them all at once.
 
     Nothing after the draws is per trial. The replicates are never built as
@@ -346,7 +351,7 @@ def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: in
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``) and its summed MME routing counts.
     """
-    draws = _draw_block(cfg, graph, tables, t0, t1)
+    draws = _draw_block(cfg, graph, tables, t0)
     ch = _replicate_changes(draws)
     n_t, n = len(draws.graphs), ch.n
     if cfg.noise_known:
@@ -390,14 +395,8 @@ def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: in
     return estimates, fits, rule_counts
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    graph: Graph | None,
-    table: OutcomeTable | None,
-    t0: int,
-    t1: int,
-):
-    """Run trials [t0, t1); returns per-trial estimates and bookkeeping.
+def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable | None):
+    """Run every trial; returns per-trial estimates and bookkeeping.
 
     Returns (estimates, failed, fits, rule_counts): a (trials, estimators,
     4) array, the failed-trial flags, every trial's ``RateFits`` entry (the
@@ -421,7 +420,7 @@ def _run_trials(
         table = OutcomeTable.constant(int(cfg.graph["n_v"]), cfg.outcomes)
     else:
         tables = _rank_tables(graph)
-    n_trials = t1 - t0
+    n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)
     fits = RateFits(
         np.empty(n_trials), np.empty(n_trials), np.empty(n_trials),
@@ -430,8 +429,7 @@ def _run_trials(
     rule_counts = np.zeros(3, dtype=np.int64)
     done = 0
     while done < n_trials:
-        est, block_fits, counts = _run_block(cfg, graph, tables, table, rule,
-                                             t0 + done, t1)
+        est, block_fits, counts = _run_block(cfg, graph, tables, table, rule, done)
         k = est.shape[0]
         estimates[done : done + k] = est
         for whole, part in zip(fits, block_fits):
@@ -479,8 +477,9 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile confidence interval for the mean or SD of ``samples``.
 
-    Draws ``b`` resamples with replacement, computes the statistic on each,
-    and returns the symmetric percentile interval at the given level.
+    The one-column case of the shared resampler: ``b`` resamples from
+    ``_bootstrap_columns``, the symmetric percentile interval at the given
+    level from ``_percentile_interval``.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -491,25 +490,9 @@ def bootstrap_ci(
         raise ValueError("level must lie in (0, 1)")
     if statistic not in ("mean", "sd"):
         raise ValueError("statistic must be 'mean' or 'sd'")
-    n = x.size
-    stats = np.empty(b)
-    block = max(1, min(b, 4_000_000 // n))
-    idx_dtype = np.int32 if n < 2**31 else np.int64
-    pos = 0
-    while pos < b:
-        take = min(block, b - pos)
-        idx = rng.integers(0, n, size=(take, n), dtype=idx_dtype)
-        draw = x[idx]
-        if statistic == "mean":
-            stats[pos : pos + take] = draw.mean(axis=1)
-        else:
-            stats[pos : pos + take] = draw.std(axis=1, ddof=1)
-        pos += take
-    lo = (1.0 - level) / 2.0 * 100.0
-    return (
-        float(np.percentile(stats, lo)),
-        float(np.percentile(stats, 100.0 - lo)),
-    )
+    means, sds = _bootstrap_columns(x[:, None], b, rng)
+    lo, hi = _percentile_interval(means if statistic == "mean" else sds, level)
+    return float(lo[0]), float(hi[0])
 
 
 def _bootstrap_columns(
@@ -556,8 +539,7 @@ def _percentile_interval(stats: np.ndarray, level: float) -> np.ndarray:
     """Symmetric percentile interval of each column of resampled statistics.
 
     ``stats`` holds one resample per row; the result stacks the lower and
-    upper ends (shape ``(2,) + stats.shape[1:]``), computed as in
-    ``bootstrap_ci``.
+    upper ends (shape ``(2,) + stats.shape[1:]``).
     """
     lo = (1.0 - level) / 2.0 * 100.0
     return np.percentile(stats, [lo, 100.0 - lo], axis=0)
@@ -609,7 +591,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         table = _resolve_outcomes(cfg, graph.n_v)
         truth = table.truth()
 
-    estimates, failed, fits, rule_counts = _run_trials(cfg, graph, table, 0, cfg.trials)
+    estimates, failed, fits, rule_counts = _run_trials(cfg, graph, table)
     n_failed = int(failed.sum())
     if n_failed > 0.01 * cfg.trials:
         raise ExperimentError(

@@ -54,7 +54,6 @@ def exhaustive_ht_expectation(g, table, p):
 def test_outcome_table_constant_and_truth():
     tab = OutcomeTable.constant(3, DILATED)
     assert tab.truth() == pytest.approx(DILATED)
-    assert tab.y_max == 10.0
     with pytest.raises(ValueError):
         OutcomeTable(np.full((2, 4), np.inf))
     with pytest.raises(ValueError):

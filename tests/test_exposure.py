@@ -112,6 +112,8 @@ def test_exposure_level_cases():
     assert lv2[0] == ExposureLevel.C11
     assert lv2[2] == ExposureLevel.C01
     assert lv2[3] == ExposureLevel.C00
+    with pytest.raises(ValueError, match="vertex count"):
+        exposure_levels(Treatment(0.5, np.array([True, False, True])), g)
 
 
 def test_exposure_levels_partition_is_exhaustive():
@@ -284,7 +286,7 @@ def test_level_frequencies_match_probabilities_monte_carlo():
     counts = z @ adj
     hit = counts > 0
     for i in range(4):
-        pr = exposure_probabilities(g.degree(i), p).as_array()
+        pr = exposure_probabilities(int(g.degrees[i]), p).as_array()
         freq = np.array([
             (z[:, i] & hit[:, i]).mean(),
             (z[:, i] & ~hit[:, i]).mean(),

@@ -365,7 +365,7 @@ def test_load_edge_list_dedupes_reversed_pairs():
 
 def test_load_edge_list_path_degrees():
     g = load_edge_list(io.StringIO("node_a,node_b\na,b\nb,c\n"))
-    assert [g.degree(g.labels.index(x)) for x in "abc"] == [1, 2, 1]
+    assert [g.degrees[g.labels.index(x)] for x in "abc"] == [1, 2, 1]
 
 
 def test_load_edge_list_errors_carry_line_numbers():

@@ -130,6 +130,18 @@ def test_shared_bootstrap_equals_per_column_gather(n, monkeypatch):
     else:
         want = draw.std(axis=1, ddof=1)
         assert np.all(np.abs(sds - want) <= 1e-12 * want + tol)
+    # bootstrap_ci is the one-column case: the same stream gives the
+    # percentile interval of the gathered statistics
+    for c in (0, 5):
+        for statistic in ("mean", "sd"):
+            ci = bootstrap_ci(x[:, c], b, 0.9, make_rng(41, n), statistic=statistic)
+            if n == 1 and statistic == "sd":
+                assert np.isnan(ci).all()
+                continue
+            col = draw[:, :, c]
+            stats = col.mean(axis=1) if statistic == "mean" else col.std(axis=1, ddof=1)
+            want = np.percentile(stats, [5.0, 95.0])
+            assert np.all(np.abs(np.array(ci) - want) <= 1e-12 * np.abs(want) + tol[c])
     # the block size changes neither the draws nor the statistics beyond rounding
     monkeypatch.undo()
     means_one, sds_one = _bootstrap_columns(x, b, make_rng(41, n))
@@ -153,15 +165,20 @@ def test_shared_bootstrap_quick_coverage_smoke():
 
 
 def test_shared_bootstrap_memory_is_blocked():
-    # a whole (B x n) count matrix would be 80 MB here
+    # a whole (B x n) count matrix would be 80 MB here; bootstrap_ci
+    # resamples through the same blocks
     x = make_rng(8).normal(size=(10_000, 12))
     tracemalloc.start()
     try:
         _bootstrap_columns(x, 1_000, make_rng(9))
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        bootstrap_ci(x[:, 0], 1_000, 0.95, make_rng(9))
+        _, peak_one = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+    assert peak_one < 16 * 2**20, peak_one
 
 
 # -- configuration ------------------------------------------------------------
@@ -181,6 +198,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(graph={"source": "edge_list", "path": "x.csv"},
                          alpha=0.0, beta=0.0, p=0.1, regenerate_graph=True)
+    # integer fields from a JSON file: a float or a bool is refused up front,
+    # naming the field, before any graph is built
+    base = {"graph": g_spec, "alpha": 0.01, "beta": 0.1, "p": 0.1}
+    for name, value in (("trials", 10.5), ("trials", 10.0), ("trials", True),
+                        ("bootstrap_b", 50.0), ("master_seed", 3.7)):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_json({**base, name: value})
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -265,24 +289,13 @@ def test_run_is_deterministic(small_graph):
     assert a.mme_rule_counts == b.mme_rule_counts
 
 
-def test_trial_splitting_merges_exactly(small_graph):
-    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
-                           trials=120, master_seed=13)
-    table = _resolve_outcomes(cfg, small_graph.n_v)
-    full, f_full, c_full, _ = _run_trials(cfg, small_graph, table, 0, 120)
-    left, f_left, _, _ = _run_trials(cfg, small_graph, table, 0, 60)
-    right, f_right, _, _ = _run_trials(cfg, small_graph, table, 60, 120)
-    assert np.array_equal(np.concatenate([left, right]), full, equal_nan=True)
-    assert np.array_equal(np.concatenate([f_left, f_right]), f_full)
-
-
 def test_mme_degree_comes_from_all_three_replicates(small_graph):
     # replay trial 4's draws by hand: three replicates, rate fit, treatment
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=5, master_seed=17)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, _, _ = _run_trials(cfg, small_graph, table, 4, 5)
-    assert not failed[0]
+    est, failed, _, _ = _run_trials(cfg, small_graph, table)
+    assert not failed[4]
     rng = make_rng(cfg.master_seed, _TRIAL_STREAM, 4)
     reps = replicate(small_graph, cfg.noise, 3, rng)
     fit = fit_alpha_beta(moment_stats(*reps))
@@ -293,13 +306,13 @@ def test_mme_degree_comes_from_all_three_replicates(small_graph):
             MixingRule.sparse_fallback())
     d_mean = np.mean([r.degrees for r in reps], axis=0)
     mme = cfg.estimators.index("MME")
-    assert np.array_equal(est[0, mme], mme_estimate(*args, d_obs=d_mean).means.values)
-    assert not np.array_equal(est[0, mme], mme_estimate(*args).means.values)
+    assert np.array_equal(est[4, mme], mme_estimate(*args, d_obs=d_mean).means.values)
+    assert not np.array_equal(est[4, mme], mme_estimate(*args).means.values)
     # the other estimators still see replicate 0 and the true graph only
     as_noisy = cfg.estimators.index("AS_noisy")
-    assert np.array_equal(est[0, as_noisy], ht_estimate(reps[0], lv, realized, cfg.p).values)
+    assert np.array_equal(est[4, as_noisy], ht_estimate(reps[0], lv, realized, cfg.p).values)
     ht_true = cfg.estimators.index("HT_true")
-    assert np.array_equal(est[0, ht_true],
+    assert np.array_equal(est[4, ht_true],
                           ht_estimate(small_graph, realized.levels, realized, cfg.p).values)
 
 
@@ -325,7 +338,7 @@ def test_each_graph_is_classified_once_per_trial(small_graph, monkeypatch):
                            trials=6, master_seed=9)
     assert cfg.estimators == ESTIMATOR_NAMES
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    _, failed, _, _ = _run_trials(cfg, small_graph, table)
     assert not failed.any()
     # three blocks of two trials, two classifications each
     assert sizes == [2 * small_graph.n_v] * 6
@@ -338,7 +351,7 @@ def test_empty_first_replicate_fails_trials_not_the_run():
     cfg = ExperimentConfig(graph=graph, alpha=0.0, beta=0.9, p=0.5,
                            trials=50, bootstrap_b=50)
     table = _resolve_outcomes(cfg, graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, graph, table, 0, cfg.trials)
+    _, failed, _, _ = _run_trials(cfg, graph, table)
     empty = np.array([
         replicate(graph, cfg.noise, 3, make_rng(cfg.master_seed, _TRIAL_STREAM, t))[0].n_edges == 0
         for t in range(cfg.trials)
@@ -407,7 +420,7 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=7, master_seed=23)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    _, failed, _, _ = _run_trials(cfg, small_graph, table)
     assert failed.any() == bool(fail_every)
     assert alive_at_call == [0] * 4
 
@@ -430,7 +443,7 @@ def test_unconverged_unidentifiable_fit_fails_the_trial_not_the_run(small_graph,
     cfg = ExperimentConfig(graph=small_graph, alpha=0.3, beta=0.6, p=0.1,
                            trials=40, master_seed=3)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, fits, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    est, failed, fits, _ = _run_trials(cfg, small_graph, table)
     stuck = (fits.status == FIT_DIVERGED) & (fits.iterations == 1)
     assert stuck.any()
     assert failed[stuck].all() and np.isnan(est[stuck]).all()
@@ -464,7 +477,7 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
     tables = None if regenerate else _rank_tables(small_graph)
-    draws = _draw_block(cfg, graph, tables, 0, cfg.trials)
+    draws = _draw_block(cfg, graph, tables, 0)
     assert len(draws.graphs) == cfg.trials
     changes = _replicate_changes(draws)
     degrees = _observed_degrees(draws, changes)
@@ -554,7 +567,7 @@ def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
                            bootstrap_b=50, master_seed=31)
     summary = run_experiment(cfg)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, fits, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    _, failed, fits, _ = _run_trials(cfg, small_graph, table)
     assert not failed.any()
 
     def spread(x):
@@ -619,7 +632,7 @@ def test_mme_bias_reduction_comes_from_the_shared_resamples(small_graph, tmp_pat
                            estimators=("MME", "AS_noisy"))
     summary = run_experiment(cfg)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, _, _ = _run_trials(cfg, small_graph, table, 0, cfg.trials)
+    est, failed, _, _ = _run_trials(cfg, small_graph, table)
     data = est[~failed]
     means, _ = _bootstrap_columns(data.reshape(len(data), 8), cfg.bootstrap_b,
                                   make_rng(cfg.master_seed, _BOOT_STREAM))
