@@ -305,6 +305,55 @@ def sample_degree_sequence(
 # -- graph construction --------------------------------------------------
 
 
+# smallest first chunk (stubs) of a lazily drawn matching; a matching of at
+# most 2 * _MATCH_CHUNK stubs is drawn as one permutation
+_MATCH_CHUNK = 2**13
+
+
+def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator,
+                   out: np.ndarray, reject: bool) -> bool:
+    """Fill ``out`` with the stubs in uniform random order; entries 2k and
+    2k + 1 are the k-th pair of the matching.
+
+    With ``reject``, the first half of the order is drawn in chunks that start
+    at ``max(_MATCH_CHUNK, stubs.size // 64)`` stubs and double, as long as
+    the next chunk keeps the drawn prefix below half the stubs. A chunk is a
+    uniform ordered sample of stub indices with the already drawn ones
+    removed, which is a uniform ordered sample of the undrawn ones, so the
+    prefix is that of a uniform permutation. The draw stops and returns False
+    as soon as the pairs drawn so far hold a self-loop or a repeated pair:
+    the matching cannot be simple. Otherwise the undrawn stubs follow in
+    uniform random order and True is returned. Without ``reject``, or with
+    at most ``2 * _MATCH_CHUNK`` stubs, no chunk is drawn, and ``out`` gets
+    exactly the stubs and generator state of ``rng.permutation(stubs)``.
+    ``n`` is the vertex count, the base of the pair codes ``lo * n + hi``.
+    """
+    n_stubs = stubs.size
+    used = np.zeros(n_stubs, dtype=bool)
+    seen = np.empty(0, dtype=np.int64)  # sorted pair codes of the prefix
+    head = 0
+    chunk = max(_MATCH_CHUNK, n_stubs // 64)
+    while reject and 2 * (head + chunk) < n_stubs:
+        idx = rng.choice(n_stubs, chunk, replace=False)
+        idx = idx[~used[idx]]
+        used[idx] = True
+        start = head - head % 2  # an odd stub left over pairs with the chunk's first
+        out[head:head + idx.size] = stubs[idx]
+        head += idx.size
+        stop = head - head % 2
+        a, b = out[start:stop:2], out[start + 1:stop:2]
+        if np.any(a == b):
+            return False
+        seen = np.sort(np.concatenate([seen, np.minimum(a, b) * n + np.maximum(a, b)]))
+        if np.any(seen[1:] == seen[:-1]):
+            return False
+        chunk *= 2
+    tail = out[head:]
+    tail[:] = stubs[~used] if head else stubs
+    rng.shuffle(tail)
+    return True
+
+
 def build_graph_configuration(
     degrees: Sequence[int],
     rng: np.random.Generator,
@@ -324,11 +373,16 @@ def build_graph_configuration(
     The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
     or the school Pareto essentially never yield one: all attempts run and
-    the last one is erased. Every attempt draws its permutation, but one
-    whose matching has a self-loop cannot be simple and is rejected before
-    its edge codes are built and deduplicated; only the last attempt is
-    always built. This saves time without changing any output: the graph,
-    ``meta`` and the generator's state are those of building every attempt.
+    the last one is erased. Each attempt before the last is drawn lazily
+    (``_shuffle_stubs``) and abandoned at the first chunk that shows a
+    self-loop or a repeated pair (ZTP(10) at n = 1e5: after ~15% of stubs);
+    one that survives half its stubs is completed and checked in full. The
+    last attempt is always a full permutation. Attempts stay independent
+    uniform matchings accepted iff simple, so the graph and ``meta`` have
+    the law of redrawing whole matchings, though above ``2 * _MATCH_CHUNK``
+    stubs not the same stream. At or below that size each attempt is one
+    ``rng.permutation(stubs)``, and the graph, ``meta`` and the generator's
+    state are exactly those of building every attempt in full.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -348,15 +402,18 @@ def build_graph_configuration(
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     n_pairs = stubs.size // 2
+    perm = np.empty_like(stubs)
     for attempts in range(1, max_attempts + 1):
-        perm = rng.permutation(stubs)
-        a, b = perm[0::2], perm[1::2]
-        if attempts < max_attempts and np.any(a == b):
+        last = attempts == max_attempts
+        if not _shuffle_stubs(stubs, n, rng, perm, reject=not last):
             continue
-        keep = a != b
-        lo = np.minimum(a[keep], b[keep])
-        hi = np.maximum(a[keep], b[keep])
-        codes = _sorted_unique(lo * n + hi)
+        a, b = perm[0::2], perm[1::2]
+        if not last and np.any(a == b):
+            continue
+        codes = np.minimum(a, b)
+        codes *= n
+        codes += np.maximum(a, b)
+        codes = _sorted_unique(codes[a != b])
         if codes.size == n_pairs:
             break
     meta["matching_attempts"] = attempts

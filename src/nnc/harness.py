@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -58,6 +59,7 @@ from .noise import replicate  # noqa: F401
 from .noise_fit import fit_alpha_beta, moment_stats  # noqa: F401
 
 ESTIMATOR_NAMES = ("HT_true", "AS_noisy", "MME")
+_ESTIMATOR_SET = frozenset(ESTIMATOR_NAMES)
 MIXING_MODES = ("sparse_fallback", "order_of_magnitude")
 
 # seed-mix domains
@@ -106,15 +108,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.estimators = tuple(self.estimators)
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
-        if unknown:
+        if not _ESTIMATOR_SET.issuperset(self.estimators):
+            unknown = set(self.estimators) - _ESTIMATOR_SET
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if self.mixing not in MIXING_MODES:
             raise ValueError(f"mixing must be one of {MIXING_MODES}")
-        for name in ("trials", "bootstrap_b", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        self._check_field_types()
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.bootstrap_b < 1:
@@ -131,6 +130,28 @@ class ExperimentConfig:
                 raise ValueError("regenerate_graph needs a generator graph source")
             if isinstance(self.outcomes, str):
                 raise ValueError("regenerate_graph needs constant outcomes")
+
+    def _check_field_types(self):
+        # a JSON file can carry the wrong type: "false" is a truthy string,
+        # and a bool passes as an int or a real number. Plain ints, floats
+        # and bools pass on one expression, because a regenerating run's
+        # whole set-up is building this configuration; anything else is
+        # checked field by field
+        plain_real = (int, float)
+        if (type(self.trials) is type(self.bootstrap_b) is type(self.master_seed) is int
+                and type(self.noise_known) is type(self.regenerate_graph) is bool
+                and type(self.alpha) in plain_real and type(self.beta) in plain_real
+                and type(self.p) in plain_real and type(self.bootstrap_level) in plain_real):
+            return
+        for names, kind, label in (
+            (("trials", "bootstrap_b", "master_seed"), int, "an integer"),
+            (("alpha", "beta", "p", "bootstrap_level"), Real, "a real number"),
+            (("noise_known", "regenerate_graph"), bool, "true or false"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                    raise ValueError(f"{name} must be {label}, not {value!r}")
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":

@@ -1,12 +1,15 @@
+import collections
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from nnc import graphs
 from nnc.graphs import (
     EdgeListError,
     Graph,
@@ -324,15 +327,20 @@ def _reference_configuration(degrees, rng, max_attempts):
 
 
 def test_configuration_matches_reference_matching_bit_for_bit():
+    # at most 2 * _MATCH_CHUNK stubs every attempt is one permutation, so the
+    # builder and the reference consume the same stream; ZTP(10) at n = 1000
+    # (about 1e4 stubs) is the scale of acceptance criterion 7
     laws = {
-        "ztp10": ZeroTruncatedPoisson(10.0),
-        "pareto": ParetoExpCutoff(rate=0.1, shape=1.2, lower=3.0, upper=299.0),
-        "ztp_sparse": ZeroTruncatedPoisson(1.3),  # nu ~ 0.56: simple matchings are common
+        "ztp10": (ZeroTruncatedPoisson(10.0), 300),
+        "pareto": (ParetoExpCutoff(rate=0.1, shape=1.2, lower=3.0, upper=299.0), 300),
+        "ztp_sparse": (ZeroTruncatedPoisson(1.3), 300),  # nu ~ 0.56: simple matchings are common
+        "ztp10_n1000": (ZeroTruncatedPoisson(10.0), 1000),
     }
     outcomes = set()
-    for name, law in laws.items():
+    for name, (law, n) in laws.items():
         for seed in range(20):
-            degrees = sample_degree_sequence(law, 300, make_rng(seed))
+            degrees = sample_degree_sequence(law, n, make_rng(seed))
+            assert degrees.sum() + 1 <= 2 * graphs._MATCH_CHUNK
             for max_attempts in (1, 2, 100):
                 rng_a, rng_b = make_rng(1000 + seed), make_rng(1000 + seed)
                 g = build_graph_configuration(degrees, rng_a, max_attempts=max_attempts)
@@ -347,6 +355,97 @@ def test_configuration_matches_reference_matching_bit_for_bit():
     assert ("ztp10", False, True) in outcomes
     assert ("pareto", False, True) in outcomes
     assert ("ztp_sparse", True, False) in outcomes
+    assert ("ztp10_n1000", False, True) in outcomes
+
+
+def _outcome_counts(build, degrees, max_attempts, seeds):
+    counts = collections.Counter()
+    for seed in seeds:
+        codes, meta = build(degrees, make_rng(seed), max_attempts)
+        counts[codes.tobytes(), meta["matching_attempts"], meta["erased_stub_count"]] += 1
+    return counts
+
+
+def _built(degrees, rng, max_attempts):
+    g = build_graph_configuration(degrees, rng, max_attempts=max_attempts)
+    return g.codes, g.meta
+
+
+@pytest.mark.parametrize("max_attempts", [1, 4])
+@pytest.mark.parametrize("degrees", [[1, 2, 2, 2, 3, 2], [3, 3, 3, 3]])
+def test_chunked_matching_has_the_reference_law(monkeypatch, degrees, max_attempts):
+    # chunks of 1, 2, 4, ... stubs: tiny matchings take the lazy path, with
+    # filtered draws and an odd stub carried into the next chunk, and must
+    # give (graph, matching_attempts, erased_stub_count) the law of redrawing
+    # whole matchings. Two-sample chi-square over 5000 draws each, cells
+    # seen fewer than 10 times in both samples pooled; fails below p = 1e-3
+    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
+    draws = 5000
+    got = _outcome_counts(_built, degrees, max_attempts, range(draws))
+    want = _outcome_counts(_reference_configuration, degrees, max_attempts,
+                           range(draws, 2 * draws))
+    cells = got.keys() | want.keys()
+    common = [c for c in cells if got[c] + want[c] >= 10]
+    rare = [c for c in cells if got[c] + want[c] < 10]
+    table = [[counts[c] for c in common] + ([sum(counts[c] for c in rare)] if rare else [])
+             for counts in (got, want)]
+    assert len(common) > 1
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
+def test_lazy_stub_order_starts_as_a_uniform_permutation(monkeypatch):
+    # eight distinct one-stub vertices never form a loop or a repeated pair,
+    # so every draw completes. Chunks of 1 and 2 stubs (the second filtered
+    # against the first) draw the first 2 or 3 entries, the shuffled rest
+    # follows, and the first three must be a uniform ordered triple:
+    # chi-square over the 336 triples, 50 expected per triple, fails below
+    # p = 1e-3
+    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
+    stubs = np.arange(8, dtype=np.int64)
+    out = np.empty_like(stubs)
+    rng = make_rng(31)
+    counts = collections.Counter()
+    for _ in range(336 * 50):
+        assert graphs._shuffle_stubs(stubs, 8, rng, out, reject=True)
+        assert np.array_equal(np.sort(out), stubs)
+        counts[tuple(out[:3])] += 1
+    assert len(counts) == 336
+    assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+
+
+def test_chunked_matching_attempts_match_reference_above_one_permutation():
+    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _MATCH_CHUNK,
+    # and a simple matching has probability ~0.7, so attempts stop early and
+    # both accept and reject branches run. Mean matching_attempts over 300
+    # draws each must agree within 4 standard errors
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
+    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    got = np.array([_built(degrees, make_rng(seed), 100)[1]["matching_attempts"]
+                    for seed in range(300)])
+    want = np.array([_reference_configuration(degrees, make_rng(seed), 100)[1]["matching_attempts"]
+                     for seed in range(300, 600)])
+    se = math.sqrt(got.var(ddof=1) / got.size + want.var(ddof=1) / want.size)
+    assert 1.0 < want.mean() < 3.0
+    assert got.min() == 1 < got.max()
+    assert abs(got.mean() - want.mean()) < 4 * se
+
+
+def test_configuration_memory_on_100k_vertices():
+    # ZTP(10), n = 1e5: about 1e6 stubs, all 100 attempts run. Drawing every
+    # attempt as a full permutation and building its codes from four
+    # half-length temporaries peaked at 41.3 MB here; the lazy attempts (a
+    # used mask and growing chunks) must not add to that
+    rng = make_rng(0)
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 100_000, rng)
+    tracemalloc.start()
+    try:
+        g = build_graph_configuration(degrees, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41.3e6, peak
+    assert g.meta["matching_attempts"] == 100
+    assert g.degrees.sum() == degrees.sum() - g.meta["erased_stub_count"]
 
 
 # -- edge-list ingestion ----------------------------------------------------

@@ -198,13 +198,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(graph={"source": "edge_list", "path": "x.csv"},
                          alpha=0.0, beta=0.0, p=0.1, regenerate_graph=True)
-    # integer fields from a JSON file: a float or a bool is refused up front,
-    # naming the field, before any graph is built
+    # fields from a JSON file with the wrong type are refused up front, naming
+    # the field, before any graph is built: a float or a bool for an integer,
+    # a bool or a string for a real number, anything but a bool for a flag
     base = {"graph": g_spec, "alpha": 0.01, "beta": 0.1, "p": 0.1}
     for name, value in (("trials", 10.5), ("trials", 10.0), ("trials", True),
-                        ("bootstrap_b", 50.0), ("master_seed", 3.7)):
-        with pytest.raises(ValueError, match=name):
+                        ("bootstrap_b", 50.0), ("master_seed", 3.7),
+                        ("alpha", "0.01"), ("alpha", True), ("beta", "0.1"),
+                        ("beta", False), ("p", "0.1"), ("p", True),
+                        ("bootstrap_level", "0.95"), ("bootstrap_level", True),
+                        ("noise_known", "false"), ("noise_known", 0),
+                        ("regenerate_graph", "true"), ("regenerate_graph", 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             ExperimentConfig.from_json({**base, name: value})
+    # integers and numpy floats are real numbers
+    cfg = ExperimentConfig.from_json({**base, "alpha": 0, "beta": np.float64(0.1), "p": 0.1})
+    assert cfg.alpha == 0 and cfg.beta == 0.1
 
 
 def test_config_from_json_roundtrip(tmp_path):
