@@ -13,7 +13,6 @@ from .exposure import (
     NoiseParams,
     Treatment,
     DET_FLOOR,
-    _level_probability_matrix,
     _s_inverse_entries,
     exposure_levels,
 )
@@ -123,9 +122,11 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
 
 
 def _own_level_probability(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
-    # probability of each vertex's own exposure level, from its degree
-    pm = _level_probability_matrix(degrees.ravel(), p)
-    return pm[np.arange(pm.shape[0]), levels.ravel()].reshape(levels.shape)
+    # probability of each vertex's own exposure level, from its degree: the
+    # entry of _level_probability_matrix that its level picks, computed
+    # alone (the same products, so the same bits)
+    q = (1.0 - p) ** np.asarray(degrees, dtype=np.float64)
+    return np.where(levels % 2 == 0, 1.0 - q, q) * np.where(levels < 2, p, 1.0 - p)
 
 
 def _level_sum_keys(levels: np.ndarray) -> np.ndarray:

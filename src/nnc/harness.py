@@ -232,31 +232,31 @@ def _mixing_rule(cfg: ExperimentConfig) -> MixingRule:
 class _Draws(NamedTuple):
     """The random draws of a block of consecutive trials, in trial order.
 
-    Per trial: its true graph, the index of that graph's rank tables in
-    ``tables``, the keep flags of each of its three observations
-    (``keeps[replicate][trial]``), the non-edge ranks each observation
-    turned on (``ranks[3 * trial + replicate]``) and its treatment flags.
+    Per trial: its true graph, the keep flags of each of its three
+    observations (``keeps[replicate][trial]``), the non-edge ranks each
+    observation turned on (``ranks[3 * trial + replicate]``) and its
+    treatment flags. ``tables`` holds each trial's rank tables when the
+    trials regenerate their graphs and is empty otherwise.
     """
 
     graphs: list
     tables: list
-    table_of: list
     keeps: tuple
     ranks: list
     z: list
 
 
-def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int) -> _Draws:
+def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
     """Draws of trials t0, t0 + 1, ... until the block budget or the trials
     are spent.
 
     Each trial has its own stream and keeps its draw order: its graph (only
-    when regenerating), then each replicate's keep uniforms and non-edge
-    gaps, then treatment. A block holds at least one trial and stops before
-    the next trial would take its entries (three observations of m edges
-    and n vertices each) past ``_BLOCK_ENTRIES``.
+    when regenerating, i.e. ``graph`` is None), then each replicate's keep
+    uniforms and non-edge gaps, then treatment. A block holds at least one
+    trial and stops before the next trial would take its entries (three
+    observations of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
     """
-    draws = _Draws([], [] if graph is None else [tables], [], ([], [], []), [], [])
+    draws = _Draws([], [], ([], [], []), [], [])
     entries = 0
     for t in range(t0, cfg.trials):
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
@@ -266,7 +266,6 @@ def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int) -> _Draws:
         else:
             g = graph
         draws.graphs.append(g)
-        draws.table_of.append(len(draws.tables) - 1)
         nonedges = _pair_count(g.n_v) - g.n_edges
         for keeps in draws.keeps:
             keep, ranks = _draw_observation(g.n_edges, nonedges, cfg.noise, rng)
@@ -280,23 +279,81 @@ def _draw_block(cfg: ExperimentConfig, graph, tables, t0: int) -> _Draws:
     return draws
 
 
-class _Changes(NamedTuple):
-    """What a block's replicates changed in their trials' true graphs.
+class _Layout(NamedTuple):
+    """Where a block's trials sit in its arrays, and their true graphs there.
 
-    Trial t's vertex v sits at t * n + v. ``src``/``dst`` are the endpoints
-    of every trial's true edges, laid end to end (``n_true[t]`` of them for
-    trial t; ``edge_row`` says whose each edge is). Each
-    replicate's missed true edges are ``missed`` (block edge indices,
-    replicate 0's first, then 1's and 2's, as ``miss_rep`` says), its false
-    edges are the pairs (``false_i``, ``false_j``) with non-edge ranks
-    ``false_ranks`` in trial ``false_row``, replicate ``false_rep``.
+    Trial t's vertex v sits at t * n + v. Its ``n_true[t]`` true edges are
+    entries ``edge_start[t]`` on of ``src``/``dst`` (endpoints already at
+    t * n + v) and of ``nonedges_before`` (its first rank table, shifted by
+    t * n(n-1)/2); ``edge_row`` names each edge's trial. ``degrees`` holds
+    the true degrees at t * n + v, and ``row_cum`` is the rank table that
+    every n-vertex graph shares. Trials sit one after another, so the first
+    k trials' part is a prefix of every array (``head``).
     """
 
     n: int
     n_true: np.ndarray
+    edge_start: np.ndarray
     edge_row: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    degrees: np.ndarray
+    nonedges_before: np.ndarray
+    row_cum: np.ndarray
+
+    def head(self, k: int) -> "_Layout":
+        """The first ``k`` trials' part, as views."""
+        e = int(self.edge_start[k - 1] + self.n_true[k - 1])
+        return self._replace(
+            n_true=self.n_true[:k], edge_start=self.edge_start[:k], edge_row=self.edge_row[:e],
+            src=self.src[:e], dst=self.dst[:e], degrees=self.degrees[: k * self.n],
+            nonedges_before=self.nonedges_before[:e],
+        )
+
+
+def _block_layout(graphs: list, tables: list) -> _Layout:
+    """The layout of trials on ``graphs``, whose rank tables are ``tables``.
+
+    A lone trial's arrays are its graph's and its table's own, not copies.
+    """
+    n = graphs[0].n_v
+    n_true = np.array([g.n_edges for g in graphs], dtype=np.int64)
+    edge_row = np.repeat(np.arange(n_true.size), n_true)
+    return _Layout(
+        n, n_true, np.cumsum(n_true) - n_true, edge_row,
+        _end_to_end([g.edge_i for g in graphs], edge_row, n),
+        _end_to_end([g.edge_j for g in graphs], edge_row, n),
+        _end_to_end([g.degrees for g in graphs]),
+        _end_to_end([tab[0] for tab in tables], edge_row, _pair_count(n)),
+        tables[0][1],
+    )
+
+
+def _end_to_end(parts: list, row=None, step: int = 0) -> np.ndarray:
+    # the parts laid end to end, each entry raised by step times its row; a
+    # lone part is used as it is
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate(parts)
+    if step:
+        out += row * step
+    return out
+
+
+class _Changes(NamedTuple):
+    """What a block's replicates changed in their trials' true graphs.
+
+    ``lay`` is the block's part of the layout: views of the experiment's
+    layout when the graph is fixed, or the block's own layout when the
+    trials regenerate their graphs. Every other field is the block's own and
+    is released with it. Each replicate's missed true edges are ``missed``
+    (block edge indices, replicate 0's first, then 1's and 2's, as
+    ``miss_rep`` says), its false edges are the pairs (``false_i``,
+    ``false_j``, at t * n + v) with non-edge ranks ``false_ranks`` in trial
+    ``false_row``, replicate ``false_rep``.
+    """
+
+    lay: _Layout
     missed: np.ndarray
     miss_rep: np.ndarray
     false_ranks: np.ndarray
@@ -306,20 +363,17 @@ class _Changes(NamedTuple):
     false_j: np.ndarray
 
 
-def _replicate_changes(draws: _Draws) -> _Changes:
-    """Missed and false edges of every replicate of a block, at once."""
-    graphs = draws.graphs
-    n_t, n = len(graphs), graphs[0].n_v
-    n_true = np.array([g.n_edges for g in graphs])
-    edge_row = np.repeat(np.arange(n_t), n_true)
-    src = np.concatenate([g.edge_i for g in graphs])
-    src += edge_row * n
-    dst = np.concatenate([g.edge_j for g in graphs])
-    dst += edge_row * n
+def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
+    """Missed and false edges of every replicate of a block, at once.
 
+    ``layout`` holds the block's trials first (``_Layout.head``).
+    """
+    n_t = len(draws.graphs)
+    lay = layout.head(n_t)
+    n, m = lay.n, lay.src.size
     missed = np.flatnonzero(~np.concatenate([k for keeps in draws.keeps for k in keeps]))
-    miss_rep = missed // src.size
-    missed -= miss_rep * src.size
+    miss_rep = missed // m
+    missed -= miss_rep * m
 
     false_ranks = np.concatenate(draws.ranks)
     seg = np.repeat(np.arange(3 * n_t), [r.size for r in draws.ranks])
@@ -327,54 +381,58 @@ def _replicate_changes(draws: _Draws) -> _Changes:
     false_rep = seg - 3 * false_row
     del seg
     false_i, false_j = _nonedge_pairs(
-        false_ranks, np.asarray(draws.table_of)[false_row], draws.tables, n
+        false_ranks, false_row, lay.nonedges_before, lay.edge_start, lay.row_cum, n
     )
     false_i += false_row * n
     false_j += false_row * n
-    return _Changes(n, n_true, edge_row, src, dst, missed, miss_rep,
-                    false_ranks, false_row, false_rep, false_i, false_j)
+    return _Changes(lay, missed, miss_rep, false_ranks, false_row, false_rep, false_i, false_j)
 
 
 def _block_moments(ch: _Changes):
     """(u1, u2, u3) of every trial of a block, from its replicates' changes."""
-    pairs = _pair_count(ch.n)
-    miss_row = ch.edge_row[ch.missed]
-    edge_start = np.cumsum(ch.n_true) - ch.n_true
+    lay = ch.lay
+    pairs = _pair_count(lay.n)
+    miss_row = lay.edge_row[ch.missed]
     return _replicate_moments(
-        ch.n_true, miss_row * pairs + ch.missed - edge_start[miss_row], ch.miss_rep,
-        ch.false_row * pairs + ch.false_ranks, ch.false_rep, ch.n,
+        lay.n_true, miss_row * pairs + ch.missed - lay.edge_start[miss_row], ch.miss_rep,
+        ch.false_row * pairs + ch.false_ranks, ch.false_rep, lay.n,
     )
 
 
-def _observed_degrees(draws: _Draws, ch: _Changes) -> np.ndarray:
+def _observed_degrees(ch: _Changes) -> np.ndarray:
     """(replicate, trial, vertex) observed degrees: each true degree, less
     the missed edges, plus the false ones."""
-    n_t, n = len(draws.graphs), ch.n
-    size = n_t * n
+    lay = ch.lay
+    size = lay.degrees.size
     deg = np.empty((3, size), dtype=np.int64)
-    deg[:] = np.concatenate([g.degrees for g in draws.graphs])
+    deg[:] = lay.degrees
     at = ch.miss_rep * size
-    deg -= np.bincount(np.concatenate([at + ch.src[ch.missed], at + ch.dst[ch.missed]]),
+    deg -= np.bincount(np.concatenate([at + lay.src[ch.missed], at + lay.dst[ch.missed]]),
                        minlength=3 * size).reshape(3, size)
     at = ch.false_rep * size
     deg += np.bincount(np.concatenate([at + ch.false_i, at + ch.false_j]),
                        minlength=3 * size).reshape(3, size)
-    return deg.reshape(3, n_t, n)
+    return deg.reshape(3, lay.n_true.size, lay.n)
 
 
-def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: int):
+def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: int):
     """Draw one block of trials from t0 on, then estimate them all at once.
 
-    Nothing after the draws is per trial. The replicates are never built as
+    Nothing after the draws is per trial. ``layout`` is the fixed graph's
+    layout (``_block_layout``); when the trials regenerate their graphs it
+    is None and the block makes its own. The replicates are never built as
     graphs: each is kept as what it changed in its trial's true graph
     (``_replicate_changes``). HT_true classifies the true graphs and AS_noisy
     and MME share replicate 0's classification and level probabilities.
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``) and its summed MME routing counts.
     """
-    draws = _draw_block(cfg, graph, tables, t0)
-    ch = _replicate_changes(draws)
-    n_t, n = len(draws.graphs), ch.n
+    draws = _draw_block(cfg, graph, t0)
+    if layout is None:
+        layout = _block_layout(draws.graphs, draws.tables)
+    ch = _replicate_changes(draws, layout)
+    lay = ch.lay
+    n_t, n = lay.n_true.size, lay.n
     if cfg.noise_known:
         fits = RateFits(
             np.full(n_t, cfg.alpha), np.full(n_t, cfg.beta), np.full(n_t, np.nan),
@@ -388,21 +446,21 @@ def _run_block(cfg, graph, tables, table: OutcomeTable, rule: MixingRule, t0: in
     rows = np.flatnonzero(fits.status <= FIT_UNCONVERGED)
     if not (rows.size and cfg.estimators):
         return estimates, fits, rule_counts
-    deg = _observed_degrees(draws, ch)[:, rows]
+    deg = _observed_degrees(ch)[:, rows]
     z = np.concatenate(draws.z)
-    treated = _treated_counts(z, ch.src, ch.dst)
+    treated = _treated_counts(z, lay.src, lay.dst)
     lv_true = _levels(z, treated).reshape(n_t, n)[rows]
     values = table.values[np.arange(n), lv_true]
     # replicate 0: the true graph, less its missed edges, plus its false ones
     first = ch.missed[: np.searchsorted(ch.miss_rep, 1)]
-    treated -= _treated_counts(z, ch.src[first], ch.dst[first])
+    treated -= _treated_counts(z, lay.src[first], lay.dst[first])
     first = ch.false_rep == 0
     treated += _treated_counts(z, ch.false_i[first], ch.false_j[first])
     lv_obs = _levels(z, treated).reshape(n_t, n)[rows]
     pr_obs = _own_level_probability(deg[0], lv_obs, cfg.p)
     for e, name in enumerate(cfg.estimators):
         if name == "HT_true":
-            d_true = np.stack([draws.graphs[r].degrees for r in rows])
+            d_true = lay.degrees.reshape(n_t, n)[rows]
             pr_true = _own_level_probability(d_true, lv_true, cfg.p)
             estimates[rows, e] = _ht_means(lv_true, values, pr_true)
         elif name == "AS_noisy":
@@ -431,16 +489,27 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     level probabilities. MME's corrected degree is the mean observed degree
     of all three replicates: it has the expectation of replicate 0's degree
     and a third of its variance, and the inverse-confusion weights are
-    exponential in it. A block's arrays are released before the next block
-    draws. ``graph`` and ``table`` are None when every trial regenerates
-    its graph.
+    exponential in it.
+
+    What lives for the whole experiment: a fixed graph's rank tables and
+    block layout (``_block_layout``: edge endpoints, degrees and rank tables
+    laid out for the largest block), made once here, of which each block
+    uses a prefix. What lives for one block: its draws, its replicates'
+    changes and everything estimated from them, and, when every trial
+    regenerates its graph, the block's graphs and layout. A block's arrays
+    are released before the next block draws. ``graph`` and ``table`` are
+    None when every trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
-    tables = None
+    layout = None
     if graph is None:
         table = OutcomeTable.constant(int(cfg.graph["n_v"]), cfg.outcomes)
     else:
-        tables = _rank_tables(graph)
+        # _draw_block's budget gives every full block of a fixed graph this
+        # many trials (a vertex-free graph fails at its first treatment draw)
+        size = max(1, 3 * (graph.n_edges + graph.n_v))
+        k = min(cfg.trials, max(1, _BLOCK_ENTRIES // size))
+        layout = _block_layout([graph] * k, [_rank_tables(graph)] * k)
     n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)
     fits = RateFits(
@@ -450,7 +519,7 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     rule_counts = np.zeros(3, dtype=np.int64)
     done = 0
     while done < n_trials:
-        est, block_fits, counts = _run_block(cfg, graph, tables, table, rule, done)
+        est, block_fits, counts = _run_block(cfg, graph, layout, table, rule, done)
         k = est.shape[0]
         estimates[done : done + k] = est
         for whole, part in zip(fits, block_fits):

@@ -61,24 +61,26 @@ def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nonedge_pairs(
-    ranks: np.ndarray, owner: np.ndarray, tables: list, n: int
+    ranks: np.ndarray,
+    owner,
+    nonedges_before: np.ndarray,
+    first_edge: np.ndarray,
+    row_cum: np.ndarray,
+    n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs (i, j) of non-edges given by their ranks.
 
     ``ranks[k]`` counts among the non-edges, in canonical pair order, of
-    the ``n``-vertex graph whose rank tables are ``tables[owner[k]]``. A
-    non-edge rank r maps to the pair rank r + (true edges before it); one
-    search over all the tables, laid end to end with the t-th shifted by
-    t * n(n-1)/2, serves every graph.
+    graph ``owner[k]`` (or ``owner``, one index for all) of several
+    ``n``-vertex graphs. ``nonedges_before`` holds their first rank tables
+    (``_rank_tables``) laid end to end, graph t's from ``first_edge[t]`` on
+    and shifted by t * n(n-1)/2, and ``row_cum`` is the second table, the
+    same for all. A non-edge rank r maps to the pair rank r + (true edges
+    before it), so one search serves every graph.
     """
-    pairs = _pair_count(n)
-    sizes = [tab[0].size for tab in tables]
-    nonedges_before = np.concatenate([tab[0] for tab in tables])
-    nonedges_before += np.repeat(np.arange(len(sizes)) * pairs, sizes)
-    pair_rank = np.searchsorted(nonedges_before, owner * pairs + ranks, side="right")
-    del nonedges_before
-    pair_rank += ranks - (np.cumsum(sizes) - sizes)[owner]
-    return _pair_of_rank(pair_rank, tables[0][1])
+    pair_rank = np.searchsorted(nonedges_before, owner * _pair_count(n) + ranks, side="right")
+    pair_rank += ranks - first_edge[owner]
+    return _pair_of_rank(pair_rank, row_cum)
 
 
 def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +134,7 @@ def _observe(
     n, m = g.n_v, g.n_edges
     keep, r = _draw_observation(m, _pair_count(n) - m, noise, rng)
     kept = g.codes[keep]
-    i, j = _nonedge_pairs(r, np.zeros(r.size, dtype=np.int64), [tables], n)
+    i, j = _nonedge_pairs(r, 0, tables[0], np.zeros(1, dtype=np.int64), tables[1], n)
     false_codes = i * n + j
     del i, j
     # both parts are sorted, so the stable sort is one merge of two runs

@@ -8,6 +8,7 @@ from nnc.estimators import (
     MixingRule,
     OutcomeTable,
     RealizedOutcomes,
+    _own_level_probability,
     degree_estimate,
     ht_estimate,
     mme_estimate,
@@ -120,6 +121,21 @@ def test_ht_rejects_levels_of_wrong_shape():
 
 
 # -- degree correction --------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9])
+def test_own_level_probability_is_the_matrix_entry_bit_for_bit(p):
+    # each vertex's own entry alone gives the bits of the gather from the
+    # full (vertices, 4) level-probability matrix
+    rng = make_rng(17)
+    degrees = rng.integers(0, 400, size=(5, 300))
+    degrees[:, :20] = 0
+    levels = rng.integers(0, 4, size=degrees.shape)
+    assert set(np.unique(levels)) == {0, 1, 2, 3}
+    pm = _level_probability_matrix(degrees.ravel(), p)
+    want = pm[np.arange(degrees.size), levels.ravel()].reshape(degrees.shape)
+    got = _own_level_probability(degrees, levels, p)
+    assert got.shape == want.shape and (got == want).all()
 
 
 def test_degree_estimate_examples():

@@ -28,6 +28,7 @@ from nnc.harness import (
     ESTIMATOR_NAMES,
     ExperimentConfig,
     ExperimentError,
+    _block_layout,
     _bootstrap_columns,
     _block_moments,
     _draw_block,
@@ -403,8 +404,9 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
                                                             fail_every):
     # a block's draws (keep flags, false-edge ranks, treatments) and the
     # replicate changes made from them are released before the next block
-    # draws
-    watched, alive_at_call = [], []
+    # draws; the fixed graph's layout is made once, every block gets the
+    # same arrays, and they are released when the trials are done
+    watched, alive_at_call, layouts = [], [], []
     real_draw = harness_mod._draw_block
     real_changes = harness_mod._replicate_changes
 
@@ -415,9 +417,10 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
                       for a in part]
         return draws
 
-    def watching(draws):
-        changes = real_changes(draws)
+    def watching(draws, layout):
+        changes = real_changes(draws, layout)
         watched.extend(weakref.ref(a) for a in changes if isinstance(a, np.ndarray))
+        layouts.append([a for a in layout if isinstance(a, np.ndarray)])
         return changes
 
     monkeypatch.setattr(harness_mod, "_draw_block", recording)
@@ -432,6 +435,67 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     _, failed, _, _ = _run_trials(cfg, small_graph, table)
     assert failed.any() == bool(fail_every)
     assert alive_at_call == [0] * 4
+    assert len(layouts) == 4 and len(layouts[0]) == len(harness_mod._Layout._fields) - 1
+    assert all(a is b for arrays in layouts[1:] for a, b in zip(arrays, layouts[0]))
+    held = [weakref.ref(a) for a in layouts[0]]
+    layouts.clear()
+    assert [ref() is None for ref in held] == [True] * len(held)
+
+
+def _laid_end_to_end(graphs):
+    # the layout of a block of trials on ``graphs``, concatenated afresh
+    n, pairs = graphs[0].n_v, graphs[0].n_v * (graphs[0].n_v - 1) // 2
+    m = np.array([g.n_edges for g in graphs])
+    rows = np.repeat(np.arange(len(graphs)), m)
+    return dict(
+        n_true=m, edge_start=np.cumsum(m) - m, edge_row=rows,
+        src=np.concatenate([g.edge_i for g in graphs]) + rows * n,
+        dst=np.concatenate([g.edge_j for g in graphs]) + rows * n,
+        degrees=np.concatenate([g.degrees for g in graphs]),
+        nonedges_before=np.concatenate([_rank_tables(g)[0] for g in graphs]) + rows * pairs,
+        row_cum=_rank_tables(graphs[0])[1],
+    )
+
+
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenerate,
+                                                           monkeypatch):
+    # one-trial blocks, then blocks of three trials with a partial last one:
+    # each block's part of the layout is its trials' graphs laid end to end
+    spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
+    graph = resolve_graph(spec) if regenerate else small_graph
+    cfg = ExperimentConfig(graph=spec if regenerate else graph, alpha=0.01, beta=0.1, p=0.1,
+                           trials=7, master_seed=23, regenerate_graph=regenerate)
+    table = None if regenerate else _resolve_outcomes(cfg, graph.n_v)
+    real_changes = harness_mod._replicate_changes
+    blocks = []
+
+    def watching(draws, layout):
+        changes = real_changes(draws, layout)
+        blocks.append((draws.graphs, changes.lay))
+        return changes
+
+    monkeypatch.setattr(harness_mod, "_replicate_changes", watching)
+    per_trial = 3 * (graph.n_edges + graph.n_v)
+    for budget, sizes in ((per_trial, [1] * 7), (3 * per_trial, [3, 3, 1])):
+        monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", budget)
+        blocks.clear()
+        _run_trials(cfg, None if regenerate else graph, table)
+        if not regenerate:
+            assert [len(graphs) for graphs, _ in blocks] == sizes
+        assert sum(len(graphs) for graphs, _ in blocks) == cfg.trials
+        assert len(blocks) > 2
+        for graphs, lay in blocks:
+            assert lay.n == graphs[0].n_v
+            for name, want in _laid_end_to_end(graphs).items():
+                got = getattr(lay, name)
+                assert got.dtype == np.int64 and np.array_equal(got, want), name
+            if len(graphs) == 1 and (regenerate or budget == per_trial):
+                # a one-trial layout's arrays are its graph's own
+                g = graphs[0]
+                for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j),
+                                 (lay.degrees, g.degrees)):
+                    assert np.shares_memory(got, own)
 
 
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
@@ -485,11 +549,11 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
-    tables = None if regenerate else _rank_tables(small_graph)
-    draws = _draw_block(cfg, graph, tables, 0)
+    draws = _draw_block(cfg, graph, 0)
     assert len(draws.graphs) == cfg.trials
-    changes = _replicate_changes(draws)
-    degrees = _observed_degrees(draws, changes)
+    tables = draws.tables if regenerate else [_rank_tables(small_graph)] * cfg.trials
+    changes = _replicate_changes(draws, _block_layout(draws.graphs, tables))
+    degrees = _observed_degrees(changes)
     u1, u2, u3 = _block_moments(changes)
     shared = 0
     for t in range(cfg.trials):
