@@ -1,11 +1,8 @@
 """Simulation and estimation of average causal effects on noisily observed networks."""
 
 from .estimators import (
-    LevelMeans,
     MixingRule,
-    MmeResult,
     OutcomeTable,
-    RealizedOutcomes,
     degree_estimate,
     ht_estimate,
     load_outcome_table,
@@ -15,7 +12,6 @@ from .estimators import (
 from .exposure import (
     ConfusionMatrix,
     ExposureLevel,
-    ExposureProbabilities,
     LEVEL_NAMES,
     Treatment,
     assign_treatment,
@@ -28,7 +24,6 @@ from .graphs import (
     EdgeListError,
     Graph,
     ParetoExpCutoff,
-    RoundedContactData,
     ZeroTruncatedPoisson,
     build_graph_configuration,
     align_on_labels,
@@ -55,7 +50,6 @@ from .noise_fit import (
     DivergedError,
     MomentStats,
     NoiseFitError,
-    NoiseFitResult,
     fit_alpha_beta,
     moment_stats,
 )
@@ -63,10 +57,8 @@ from .seeding import make_rng
 from .theory import (
     BiasPrediction,
     ConditionDiagnostics,
-    ObservedDegreeMoments,
     condition_diagnostics,
     naive_estimator_bias,
-    observed_degree_moments,
 )
 
 __version__ = "0.1.0"

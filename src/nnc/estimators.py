@@ -2,7 +2,6 @@
 graphs, and the confusion-corrected per-node reweighting with its mixing rule."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,10 +12,11 @@ from .exposure import (
     NoiseParams,
     Treatment,
     DET_FLOOR,
+    _own_level_probability,
     _s_inverse_entries,
     exposure_levels,
 )
-from .graphs import Graph
+from .graphs import Graph, _rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,20 +52,26 @@ class OutcomeTable:
 
 
 def load_outcome_table(source) -> OutcomeTable:
-    """Read per-vertex outcomes from a CSV with header ``y_c11,y_c10,y_c01,y_c00``."""
-    def _read(fh):
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        expected = ["y_c11", "y_c10", "y_c01", "y_c00"]
-        if header is None or [c.strip() for c in header] != expected:
-            raise ValueError("expected header 'y_c11,y_c10,y_c01,y_c00'")
-        return [[float(c) for c in row] for row in rows if row]
+    """Read per-vertex outcomes from a CSV with header ``y_c11,y_c10,y_c01,y_c00``.
 
-    if hasattr(source, "read"):
-        data = _read(source)
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            data = _read(fh)
+    Each non-empty line after the header holds one vertex's four outcomes;
+    a line with another field count or a non-number raises ``ValueError``
+    naming the line.
+    """
+    rows = _rows(source)
+    header = next(rows, None)
+    if header is None or [c.strip() for c in header] != ["y_c11", "y_c10", "y_c01", "y_c00"]:
+        raise ValueError("line 1: expected header 'y_c11,y_c10,y_c01,y_c00'")
+    data = []
+    for lineno, fields in enumerate(rows, start=2):
+        if not fields:
+            continue
+        if len(fields) != 4:
+            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+        try:
+            data.append([float(c) for c in fields])
+        except ValueError:
+            raise ValueError(f"line {lineno}: outcomes must be numbers, got {fields}") from None
     return OutcomeTable(np.asarray(data, dtype=np.float64).reshape(-1, 4))
 
 
@@ -119,14 +125,6 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
     lv = lv[None]
     pr = _own_level_probability(g.degrees[None], lv, p)
     return LevelMeans(_ht_means(lv, realized.values[None], pr)[0])
-
-
-def _own_level_probability(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
-    # probability of each vertex's own exposure level, from its degree: the
-    # entry of _level_probability_matrix that its level picks, computed
-    # alone (the same products, so the same bits)
-    q = (1.0 - p) ** np.asarray(degrees, dtype=np.float64)
-    return np.where(levels % 2 == 0, 1.0 - q, q) * np.where(levels < 2, p, 1.0 - p)
 
 
 def _level_sum_keys(levels: np.ndarray) -> np.ndarray:

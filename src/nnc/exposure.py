@@ -38,10 +38,6 @@ class Treatment:
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
-    @property
-    def n(self) -> int:
-        return int(self.z.size)
-
 
 def assign_treatment(n: int, p: float, rng: np.random.Generator) -> Treatment:
     """Independent Bernoulli(p) assignment for ``n`` units."""
@@ -78,6 +74,16 @@ def _levels(z: np.ndarray, treated_counts: np.ndarray) -> np.ndarray:
 # -- closed-form exposure probabilities -----------------------------------
 
 
+def _own_level_probability(degrees, levels, p: float) -> np.ndarray:
+    """Probability of each vertex's exposure level, from its degree.
+
+    With q = (1-p)^d, the four levels have probabilities p(1-q), pq,
+    (1-p)(1-q) and (1-p)q. ``levels`` broadcasts against ``degrees``.
+    """
+    q = (1.0 - p) ** np.asarray(degrees, dtype=np.float64)
+    return np.where(levels % 2 == 0, 1.0 - q, q) * np.where(levels < 2, p, 1.0 - p)
+
+
 @dataclass(frozen=True)
 class ExposureProbabilities:
     c11: float
@@ -87,9 +93,6 @@ class ExposureProbabilities:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c11, self.c10, self.c01, self.c00])
-
-    def __getitem__(self, level) -> float:
-        return float(self.as_array()[int(level)])
 
 
 def exposure_probabilities(d: float, p: float) -> ExposureProbabilities:
@@ -102,12 +105,8 @@ def exposure_probabilities(d: float, p: float) -> ExposureProbabilities:
         raise ValueError("treatment probability must lie in (0, 1)")
     if not (d >= 0.0):
         raise ValueError("degree must be nonnegative")
-    return ExposureProbabilities(*_level_probability_matrix([d], p)[0].tolist())
-
-
-def _level_probability_matrix(d: np.ndarray, p: float) -> np.ndarray:
-    q = (1.0 - p) ** np.asarray(d, dtype=np.float64)
-    return np.stack([p * (1.0 - q), p * q, (1.0 - p) * (1.0 - q), (1.0 - p) * q], axis=1)
+    pr = _own_level_probability(np.full(4, float(d)), np.arange(4), p)
+    return ExposureProbabilities(*pr.tolist())
 
 
 def _binomial_head(d: int, p: float, kmax: int) -> float:

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -104,19 +103,6 @@ class Graph:
         obj._init_from_codes(int(n_v), np.asarray(codes, dtype=np.int64), labels, meta)
         return obj
 
-    @classmethod
-    def from_adjacency(cls, matrix, labels=None, meta=None) -> "Graph":
-        a = np.asarray(matrix)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be square")
-        a = a.astype(bool)
-        if np.any(np.diagonal(a)):
-            raise ValueError("adjacency has a nonzero diagonal")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency is not symmetric")
-        i, j = np.nonzero(np.triu(a, 1))
-        return cls(a.shape[0], i, j, labels=labels, meta=meta)
-
     # -- basic accessors -------------------------------------------------
 
     @property
@@ -134,16 +120,6 @@ class Graph:
         if not 0 <= i < self.n_v:
             raise IndexError(f"vertex {i} out of range for {self.n_v} vertices")
         return i
-
-    def has_edge(self, i: int, j: int) -> bool:
-        i = self._check_vertex(i)
-        j = self._check_vertex(j)
-        if i == j:
-            return False
-        lo, hi = (i, j) if i < j else (j, i)
-        code = lo * self.n_v + hi
-        pos = int(np.searchsorted(self.codes, code))
-        return pos < self.codes.size and self.codes[pos] == code
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbors of ``i``: the lower ones, then the higher ones.
@@ -231,27 +207,6 @@ class ParetoExpCutoff:
             raise ValueError("shape must be positive")
         if not (1 <= self.lower < self.upper):
             raise ValueError("need 1 <= lower < upper")
-
-    def _weight(self, x):
-        return np.exp(-self.rate * x) * x ** -(self.shape + 1.0)
-
-    def _integrals(self) -> tuple[float, float]:
-        i0, _ = integrate.quad(self._weight, self.lower, self.upper, limit=200)
-        i1, _ = integrate.quad(lambda x: x * self._weight(x), self.lower, self.upper, limit=200)
-        return i0, i1
-
-    @property
-    def normalization(self) -> float:
-        """Constant making the density integrate to 1 over [lower, upper]."""
-        i0, _ = self._integrals()
-        if not (i0 > 0 and math.isfinite(i0)):
-            raise ValueError("degenerate cutoff distribution")
-        return 1.0 / i0
-
-    @property
-    def mean(self) -> float:
-        i0, i1 = self._integrals()
-        return i1 / i0
 
 
 DegreeDistribution = Union[ZeroTruncatedPoisson, ParetoExpCutoff]

@@ -25,10 +25,15 @@ from .estimators import (
     OutcomeTable,
     _ht_means,
     _mme_means,
-    _own_level_probability,
     load_outcome_table,
 )
-from .exposure import LEVEL_NAMES, _levels, _treated_counts, assign_treatment
+from .exposure import (
+    LEVEL_NAMES,
+    _levels,
+    _own_level_probability,
+    _treated_counts,
+    assign_treatment,
+)
 from .graphs import (
     Graph,
     ParetoExpCutoff,

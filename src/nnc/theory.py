@@ -7,7 +7,7 @@ import numpy as np
 from scipy import sparse
 
 from .estimators import OutcomeTable
-from .exposure import LEVEL_NAMES, _level_probability_matrix, _noise_factors
+from .exposure import LEVEL_NAMES, _noise_factors, _own_level_probability
 from .graphs import Graph
 from .noise import NoiseParams
 
@@ -50,6 +50,8 @@ def naive_estimator_bias(
         raise ValueError("outcome table size does not match degree count")
     if n_v is None:
         n_v = d.size
+    if not np.all((d >= 0) & (d <= n_v - 1)):
+        raise ValueError("degrees must lie in [0, n_v - 1]")
     y = table.values
     tau_t = y[:, 0] - y[:, 1]
     tau_c = y[:, 2] - y[:, 3]
@@ -66,43 +68,6 @@ def naive_estimator_bias(
     per_node[:, 2] = -ratio * tau_c
     per_node[:, 3] = miss * tau_c
     return BiasPrediction(values=per_node.mean(axis=0), per_node=per_node)
-
-
-@dataclass(frozen=True)
-class ObservedDegreeMoments:
-    """Moments of (1-p) raised to the observed degree of a fixed vertex."""
-
-    mean_decay: float
-    mean_growth: float
-    var_decay: float
-
-
-def observed_degree_moments(
-    d: int, n_v: int, p: float, noise: NoiseParams
-) -> ObservedDegreeMoments:
-    """Closed-form moments of the observed-degree weight factors.
-
-    For a vertex of true degree ``d`` the observed degree is a sum of two
-    binomials (surviving true edges plus false edges), which makes these
-    expectations products of per-pair factors.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError("treatment probability must lie in (0, 1)")
-    if not (0 <= d <= n_v - 1):
-        raise ValueError("degree must lie in [0, n_v - 1]")
-    _, no_false, no_kept = _noise_factors(d, n_v, p, noise.alpha, noise.beta)
-    mean_decay = float(no_false * no_kept)
-    a, b = noise.alpha, noise.beta
-    k = n_v - 1 - d
-    mean_growth = (1.0 + a * p / (1.0 - p)) ** k * (1.0 + (1.0 - b) * p / (1.0 - p)) ** d
-    var_decay = (1.0 - a * p * (2.0 - p)) ** k * (
-        1.0 - (1.0 - b) * p * (2.0 - p)
-    ) ** d - mean_decay**2
-    return ObservedDegreeMoments(
-        mean_decay=float(mean_decay),
-        mean_growth=float(mean_growth),
-        var_decay=float(var_decay),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +96,12 @@ def condition_diagnostics(g: Graph, p: float) -> ConditionDiagnostics:
     n = g.n_v
     if n < 1:
         raise ValueError("graph has no vertices")
-    pm = _level_probability_matrix(g.degrees, p)
     pos = g.degrees > 0
-    sums = {
-        LEVEL_NAMES[0]: float((1.0 / pm[pos, 0]).sum()),
-        LEVEL_NAMES[1]: float((1.0 / pm[:, 1]).sum()),
-        LEVEL_NAMES[2]: float((1.0 / pm[pos, 2]).sum()),
-        LEVEL_NAMES[3]: float((1.0 / pm[:, 3]).sum()),
-    }
-    norm = {k: v / n**2 for k, v in sums.items()}
+    norm = {}
+    for level, name in enumerate(LEVEL_NAMES):
+        # c11 and c01 need a treated neighbor, which an isolated vertex never has
+        d = g.degrees[pos] if level % 2 == 0 else g.degrees
+        norm[name] = float((1.0 / _own_level_probability(d, level, p)).sum()) / n**2
 
     # boolean entries add as logical or, so no count can overflow or cancel
     rows = np.concatenate([g.edge_i, g.edge_j])

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nnc
 from nnc.cli import main
 from nnc.graphs import load_edge_list, write_edge_list
 from nnc.harness import _GRAPH_STREAM, _PERTURB_STREAM
@@ -100,7 +105,7 @@ def test_bias_theory_outputs_four_levels(tmp_path, capsys):
     degs.write_text("5\n5\n5\n")
     assert main([
         "bias-theory", "--degrees", str(degs), "--alpha", "0", "--beta", "0.1",
-        "--p", "0.1", "--outcomes", "10,7,5,1",
+        "--p", "0.1", "--n-v", "20", "--outcomes", "10,7,5,1",
     ]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "level,predicted_bias,exact"
@@ -137,3 +142,15 @@ def test_experiment_command_and_seed_override(tmp_path, capsys, monkeypatch):
     assert out_a.read_bytes() != out_c.read_bytes()
     assert json.loads((tmp_path / "c.json").read_text())["config"]["master_seed"] == 99
     capsys.readouterr()
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # no code path of the package integrates, and loading scipy's quadrature
+    # adds tens of MB to every process that imports it
+    src = str(Path(nnc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import nnc, nnc.cli, sys; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

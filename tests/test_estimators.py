@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ from nnc.estimators import (
     MixingRule,
     OutcomeTable,
     RealizedOutcomes,
-    _own_level_probability,
     degree_estimate,
     ht_estimate,
+    load_outcome_table,
     mme_estimate,
     realize_outcomes,
 )
@@ -18,7 +19,7 @@ from nnc.exposure import (
     DET_FLOOR,
     ExposureLevel,
     Treatment,
-    _level_probability_matrix,
+    _own_level_probability,
     _s_inverse_entries,
     exposure_levels,
 )
@@ -28,6 +29,13 @@ from nnc.seeding import make_rng
 from nnc.theory import naive_estimator_bias
 
 DILATED = (10.0, 7.0, 5.0, 1.0)
+
+
+def level_probability_table(d, p):
+    """Reference: the four level probabilities of each degree in ``d``, on a
+    new last axis in (c11, c10, c01, c00) order."""
+    q = (1.0 - p) ** np.asarray(d, dtype=np.float64)
+    return np.stack([p * (1.0 - q), p * q, (1.0 - p) * (1.0 - q), (1.0 - p) * q], axis=-1)
 
 
 def cycle_graph(n):
@@ -59,6 +67,28 @@ def test_outcome_table_constant_and_truth():
         OutcomeTable(np.full((2, 4), np.inf))
     with pytest.raises(ValueError):
         OutcomeTable.constant(2, (1.0, 2.0))
+
+
+HEADER = "y_c11,y_c10,y_c01,y_c00\n"
+
+
+def test_load_outcome_table_reads_four_numbers_per_line():
+    tab = load_outcome_table(io.StringIO(HEADER + "1,2,3,4\n\n5,6,7,8.5\n"))
+    assert tab.values.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8.5]]
+    assert load_outcome_table(io.StringIO(HEADER)).values.shape == (0, 4)
+
+
+@pytest.mark.parametrize("rows, line", [
+    # two short rows must not pair up into one vertex, nor a long row split
+    pytest.param("1,2\n3,4\n", 2, id="2_fields"),
+    pytest.param("1,2,3,4\n1,2,3\n", 3, id="3_fields"),
+    pytest.param("1,2,3,4,5\n", 2, id="5_fields"),
+    pytest.param("1,2,3,4,5,6,7,8\n", 2, id="8_fields"),
+    pytest.param("1,2,3,4\n1,2,x,4\n", 3, id="non_number"),
+])
+def test_load_outcome_table_names_the_malformed_line(rows, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        load_outcome_table(io.StringIO(HEADER + rows))
 
 
 def test_realize_outcomes_cases():
@@ -126,14 +156,14 @@ def test_ht_rejects_levels_of_wrong_shape():
 @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9])
 def test_own_level_probability_is_the_matrix_entry_bit_for_bit(p):
     # each vertex's own entry alone gives the bits of the gather from the
-    # full (vertices, 4) level-probability matrix
+    # full (..., 4) table of the four closed forms
     rng = make_rng(17)
     degrees = rng.integers(0, 400, size=(5, 300))
     degrees[:, :20] = 0
     levels = rng.integers(0, 4, size=degrees.shape)
     assert set(np.unique(levels)) == {0, 1, 2, 3}
-    pm = _level_probability_matrix(degrees.ravel(), p)
-    want = pm[np.arange(degrees.size), levels.ravel()].reshape(degrees.shape)
+    pm = level_probability_table(degrees, p)
+    want = np.take_along_axis(pm, levels[..., None], axis=-1)[..., 0]
     got = _own_level_probability(degrees, levels, p)
     assert got.shape == want.shape and (got == want).all()
 
@@ -316,7 +346,7 @@ def _per_level_mme(g_obs, lv, v, p, alpha, beta, d_obs):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, alpha, beta)
     corrected = (d_hat >= 1.0) & np.isfinite(det) & (det > DET_FLOOR)
-    pr = _level_probability_matrix(g_obs.degrees, p)[np.arange(n), lv]
+    pr = level_probability_table(g_obs.degrees, p)[np.arange(n), lv]
     fall = ~corrected
     est = np.bincount(lv[fall], weights=v[fall] / pr[fall], minlength=4).astype(float)
     size = np.bincount(lv[fall], weights=np.abs(v[fall] / pr[fall]), minlength=4)
@@ -393,7 +423,7 @@ def exact_mme_bias(degrees, y, p, noise, pooled, correct=True):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, a, b)
         corr = correct & rule.accepts(d_hat) & np.isfinite(det) & (det > DET_FLOOR)
-        pm = _level_probability_matrix(d0.ravel(), p).reshape(w.shape + (4,))
+        pm = level_probability_table(d0, p)
         qk, qdrop, qf = (1 - p) ** k, (1 - p) ** (d - k), (1 - p) ** f
         # (true neighbor hit, observed neighbor hit) -> probability
         hits = (
