@@ -16,13 +16,14 @@ from .estimators import OutcomeTable
 from .graphs import align_on_labels, load_edge_list, write_edge_list
 from .harness import (
     ExperimentConfig,
+    ExperimentError,
     _PERTURB_STREAM,
     emit_results,
     resolve_graph,
     run_experiment,
 )
 from .noise import NoiseParams, perturb
-from .noise_fit import fit_alpha_beta, moment_stats
+from .noise_fit import NoiseFitError, fit_alpha_beta, moment_stats
 from .seeding import make_rng
 from .theory import naive_estimator_bias
 
@@ -175,7 +176,13 @@ def main(argv=None) -> int:
             build_parser().error("--mean-degree is required for --kind ztp")
         if args.kind == "pareto" and None in (args.rate, args.shape, args.lower):
             build_parser().error("--rate, --shape and --lower are required for --kind pareto")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, NoiseFitError, ExperimentError) as exc:
+        # bad input files or values end like argparse's own errors: one line,
+        # status 2
+        print(f"nnc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

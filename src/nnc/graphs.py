@@ -411,17 +411,17 @@ def load_edge_list(source: Source) -> Graph:
     if header is None or [c.strip() for c in header] != ["node_a", "node_b"]:
         raise EdgeListError("line 1: expected header 'node_a,node_b'")
     labels: dict[str, int] = {}
-    pairs: set[tuple[int, int]] = set()
+    ei: list[int] = []
+    ej: list[int] = []
     for lineno, fields in enumerate(rows, start=2):
         if not fields:
             continue
         if len(fields) != 2:
             raise EdgeListError(f"line {lineno}: expected 2 fields, got {len(fields)}")
-        pairs.add(_parse_pair(fields, labels, lineno))
-    if pairs:
-        ei, ej = map(np.asarray, zip(*sorted(pairs)))
-    else:
-        ei = ej = ()
+        a, b = _parse_pair(fields, labels, lineno)
+        ei.append(a)
+        ej.append(b)
+    # Graph sorts the pairs and drops the repeats
     return Graph(len(labels), ei, ej, labels=tuple(labels))
 
 
@@ -481,12 +481,8 @@ def build_true_graph_from_rounds(data: RoundedContactData, min_count: int = 2) -
     for edges in data.edges_by_round:
         for pair in edges:
             counts[pair] = counts.get(pair, 0) + 1
-    kept = sorted(pair for pair, c in counts.items() if c >= min_count)
-    if kept:
-        ei, ej = map(np.asarray, zip(*kept))
-    else:
-        ei = ej = ()
-    return Graph(data.n_v, ei, ej, labels=data.labels)
+    kept = [pair for pair, c in counts.items() if c >= min_count]
+    return Graph(data.n_v, [i for i, _ in kept], [j for _, j in kept], labels=data.labels)
 
 
 def align_on_labels(graphs: Sequence[Graph]) -> list[Graph]:

@@ -4,11 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .estimators import OutcomeTable
 from .exposure import LEVEL_NAMES, _noise_factors, _own_level_probability
-from .graphs import Graph
+from .graphs import Graph, _sorted_unique
 from .noise import NoiseParams
 
 
@@ -81,8 +80,9 @@ class ConditionDiagnostics:
     exposures can be dependent (shared edge or common neighbor). Values far
     below 1 indicate the regime where the estimators concentrate.
 
-    The dependency count is the off-diagonal support of A + A @ A for the
-    sparse adjacency A, so time and memory grow with n + sum(d^2), not n^2.
+    The dependency count lists the edges and every vertex's neighbor pairs
+    from the sorted edge arrays, so time and memory grow with n + sum(d^2),
+    not n^2.
     """
 
     inverse_prob_sums: dict[str, float]
@@ -103,12 +103,29 @@ def condition_diagnostics(g: Graph, p: float) -> ConditionDiagnostics:
         d = g.degrees[pos] if level % 2 == 0 else g.degrees
         norm[name] = float((1.0 / _own_level_probability(d, level, p)).sum()) / n**2
 
-    # boolean entries add as logical or, so no count can overflow or cancel
-    rows = np.concatenate([g.edge_i, g.edge_j])
-    cols = np.concatenate([g.edge_j, g.edge_i])
-    a = sparse.csr_array((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-    dep = a + a @ a
-    frac = float(dep.nnz - np.count_nonzero(dep.diagonal())) / n**2
+    # a dependent pair is an edge or two neighbors of one vertex. A stable
+    # sort by vertex lists each vertex's neighbors in increasing order (first
+    # those below it, then those above), so the neighbor at position k pairs
+    # with each later neighbor k' of its vertex as code nbrs[k] * n + nbrs[k'].
+    # The pair arrays hold sum(d(d-1)/2) entries, so each temporary is freed
+    # as soon as it has been used
+    order = np.argsort(np.concatenate([g.edge_j, g.edge_i]), kind="stable")
+    nbrs = np.concatenate([g.edge_i, g.edge_j])[order]
+    del order
+    at = np.arange(nbrs.size)
+    later = np.repeat(np.cumsum(g.degrees), g.degrees) - at - 1
+    first = np.repeat(at, later)
+    # pair r's second position: first + 1 + (r - pairs listed before first)
+    second = np.arange(first.size)
+    second -= np.repeat(np.cumsum(later) - later - at - 1, later)
+    del at, later
+    codes = nbrs[first]
+    del first
+    codes *= n
+    codes += nbrs[second]
+    del nbrs, second
+    codes = np.concatenate([g.codes, codes])
+    frac = 2.0 * _sorted_unique(codes).size / n**2
     return ConditionDiagnostics(
         inverse_prob_sums=norm,
         dependency_fraction=frac,

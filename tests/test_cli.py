@@ -144,13 +144,75 @@ def test_experiment_command_and_seed_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
-    # no code path of the package integrates, and loading scipy's quadrature
-    # adds tens of MB to every process that imports it
+def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys):
+    degs = tmp_path / "degrees.txt"
+    degs.write_text("1\n2\n3\n5\n8\n13\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("node_a,node_b\n")
+    full = tmp_path / "full.csv"
+    full.write_text("node_a,node_b\na,b\nb,c\n")
+    bad_header = tmp_path / "bad.csv"
+    bad_header.write_text("from,to\na,b\n")
+    out = str(tmp_path / "out.csv")
+    perturb_args = ["--alpha", "0.01", "--beta", "0.1", "--out", out]
+    cases = {
+        # n_v defaults to the six degrees' count, below the largest degree
+        "bias-theory": ["bias-theory", "--degrees", str(degs), "--alpha", "0.005",
+                        "--beta", "0.1", "--p", "0.1"],
+        "noise-fit": ["noise-fit", str(empty), str(full), str(full)],
+        "missing file": ["perturb", "--edges", str(tmp_path / "nope.csv"), *perturb_args],
+        "bad header": ["perturb", "--edges", str(bad_header), *perturb_args],
+    }
+    for name, argv in cases.items():
+        assert main(argv) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nnc: error: "), (name, lines)
+        assert "Traceback" not in captured.err, name
+
+
+def test_runtime_imports_and_cli_pipeline_need_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the package loads no
+    # scipy module, and every subcommand runs with any scipy import failing
     src = str(Path(nnc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import nnc, nnc.cli, sys; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+
+    def run(code):
+        return subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, check=True, timeout=120)
+
+    code = ("import nnc, nnc.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run(code).stdout.strip() == "[]"
+
+    (tmp_path / "degrees.txt").write_text("1\n2\n3\n5\n8\n13\n")
+    (tmp_path / "exp.json").write_text(json.dumps({
+        "graph": {"source": "edge_list", "path": "g.csv"},
+        "alpha": 0.01, "beta": 0.1, "p": 0.1, "trials": 20, "bootstrap_b": 50,
+        "master_seed": 7,
+    }))
+    code = """
+import sys
+sys.modules["scipy"] = None
+from nnc.cli import main
+from nnc.graphs import load_edge_list
+from nnc.theory import condition_diagnostics
+calls = [
+    ["generate", "--kind", "ztp", "--n-v", "200", "--mean-degree", "5", "--seed", "1",
+     "--out", "g.csv"],
+    *(["perturb", "--edges", "g.csv", "--alpha", "0.01", "--beta", "0.1", "--seed", s,
+       "--out", f"r{s}.csv"] for s in "123"),
+    ["noise-fit", "r1.csv", "r2.csv", "r3.csv", "--out", "fit.csv"],
+    ["bias-theory", "--degrees", "degrees.txt", "--alpha", "0.005", "--beta", "0.1",
+     "--p", "0.1", "--n-v", "20", "--out", "bias.csv"],
+    ["experiment", "--config", "exp.json", "--out", "run.csv"],
+]
+for argv in calls:
+    assert main(argv) == 0, argv
+diag = condition_diagnostics(load_edge_list("g.csv"), 0.1)
+assert 0.0 < diag.dependency_fraction < 1.0
+print("ok")
+"""
+    assert run(code).stdout.strip().endswith("ok")
