@@ -84,8 +84,15 @@ def cmd_noise_fit(args) -> int:
 
 
 def cmd_bias_theory(args) -> int:
+    degrees = []
     with open(args.degrees, "r", encoding="utf-8") as fh:
-        degrees = [int(line.strip()) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    degrees.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{args.degrees}: line {lineno}: degree must be an "
+                                     f"integer, got {line.strip()!r}") from None
     table = OutcomeTable.constant(len(degrees), args.outcomes)
     pred = naive_estimator_bias(
         degrees, table, NoiseParams(args.alpha, args.beta), args.p, n_v=args.n_v

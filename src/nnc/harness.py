@@ -32,7 +32,6 @@ from .exposure import (
     _levels,
     _own_level_probability,
     _treated_counts,
-    assign_treatment,
 )
 from .graphs import (
     Graph,
@@ -44,7 +43,15 @@ from .graphs import (
     load_rounds,
     sample_degree_sequence,
 )
-from .noise import NoiseParams, _draw_observation, _nonedge_pairs, _pair_count, _rank_tables
+from .noise import (
+    NoiseParams,
+    _batch_ranks,
+    _batch_size,
+    _gaps_to_end,
+    _nonedge_pairs,
+    _pair_count,
+    _rank_tables,
+)
 from .noise_fit import (
     FIT_CONVERGED,
     FIT_DEGENERATE,
@@ -60,6 +67,7 @@ from .seeding import make_rng
 # call. perfbench/tracing.py wraps its targets as module globals of this
 # module, so these stay importable from here.
 from .estimators import ht_estimate, mme_estimate, realize_outcomes  # noqa: F401
+from .exposure import assign_treatment  # noqa: F401
 from .noise import replicate  # noqa: F401
 from .noise_fit import fit_alpha_beta, moment_stats  # noqa: F401
 
@@ -77,8 +85,9 @@ _PERTURB_STREAM = 4  # ``nnc perturb``; never the generator's stream at the same
 _BOOT_BLOCK_ENTRIES = 2**17
 # entries (3 observations x (true edges + vertices) per trial) of one block of
 # trials: about 75 trials of the 115-vertex school graph (a traced peak of
-# about 3.5 MiB), one of a 1e5-vertex one; on a 2-core machine 2**16 ran the
-# school trials about 12% slower and 2**18 no faster
+# about 2.5 MiB), one of a 1e5-vertex one. On a 2-core machine a 300-trial
+# school experiment took a median 36.4 ms at 2**16, 32.6 ms at 2**17 and
+# 33.6 ms at 2**18 (80 interleaved runs each)
 _BLOCK_ENTRIES = 2**17
 
 
@@ -237,18 +246,29 @@ def _mixing_rule(cfg: ExperimentConfig) -> MixingRule:
 class _Draws(NamedTuple):
     """The random draws of a block of consecutive trials, in trial order.
 
-    Per trial: its true graph, the keep flags of each of its three
-    observations (``keeps[replicate][trial]``), the non-edge ranks each
-    observation turned on (``ranks[3 * trial + replicate]``) and its
-    treatment flags. ``tables`` holds each trial's rank tables when the
-    trials regenerate their graphs and is empty otherwise.
+    ``graphs`` holds each trial's true graph and ``tables`` its rank tables
+    when the trials regenerate their graphs (empty otherwise). Trials sit end
+    to end: ``missed[r]`` flags the true edges that replicate r missed, and
+    ``z`` the treated vertices, at t * n + v. ``gaps`` holds the
+    Geometric(alpha) gaps that pick the non-edges the replicates turned on,
+    ``gap_counts[3 * t + r]`` of them for replicate r of trial t (see
+    ``noise._batch_ranks``).
     """
 
     graphs: list
     tables: list
-    keeps: tuple
-    ranks: list
-    z: list
+    missed: np.ndarray
+    gaps: np.ndarray
+    gap_counts: np.ndarray
+    z: np.ndarray
+
+
+_NO_GAPS = np.empty(0, dtype=np.int64)
+
+
+def _block_capacity(m: int, n: int) -> int:
+    # most trials of m or more true edges on n vertices that one block holds
+    return max(1, _BLOCK_ENTRIES // max(1, 3 * (m + n)))
 
 
 def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
@@ -256,32 +276,81 @@ def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
     are spent.
 
     Each trial has its own stream and keeps its draw order: its graph (only
-    when regenerating, i.e. ``graph`` is None), then each replicate's keep
-    uniforms and non-edge gaps, then treatment. A block holds at least one
-    trial and stops before the next trial would take its entries (three
-    observations of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
+    when regenerating, i.e. ``graph`` is None), then per replicate the keep
+    uniforms and the first batch of non-edge gaps, then the treatment
+    uniforms. A first batch that does not reach past the last non-edge is
+    continued at once on the same stream. Per trial the loop makes only
+    these generator calls, writing into the block's arrays; the threshold
+    on the treatment uniforms, and everything made from the gaps, run once
+    per block. Each replicate's keep uniforms pass through one scratch array
+    of a trial's edges into ``missed``. A block holds at least one trial and
+    stops before the next trial would take its entries (three observations
+    of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
     """
-    draws = _Draws([], [], ([], [], []), [], [])
-    entries = 0
-    for t in range(t0, cfg.trials):
+    if graph is None:
+        # a generator refuses fewer than two vertices at the first graph
+        n, m = int(cfg.graph["n_v"]), 0
+    elif graph.n_v < 1:
+        raise ValueError("need at least one unit")
+    else:
+        n, m = graph.n_v, graph.n_edges
+    trials = min(cfg.trials - t0, _block_capacity(m, n))
+    graphs, tables, gaps = [], [], []
+    # exact for a fixed graph; regenerated graphs differ, so their arrays grow
+    missed = np.empty((3, trials * m), dtype=bool)
+    uniforms = np.empty(m)
+    z = np.empty((trials if graph is not None else 1) * n)
+    keep_below, alpha, pairs = 1.0 - cfg.noise.beta, cfg.noise.alpha, _pair_count(n)
+    e = entries = 0
+    for t in range(t0, t0 + trials):
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
         if graph is None:
             g = _build_generated_graph(cfg.graph, rng)
-            draws.tables.append(_rank_tables(g))
+            tables.append(_rank_tables(g))
+            m = g.n_edges
+            if e + m > missed.shape[1]:
+                missed = _widened(missed, e, e + m)
+            if (t - t0 + 1) * n > z.size:
+                z = _widened(z, (t - t0) * n, (t - t0 + 1) * n)
+            if m > uniforms.size:
+                uniforms = np.empty(m)
         else:
             g = graph
-        draws.graphs.append(g)
-        nonedges = _pair_count(g.n_v) - g.n_edges
-        for keeps in draws.keeps:
-            keep, ranks = _draw_observation(g.n_edges, nonedges, cfg.noise, rng)
-            keeps.append(keep)
-            draws.ranks.append(ranks)
-        draws.z.append(assign_treatment(g.n_v, cfg.p, rng).z)
-        size = 3 * (g.n_edges + g.n_v)
+        graphs.append(g)
+        nonedges = pairs - m
+        batch_size = _batch_size(nonedges, alpha) if alpha > 0.0 and nonedges > 0 else 0
+        u = uniforms[:m]
+        for r in range(3):
+            rng.random(out=u)
+            np.greater_equal(u, keep_below, out=missed[r, e : e + m])
+            if not batch_size:
+                gaps.append(_NO_GAPS)
+                continue
+            batch = rng.geometric(alpha, batch_size)
+            if batch.sum() <= nonedges:
+                # rare: the first batch ends short of the last non-edge (an
+                # overflowed sum lands here too, and _gaps_to_end sorts it out)
+                batch = _gaps_to_end(nonedges, alpha, rng, batch)
+            gaps.append(batch)
+        rng.random(out=z[(t - t0) * n : (t - t0 + 1) * n])
+        e += m
+        size = 3 * (m + n)
         entries += size
         if entries + size > _BLOCK_ENTRIES:
             break
-    return draws
+    trials = len(graphs)
+    return _Draws(
+        graphs, tables, missed[:, :e], np.concatenate(gaps),
+        np.fromiter(map(len, gaps), np.int64, 3 * trials), z[: trials * n] < cfg.p,
+    )
+
+
+def _widened(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    # a copy of the first ``used`` entries along the last axis of ``buf``,
+    # with room for ``need`` (at least twice as many as ``buf`` had)
+    out = np.empty(buf.shape[:-1] + (max(need, 2 * buf.shape[-1]),), dtype=buf.dtype)
+    out[..., :used] = buf[..., :used]
+    return out
 
 
 class _Layout(NamedTuple):
@@ -371,25 +440,28 @@ class _Changes(NamedTuple):
 def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     """Missed and false edges of every replicate of a block, at once.
 
-    ``layout`` holds the block's trials first (``_Layout.head``).
+    ``layout`` holds the block's trials first (``_Layout.head``). Caps
+    ``draws.gaps`` in place.
     """
     n_t = len(draws.graphs)
     lay = layout.head(n_t)
-    n, m = lay.n, lay.src.size
-    missed = np.flatnonzero(~np.concatenate([k for keeps in draws.keeps for k in keeps]))
-    miss_rep = missed // m
-    missed -= miss_rep * m
-
-    false_ranks = np.concatenate(draws.ranks)
-    seg = np.repeat(np.arange(3 * n_t), [r.size for r in draws.ranks])
-    false_row = seg // 3
-    false_rep = seg - 3 * false_row
-    del seg
+    n = lay.n
+    missed = np.flatnonzero(draws.missed)
+    miss_rep = missed // lay.src.size
+    missed -= miss_rep * lay.src.size
+    false_ranks, draw = _batch_ranks(
+        draws.gaps, draws.gap_counts, np.repeat(_pair_count(n) - lay.n_true, 3)
+    )
+    false_row = draw // 3
+    false_rep = draw - 3 * false_row
+    del draw
     false_i, false_j = _nonedge_pairs(
         false_ranks, false_row, lay.nonedges_before, lay.edge_start, lay.row_cum, n
     )
-    false_i += false_row * n
-    false_j += false_row * n
+    shift = false_row * n
+    false_i += shift
+    false_j += shift
+    del shift
     return _Changes(lay, missed, miss_rep, false_ranks, false_row, false_rep, false_i, false_j)
 
 
@@ -423,7 +495,9 @@ def _observed_degrees(ch: _Changes) -> np.ndarray:
 def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: int):
     """Draw one block of trials from t0 on, then estimate them all at once.
 
-    Nothing after the draws is per trial. ``layout`` is the fixed graph's
+    Per trial there are only the generator calls of ``_draw_block``; the
+    arithmetic on their output, from the false-edge ranks on, runs once
+    per block. ``layout`` is the fixed graph's
     layout (``_block_layout``); when the trials regenerate their graphs it
     is None and the block makes its own. The replicates are never built as
     graphs: each is kept as what it changed in its trial's true graph
@@ -436,6 +510,9 @@ def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: in
     if layout is None:
         layout = _block_layout(draws.graphs, draws.tables)
     ch = _replicate_changes(draws, layout)
+    # of the draws only the treatment flags are used from here on
+    z = draws.z
+    del draws
     lay = ch.lay
     n_t, n = lay.n_true.size, lay.n
     if cfg.noise_known:
@@ -452,7 +529,6 @@ def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: in
     if not (rows.size and cfg.estimators):
         return estimates, fits, rule_counts
     deg = _observed_degrees(ch)[:, rows]
-    z = np.concatenate(draws.z)
     treated = _treated_counts(z, lay.src, lay.dst)
     lv_true = _levels(z, treated).reshape(n_t, n)[rows]
     values = table.values[np.arange(n), lv_true]
@@ -499,21 +575,20 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     What lives for the whole experiment: a fixed graph's rank tables and
     block layout (``_block_layout``: edge endpoints, degrees and rank tables
     laid out for the largest block), made once here, of which each block
-    uses a prefix. What lives for one block: its draws, its replicates'
-    changes and everything estimated from them, and, when every trial
-    regenerates its graph, the block's graphs and layout. A block's arrays
-    are released before the next block draws. ``graph`` and ``table`` are
-    None when every trial regenerates its graph.
+    uses a prefix. What lives for one block: its draws, until its
+    replicates' changes are made from them (the treatment flags until the
+    block is estimated), those changes and everything estimated from them,
+    and, when every trial regenerates its graph, the block's layout. A
+    block's arrays are released before the next block draws. ``graph`` and
+    ``table`` are None when every trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     layout = None
     if graph is None:
         table = OutcomeTable.constant(int(cfg.graph["n_v"]), cfg.outcomes)
     else:
-        # _draw_block's budget gives every full block of a fixed graph this
-        # many trials (a vertex-free graph fails at its first treatment draw)
-        size = max(1, 3 * (graph.n_edges + graph.n_v))
-        k = min(cfg.trials, max(1, _BLOCK_ENTRIES // size))
+        # every full block of a fixed graph holds this many trials
+        k = min(cfg.trials, _block_capacity(graph.n_edges, graph.n_v))
         layout = _block_layout([graph] * k, [_rank_tables(graph)] * k)
     n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)

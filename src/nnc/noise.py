@@ -39,8 +39,11 @@ def _pair_of_rank(r: np.ndarray, row_cum: np.ndarray) -> tuple[np.ndarray, np.nd
     # rank r in [0, n(n-1)/2) -> the r-th pair (i, j) in canonical (i < j)
     # order; row_cum as in _rank_tables
     i = np.searchsorted(row_cum, r, side="right")
-    base = np.where(i > 0, row_cum[np.maximum(i - 1, 0)], 0)
-    return i, i + 1 + (r - base)
+    # pairs before row i: row_cum[i - 1], or none in row 0
+    j = r - np.concatenate(([0], row_cum))[i]
+    j += i
+    j += 1
+    return i, j
 
 
 def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -83,46 +86,72 @@ def _nonedge_pairs(
     return _pair_of_rank(pair_rank, row_cum)
 
 
+def _batch_size(left: int, p: float) -> int:
+    """How many Geometric(p) gaps to draw at once among ``left`` Bernoulli(p)
+    trials: the expected count of successes and four standard deviations,
+    so that one batch usually reaches past the last trial."""
+    mean = left * p
+    return int(mean + 4.0 * math.sqrt(mean)) + 8
+
+
+def _cap_gaps(gaps: np.ndarray, n_trials: int) -> np.ndarray:
+    """``gaps`` capped at ``n_trials`` + 1, in place.
+
+    A gap that reaches past the last of ``n_trials`` trials ends the draw
+    wherever it is capped, and the cap keeps running sums far from int64
+    overflow when p is tiny.
+    """
+    return np.minimum(gaps, n_trials + 1, out=gaps)
+
+
+def _gaps_to_end(
+    n_trials: int, p: float, rng: np.random.Generator, gaps: np.ndarray
+) -> np.ndarray:
+    """The first gap batch ``gaps`` (``_batch_size(n_trials, p)`` of them),
+    then further batches, each sized from the trials still left, until the
+    gaps reach past the last trial; all capped (``_cap_gaps``)."""
+    parts = [gaps]
+    total = int(_cap_gaps(gaps, n_trials).sum())
+    while total <= n_trials:
+        gaps = _cap_gaps(rng.geometric(p, _batch_size(n_trials - total, p)), n_trials)
+        parts.append(gaps)
+        total += int(gaps.sum())
+    return np.concatenate(parts) if len(parts) > 1 else gaps
+
+
 def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """Increasing indices of the successes among ``n_trials`` Bernoulli(p) trials.
 
     The gaps between successes are Geometric(p) (Batagelj & Brandes, Phys.
-    Rev. E 71, 036113, 2005), drawn in batches sized from the expected count
-    of successes still to come, so the work is proportional to the number of
-    successes, not of trials.
+    Rev. E 71, 036113, 2005), drawn in batches (``_batch_size``) sized from
+    the expected count of successes still to come, so the work is
+    proportional to the number of successes, not of trials.
     """
     if p == 0.0 or n_trials == 0:
         return np.empty(0, dtype=np.int64)
-    parts = []
-    last = -1
-    while True:
-        left = n_trials - 1 - last
-        mean = left * p
-        gaps = rng.geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 8)
-        # a gap past the last trial ends the draw; capping it keeps the
-        # running sum far from int64 overflow when p is tiny
-        np.minimum(gaps, left + 1, out=gaps)
-        ranks = gaps.cumsum()
-        ranks += last
-        end = int(ranks.searchsorted(n_trials))
-        if end < ranks.size:
-            # usually the first batch already ends the draw
-            return np.concatenate(parts + [ranks[:end]]) if parts else ranks[:end]
-        parts.append(ranks)
-        last = int(ranks[-1])
+    gaps = _gaps_to_end(n_trials, p, rng, rng.geometric(p, _batch_size(n_trials, p)))
+    return _batch_ranks(gaps, np.array([gaps.size]), np.array([n_trials]))[0]
 
 
-def _draw_observation(
-    m: int, n_nonedges: int, noise: NoiseParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one observation of a graph with ``m`` edges.
+def _batch_ranks(gaps: np.ndarray, counts: np.ndarray, n_trials: np.ndarray):
+    """``_success_ranks`` of many draws at once, from their gaps.
 
-    One uniform per true edge, in edge-code order, keeps the edge when
-    below 1 - beta; then the increasing ranks, among the ``n_nonedges``
-    non-edges, of those that turn on. Returns (keep flags, ranks).
+    Draw s among ``n_trials[s]`` trials has the next ``counts[s]`` entries of
+    ``gaps``: its first batch when that reached past the last trial, or its
+    batches to the end (``_gaps_to_end``). ``gaps`` is capped in place.
+    Returns every draw's success ranks, draw after draw, and the draw of each.
     """
-    keep = rng.random(m) < 1.0 - noise.beta
-    return keep, _success_ranks(n_nonedges, noise.alpha, rng)
+    # one cap for all draws: a gap capped at the largest n_trials + 1 still
+    # reaches past the last trial of its own draw
+    _cap_gaps(gaps, n_trials.max(initial=0))
+    # one running sum for all draws, less what came before each draw
+    run = np.zeros(gaps.size + 1, dtype=np.int64)
+    np.cumsum(gaps, out=run[1:])
+    ranks = run[1:]
+    ranks -= np.repeat(run[np.cumsum(counts) - counts] + 1, counts)
+    draw = np.repeat(np.arange(counts.size), counts)
+    keep = ranks < n_trials[draw]
+    return ranks[keep], draw[keep]
 
 
 def _observe(
@@ -132,7 +161,8 @@ def _observe(
     tables: tuple[np.ndarray, np.ndarray],
 ) -> Graph:
     n, m = g.n_v, g.n_edges
-    keep, r = _draw_observation(m, _pair_count(n) - m, noise, rng)
+    keep = rng.random(m) < 1.0 - noise.beta
+    r = _success_ranks(_pair_count(n) - m, noise.alpha, rng)
     kept = g.codes[keep]
     i, j = _nonedge_pairs(r, 0, tables[0], np.zeros(1, dtype=np.int64), tables[1], n)
     false_codes = i * n + j

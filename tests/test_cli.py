@@ -172,6 +172,17 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys):
         assert "Traceback" not in captured.err, name
 
 
+def test_bias_theory_names_the_file_and_line_of_a_bad_degree(tmp_path, capsys):
+    degs = tmp_path / "degrees.txt"
+    degs.write_text("3\n\n x \n4\n")
+    argv = ["bias-theory", "--degrees", str(degs), "--alpha", "0.005", "--beta", "0.1",
+            "--p", "0.1", "--n-v", "20"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nnc: error: {degs}: line 3: degree must be an integer, got 'x'\n"
+
+
 def test_runtime_imports_and_cli_pipeline_need_no_scipy(tmp_path):
     # numpy is the only runtime dependency: importing the package loads no
     # scipy module, and every subcommand runs with any scipy import failing

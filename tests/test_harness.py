@@ -402,7 +402,7 @@ def test_failed_trials_are_excluded_and_counted(small_graph, monkeypatch):
 @pytest.mark.parametrize("fail_every", [0, 3])
 def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeypatch,
                                                             fail_every):
-    # a block's draws (keep flags, false-edge ranks, treatments) and the
+    # a block's draws (missed flags, non-edge gaps, treatments) and the
     # replicate changes made from them are released before the next block
     # draws; the fixed graph's layout is made once, every block gets the
     # same arrays, and they are released when the trials are done
@@ -413,8 +413,10 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     def recording(*args):
         alive_at_call.append(sum(ref() is not None for ref in watched))
         draws = real_draw(*args)
-        watched[:] = [weakref.ref(a) for part in (*draws.keeps, draws.ranks, draws.z)
-                      for a in part]
+        arrays = [a for a in draws if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4
+        # the missed flags are a view of the block's buffer; watch it too
+        watched[:] = [weakref.ref(b) for a in arrays for b in (a, a.base) if b is not None]
         return draws
 
     def watching(draws, layout):
@@ -569,6 +571,124 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
         both = np.intersect1d(reps[1].codes, reps[2].codes)
         shared += np.setdiff1d(both, g.codes).size
     assert shared > 0  # some false edges coincide across replicates
+
+
+class _EditedGaps:
+    """A trial's own generator whose Geometric gaps pass through ``edit``;
+    the gaps are still drawn from the stream, so the draw order shows."""
+
+    def __init__(self, rng, edit, calls):
+        self.rng, self.edit, self.calls = rng, edit, calls
+
+    def geometric(self, p, size):
+        self.calls.append(size)
+        return self.edit(self.rng.geometric(p, size))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _block_path(cfg, graph):
+    # per trial: its graph, its replicates' edge codes and its treatment
+    # flags, as the block path draws them
+    out, t = [], 0
+    while t < cfg.trials:
+        draws = _draw_block(cfg, graph, t)
+        tables = draws.tables or [_rank_tables(graph)] * len(draws.graphs)
+        ch = _replicate_changes(draws, _block_layout(draws.graphs, tables))
+        lay, n = ch.lay, ch.lay.n
+        miss_row = lay.edge_row[ch.missed]
+        for k, g in enumerate(draws.graphs):
+            reps = []
+            for r in range(3):
+                lost = ch.missed[(miss_row == k) & (ch.miss_rep == r)] - lay.edge_start[k]
+                on = (ch.false_row == k) & (ch.false_rep == r)
+                false = (ch.false_i[on] - k * n) * n + (ch.false_j[on] - k * n)
+                reps.append(np.sort(np.concatenate([np.delete(g.codes, lost), false])))
+            out.append((g, reps, draws.z[k * n : (k + 1) * n]))
+        t += len(draws.graphs)
+    return out
+
+
+def _per_graph_path(cfg, graph, t):
+    # trial t drawn by hand from its own stream: graph, replicates, treatment
+    rng = harness_mod.make_rng(cfg.master_seed, _TRIAL_STREAM, t)
+    g = harness_mod._build_generated_graph(cfg.graph, rng) if graph is None else graph
+    reps = replicate(g, cfg.noise, 3, rng)
+    return g, [r.codes for r in reps], assign_treatment(g.n_v, cfg.p, rng).z
+
+
+_EDGE_CASES = ("short_first_batch", "gap_at_last_nonedge", "gap_past_last_nonedge",
+               "tiny_alpha", "alpha_zero", "complete_graph", "beta_zero", "beta_one",
+               "regenerating")
+
+
+@pytest.mark.parametrize("one_trial_blocks", [False, True])
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_block_draws_equal_the_per_graph_path(case, one_trial_blocks, small_graph,
+                                              monkeypatch):
+    graph, alpha, beta = small_graph, 0.02, 0.1
+    nonedges = small_graph.n_v * (small_graph.n_v - 1) // 2 - small_graph.n_edges
+    edit, calls = None, []
+    if case == "short_first_batch":
+        # gaps of at most 3 end no first batch: every draw continues
+        edit = functools.partial(np.minimum, 3)
+    elif case in ("gap_at_last_nonedge", "gap_past_last_nonedge"):
+        # a first gap of n_nonedges turns on the last non-edge; one more
+        # reaches past it, and the cap must keep it there
+        first = nonedges + (case == "gap_past_last_nonedge")
+
+        def edit(gaps):
+            gaps[0] = first
+            return gaps
+    elif case == "tiny_alpha":
+        alpha = 1e-300  # every gap is int64's maximum; their sum wraps
+    elif case == "alpha_zero":
+        alpha = 0.0
+    elif case == "complete_graph":
+        i, j = np.triu_indices(12, 1)
+        graph = Graph(12, i, j)
+    elif case in ("beta_zero", "beta_one"):
+        beta = float(case == "beta_one")
+    spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
+    regenerate = case == "regenerating"
+    cfg = ExperimentConfig(graph=spec if regenerate else graph, alpha=alpha, beta=beta,
+                           p=0.3, trials=9, master_seed=17, regenerate_graph=regenerate)
+    graph = None if regenerate else graph
+    if edit is not None:
+        real = harness_mod.make_rng
+        monkeypatch.setattr(harness_mod, "make_rng",
+                            lambda *path: _EditedGaps(real(*path), edit, calls))
+    if one_trial_blocks:
+        monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
+
+    block = _block_path(cfg, graph)
+    assert len(block) == cfg.trials
+    block_calls = len(calls)
+    for t, (g, reps, z) in enumerate(block):
+        want_g, want_reps, want_z = _per_graph_path(cfg, graph, t)
+        assert g == want_g
+        assert all(np.array_equal(a, b) for a, b in zip(reps, want_reps)), t
+        assert np.array_equal(z, want_z), t
+    assert block_calls == len(calls) - block_calls
+    falses = [rep.size - len(np.intersect1d(rep, g.codes)) for g, reps, _ in block
+              for rep in reps]
+    if case == "short_first_batch":
+        assert block_calls > 3 * cfg.trials
+    elif case == "gap_at_last_nonedge":
+        i, j = np.triu_indices(small_graph.n_v, 1)
+        last = np.setdiff1d(i * small_graph.n_v + j, small_graph.codes)[-1]
+        assert falses == [1] * (3 * cfg.trials)
+        assert all(last in rep for _, reps, _ in block for rep in reps)
+    elif case in ("gap_past_last_nonedge", "tiny_alpha", "alpha_zero", "complete_graph"):
+        assert falses == [0] * (3 * cfg.trials)
+    if case == "beta_one":
+        assert all(np.setdiff1d(rep, g.codes).size == rep.size for g, reps, _ in block
+                   for rep in reps)
+    elif case == "beta_zero":
+        assert all(np.isin(g.codes, rep).all() for g, reps, _ in block for rep in reps)
+    elif case == "regenerating":
+        assert len({g.n_edges for g, _, _ in block}) > 1
 
 
 def _homogeneous_graph(n, seed):
