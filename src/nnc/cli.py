@@ -113,7 +113,10 @@ def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     env_seed = os.environ.get("NNC_SEED")
     if env_seed is not None:
-        cfg.master_seed = int(env_seed)
+        try:
+            cfg.master_seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"NNC_SEED must be an integer, got {env_seed!r}") from None
     summary = run_experiment(cfg)
     emit_results(summary, args.out, args.sidecar)
     print(f"wrote {args.out} ({summary.n_trials} trials, {summary.n_failed} failed)")

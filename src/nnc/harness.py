@@ -13,7 +13,7 @@ depend on the block size or on how trials would be scheduled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from numbers import Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -46,8 +46,7 @@ from .graphs import (
 from .noise import (
     NoiseParams,
     _batch_ranks,
-    _batch_size,
-    _gaps_to_end,
+    _draw_observations,
     _nonedge_pairs,
     _pair_count,
     _rank_tables,
@@ -174,10 +173,16 @@ class ExperimentConfig:
                 data = json.load(fh)
         else:
             data = dict(source)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"config lacks the keys: {', '.join(map(repr, missing))}")
         if "outcomes" in data and isinstance(data["outcomes"], list):
             data["outcomes"] = tuple(data["outcomes"])
-        if "estimators" in data:
-            data["estimators"] = tuple(data["estimators"])
         return cls(**data)
 
     def echo(self) -> dict:
@@ -194,16 +199,23 @@ class ExperimentConfig:
         return out
 
 
+def _spec_value(spec: dict, key: str):
+    # a graph spec comes from a config file, so a missing key is bad input
+    if key not in spec:
+        raise ValueError(f"graph spec needs the key {key!r}")
+    return spec[key]
+
+
 def _build_generated_graph(spec: dict, rng: np.random.Generator) -> Graph:
     kind = spec.get("kind")
-    n_v = int(spec["n_v"])
+    n_v = int(_spec_value(spec, "n_v"))
     if kind == "ztp":
-        dist = ZeroTruncatedPoisson(float(spec["mean_degree"]))
+        dist = ZeroTruncatedPoisson(float(_spec_value(spec, "mean_degree")))
     elif kind == "pareto":
         dist = ParetoExpCutoff(
-            rate=float(spec["rate"]),
-            shape=float(spec["shape"]),
-            lower=float(spec["lower"]),
+            rate=float(_spec_value(spec, "rate")),
+            shape=float(_spec_value(spec, "shape")),
+            lower=float(_spec_value(spec, "lower")),
             upper=float(spec.get("upper", n_v - 1)),
         )
     else:
@@ -216,14 +228,16 @@ def resolve_graph(spec: Graph | dict) -> Graph:
     """Materialize the configured true graph."""
     if isinstance(spec, Graph):
         return spec
+    if not isinstance(spec, dict):
+        raise ValueError(f"graph must be an object, not {spec!r}")
     source = spec.get("source")
     if source == "generate":
         rng = make_rng(int(spec.get("seed", 0)), _GRAPH_STREAM)
         return _build_generated_graph(spec, rng)
     if source == "edge_list":
-        return load_edge_list(spec["path"])
+        return load_edge_list(_spec_value(spec, "path"))
     if source == "rounds":
-        data = load_rounds(spec["path"])
+        data = load_rounds(_spec_value(spec, "path"))
         return build_true_graph_from_rounds(data, int(spec.get("min_count", 2)))
     raise ValueError(f"unknown graph source {source!r}")
 
@@ -249,21 +263,16 @@ class _Draws(NamedTuple):
     ``graphs`` holds each trial's true graph and ``tables`` its rank tables
     when the trials regenerate their graphs (empty otherwise). Trials sit end
     to end: ``missed[r]`` flags the true edges that replicate r missed, and
-    ``z`` the treated vertices, at t * n + v. ``gaps`` holds the
-    Geometric(alpha) gaps that pick the non-edges the replicates turned on,
-    ``gap_counts[3 * t + r]`` of them for replicate r of trial t (see
-    ``noise._batch_ranks``).
+    ``z`` the treated vertices, at t * n + v. ``gaps[3 * t + r]`` holds the
+    Geometric(alpha) gaps that pick the non-edges that replicate r of trial t
+    turned on (see ``noise._batch_ranks``).
     """
 
     graphs: list
     tables: list
     missed: np.ndarray
-    gaps: np.ndarray
-    gap_counts: np.ndarray
+    gaps: list
     z: np.ndarray
-
-
-_NO_GAPS = np.empty(0, dtype=np.int64)
 
 
 def _block_capacity(m: int, n: int) -> int:
@@ -276,16 +285,13 @@ def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
     are spent.
 
     Each trial has its own stream and keeps its draw order: its graph (only
-    when regenerating, i.e. ``graph`` is None), then per replicate the keep
-    uniforms and the first batch of non-edge gaps, then the treatment
-    uniforms. A first batch that does not reach past the last non-edge is
-    continued at once on the same stream. Per trial the loop makes only
-    these generator calls, writing into the block's arrays; the threshold
-    on the treatment uniforms, and everything made from the gaps, run once
-    per block. Each replicate's keep uniforms pass through one scratch array
-    of a trial's edges into ``missed``. A block holds at least one trial and
-    stops before the next trial would take its entries (three observations
-    of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
+    when regenerating, i.e. ``graph`` is None), then its three replicates'
+    draws (``noise._draw_observations``), then the treatment uniforms. Per
+    trial the loop makes only these generator calls, writing into the
+    block's arrays; the threshold on the treatment uniforms, and everything
+    made from the gaps, run once per block. A block holds at least one
+    trial and stops before the next trial would take its entries (three
+    observations of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
     """
     if graph is None:
         # a generator refuses fewer than two vertices at the first graph
@@ -300,7 +306,6 @@ def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
     missed = np.empty((3, trials * m), dtype=bool)
     uniforms = np.empty(m)
     z = np.empty((trials if graph is not None else 1) * n)
-    keep_below, alpha, pairs = 1.0 - cfg.noise.beta, cfg.noise.alpha, _pair_count(n)
     e = entries = 0
     for t in range(t0, t0 + trials):
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
@@ -317,32 +322,15 @@ def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
         else:
             g = graph
         graphs.append(g)
-        nonedges = pairs - m
-        batch_size = _batch_size(nonedges, alpha) if alpha > 0.0 and nonedges > 0 else 0
-        u = uniforms[:m]
-        for r in range(3):
-            rng.random(out=u)
-            np.greater_equal(u, keep_below, out=missed[r, e : e + m])
-            if not batch_size:
-                gaps.append(_NO_GAPS)
-                continue
-            batch = rng.geometric(alpha, batch_size)
-            if batch.sum() <= nonedges:
-                # rare: the first batch ends short of the last non-edge (an
-                # overflowed sum lands here too, and _gaps_to_end sorts it out)
-                batch = _gaps_to_end(nonedges, alpha, rng, batch)
-            gaps.append(batch)
+        _draw_observations(rng, 3, cfg.noise, _pair_count(n) - m, uniforms[:m],
+                           missed[:, e : e + m], gaps)
         rng.random(out=z[(t - t0) * n : (t - t0 + 1) * n])
         e += m
         size = 3 * (m + n)
         entries += size
         if entries + size > _BLOCK_ENTRIES:
             break
-    trials = len(graphs)
-    return _Draws(
-        graphs, tables, missed[:, :e], np.concatenate(gaps),
-        np.fromiter(map(len, gaps), np.int64, 3 * trials), z[: trials * n] < cfg.p,
-    )
+    return _Draws(graphs, tables, missed[:, :e], gaps, z[: len(graphs) * n] < cfg.p)
 
 
 def _widened(buf: np.ndarray, used: int, need: int) -> np.ndarray:
@@ -440,8 +428,7 @@ class _Changes(NamedTuple):
 def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     """Missed and false edges of every replicate of a block, at once.
 
-    ``layout`` holds the block's trials first (``_Layout.head``). Caps
-    ``draws.gaps`` in place.
+    ``layout`` holds the block's trials first (``_Layout.head``).
     """
     n_t = len(draws.graphs)
     lay = layout.head(n_t)
@@ -449,9 +436,7 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     missed = np.flatnonzero(draws.missed)
     miss_rep = missed // lay.src.size
     missed -= miss_rep * lay.src.size
-    false_ranks, draw = _batch_ranks(
-        draws.gaps, draws.gap_counts, np.repeat(_pair_count(n) - lay.n_true, 3)
-    )
+    false_ranks, draw = _batch_ranks(draws.gaps, np.repeat(_pair_count(n) - lay.n_true, 3))
     false_row = draw // 3
     false_rep = draw - 3 * false_row
     del draw
@@ -585,7 +570,7 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     rule = _mixing_rule(cfg)
     layout = None
     if graph is None:
-        table = OutcomeTable.constant(int(cfg.graph["n_v"]), cfg.outcomes)
+        table = OutcomeTable.constant(int(_spec_value(cfg.graph, "n_v")), cfg.outcomes)
     else:
         # every full block of a fixed graph holds this many trials
         k = min(cfg.trials, _block_capacity(graph.n_edges, graph.n_v))

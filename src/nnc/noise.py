@@ -119,28 +119,18 @@ def _gaps_to_end(
     return np.concatenate(parts) if len(parts) > 1 else gaps
 
 
-def _success_ranks(n_trials: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Increasing indices of the successes among ``n_trials`` Bernoulli(p) trials.
+def _batch_ranks(gaps: list, n_trials: np.ndarray):
+    """Success ranks (increasing indices) of many draws at once, from gaps.
 
-    The gaps between successes are Geometric(p) (Batagelj & Brandes, Phys.
-    Rev. E 71, 036113, 2005), drawn in batches (``_batch_size``) sized from
-    the expected count of successes still to come, so the work is
-    proportional to the number of successes, not of trials.
+    Draw s among ``n_trials[s]`` trials has the gaps ``gaps[s]``, as
+    ``_draw_observations`` appends them: its first batch when that reached
+    past the last trial, or its batches to the end (``_gaps_to_end``).
+    Returns every draw's success ranks, draw after draw, and the draw of
+    each; empties ``gaps``, so its batches are released once copied.
     """
-    if p == 0.0 or n_trials == 0:
-        return np.empty(0, dtype=np.int64)
-    gaps = _gaps_to_end(n_trials, p, rng, rng.geometric(p, _batch_size(n_trials, p)))
-    return _batch_ranks(gaps, np.array([gaps.size]), np.array([n_trials]))[0]
-
-
-def _batch_ranks(gaps: np.ndarray, counts: np.ndarray, n_trials: np.ndarray):
-    """``_success_ranks`` of many draws at once, from their gaps.
-
-    Draw s among ``n_trials[s]`` trials has the next ``counts[s]`` entries of
-    ``gaps``: its first batch when that reached past the last trial, or its
-    batches to the end (``_gaps_to_end``). ``gaps`` is capped in place.
-    Returns every draw's success ranks, draw after draw, and the draw of each.
-    """
+    counts = np.fromiter(map(len, gaps), np.int64, len(gaps))
+    parts, gaps = gaps, np.concatenate(gaps)
+    parts.clear()
     # one cap for all draws: a gap capped at the largest n_trials + 1 still
     # reaches past the last trial of its own draw
     _cap_gaps(gaps, n_trials.max(initial=0))
@@ -154,49 +144,71 @@ def _batch_ranks(gaps: np.ndarray, counts: np.ndarray, n_trials: np.ndarray):
     return ranks[keep], draw[keep]
 
 
-def _observe(
-    g: Graph,
-    noise: NoiseParams,
-    rng: np.random.Generator,
-    tables: tuple[np.ndarray, np.ndarray],
-) -> Graph:
-    n, m = g.n_v, g.n_edges
-    keep = rng.random(m) < 1.0 - noise.beta
-    r = _success_ranks(_pair_count(n) - m, noise.alpha, rng)
-    kept = g.codes[keep]
-    i, j = _nonedge_pairs(r, 0, tables[0], np.zeros(1, dtype=np.int64), tables[1], n)
-    false_codes = i * n + j
-    del i, j
-    # both parts are sorted, so the stable sort is one merge of two runs
-    codes = np.concatenate([kept, false_codes])
-    del kept, false_codes, r
-    codes.sort(kind="stable")
-    return Graph._from_codes(n, codes, labels=g.labels)
+_NO_GAPS = np.empty(0, dtype=np.int64)
+
+
+def _draw_observations(rng, k, noise: NoiseParams, nonedges, scratch, missed, gaps) -> None:
+    """The random draws of ``k`` noisy observations of one true graph.
+
+    Draw order, per observation r: one uniform per true edge, in edge-code
+    order, through ``scratch`` (one entry per true edge) into ``missed[r]``,
+    which flags the edges it misses (uniform >= 1 - beta); then
+    Geometric(alpha) gaps between the ``nonedges`` non-edges that turn on,
+    in increasing canonical (i < j) pair order (Batagelj & Brandes, Phys.
+    Rev. E 71, 036113, 2005). The gaps come in one batch of ``_batch_size``
+    when that reaches past the last non-edge (an overflowed sum does not,
+    and is continued), or in batches to the end (``_gaps_to_end``). Each
+    observation's gaps, or ``_NO_GAPS`` when alpha or ``nonedges`` is 0, are
+    appended to ``gaps``; ``_batch_ranks`` turns them into non-edge ranks. A
+    fixed generator state thus reproduces the observations bit for bit.
+    """
+    keep_below, alpha = 1.0 - noise.beta, noise.alpha
+    batch_size = _batch_size(nonedges, alpha) if alpha > 0.0 and nonedges > 0 else 0
+    for r in range(k):
+        rng.random(out=scratch)
+        np.greater_equal(scratch, keep_below, out=missed[r])
+        if not batch_size:
+            gaps.append(_NO_GAPS)
+            continue
+        batch = rng.geometric(alpha, batch_size)
+        if batch.sum() <= nonedges:
+            batch = _gaps_to_end(nonedges, alpha, rng, batch)
+        gaps.append(batch)
 
 
 def perturb(g: Graph, noise: NoiseParams, rng: np.random.Generator) -> Graph:
-    """One noisy observation of ``g``.
+    """One noisy observation of ``g``: ``replicate(g, noise, 1, rng)[0]``.
 
     Every true edge survives independently with probability 1 - beta and
     every non-edge turns on independently with probability alpha. The vertex
-    set is unchanged and the output is again simple.
-
-    Draw order: one uniform per true edge, in edge-code order, keeps the edge
-    when below 1 - beta; then Geometric(alpha) gaps pick the non-edges that
-    turn on, in increasing canonical (i < j) pair order, so a fixed generator
-    state reproduces the observation bit for bit. Time and memory are
-    O(n + m + observed edges); no array has one entry per vertex pair.
+    set is unchanged and the output is again simple. The draw order is
+    ``_draw_observations``'; time and memory are O(n + m + observed edges).
     """
-    return _observe(g, noise, rng, _rank_tables(g))
+    return replicate(g, noise, 1, rng)[0]
 
 
 def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) -> list[Graph]:
     """``k`` conditionally independent noisy observations of ``g``.
 
-    Equal to ``k`` successive ``perturb`` calls on ``rng``; the rank tables
-    of ``g`` are built once and shared by the ``k`` draws.
+    Equal to ``k`` successive ``perturb`` calls on ``rng``: the draws are
+    ``_draw_observations``' for ``k`` observations, and their false edges
+    are mapped to pairs through one set of ``g``'s rank tables.
     """
     if k < 1:
         raise ValueError("need at least one replicate")
-    tables = _rank_tables(g)
-    return [_observe(g, noise, rng, tables) for _ in range(k)]
+    n, m = g.n_v, g.n_edges
+    nonedges = _pair_count(n) - m
+    missed, gaps = np.empty((k, m), dtype=bool), []
+    _draw_observations(rng, k, noise, nonedges, np.empty(m), missed, gaps)
+    ranks, obs = _batch_ranks(gaps, np.full(k, nonedges))
+    nonedges_before, row_cum = _rank_tables(g)
+    i, j = _nonedge_pairs(ranks, 0, nonedges_before, np.zeros(1, dtype=np.int64), row_cum, n)
+    false_codes = i * n + j
+    ends = np.searchsorted(obs, np.arange(k + 1))
+    out = []
+    for r in range(k):
+        # both parts are sorted, so the stable sort is one merge of two runs
+        codes = np.concatenate([g.codes[~missed[r]], false_codes[ends[r] : ends[r + 1]]])
+        codes.sort(kind="stable")
+        out.append(Graph._from_codes(n, codes, labels=g.labels))
+    return out

@@ -144,7 +144,7 @@ def test_experiment_command_and_seed_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys):
+def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypatch):
     degs = tmp_path / "degrees.txt"
     degs.write_text("1\n2\n3\n5\n8\n13\n")
     empty = tmp_path / "empty.csv"
@@ -163,12 +163,33 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys):
         "missing file": ["perturb", "--edges", str(tmp_path / "nope.csv"), *perturb_args],
         "bad header": ["perturb", "--edges", str(bad_header), *perturb_args],
     }
+    # bad experiment configs, and the text their error must hold
+    good = {"graph": {"source": "edge_list", "path": str(full)}, "alpha": 0.01,
+            "beta": 0.1, "p": 0.1, "trials": 5}
+    configs = {
+        "unknown key": (dict(good, bogus=1), "'bogus'"),
+        "missing key": ({k: v for k, v in good.items() if k != "p"}, "'p'"),
+        "list config": ([good], "JSON object"),
+        "generator without n_v": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "mean_degree": 5.0}), "'n_v'"),
+        "graph as a path": (dict(good, graph=str(full)), "must be an object"),
+        "NNC_SEED": (good, "NNC_SEED must be an integer, got 'abc'"),
+    }
+    needles = {}
+    for k, (name, (config, needle)) in enumerate(configs.items()):
+        path = tmp_path / f"config{k}.json"
+        path.write_text(json.dumps(config))
+        cases[name] = ["experiment", "--config", str(path), "--out", out]
+        needles[name] = needle
     for name, argv in cases.items():
+        if name == "NNC_SEED":
+            monkeypatch.setenv("NNC_SEED", "abc")
         assert main(argv) == 2, name
         captured = capsys.readouterr()
         assert captured.out == "", name
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("nnc: error: "), (name, lines)
+        assert needles.get(name, "") in lines[0], (name, lines)
         assert "Traceback" not in captured.err, name
 
 

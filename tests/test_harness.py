@@ -413,8 +413,9 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     def recording(*args):
         alive_at_call.append(sum(ref() is not None for ref in watched))
         draws = real_draw(*args)
-        arrays = [a for a in draws if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4
+        # the missed flags and treatments, and each replicate's gap batches
+        arrays = [a for a in draws if isinstance(a, np.ndarray)] + draws.gaps
+        assert len(arrays) == 2 + 3 * len(draws.graphs)
         # the missed flags are a view of the block's buffer; watch it too
         watched[:] = [weakref.ref(b) for a in arrays for b in (a, a.base) if b is not None]
         return draws

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
-from nnc.noise import NoiseParams, _success_ranks, perturb, replicate
+from nnc.noise import NoiseParams, _batch_ranks, _draw_observations, perturb, replicate
 from nnc.noise_fit import moment_stats
 from nnc.seeding import make_rng
 
@@ -236,17 +236,27 @@ def test_success_ranks_continue_across_batches():
         def __init__(self, gap):
             self.gap = gap
 
+        def random(self, out):
+            return out
+
         def geometric(self, p, size):
             return np.full(size, self.gap, dtype=np.int64)
 
+    def success_ranks(n_trials, p, rng):
+        # the non-edges that one observation of an edgeless graph turns on
+        gaps = []
+        noise = NoiseParams(p, 0.0)
+        _draw_observations(rng, 1, noise, n_trials, np.empty(0), np.empty((1, 0), bool), gaps)
+        return _batch_ranks(gaps, np.array([n_trials]))[0]
+
     # unit gaps with a small p need many batches of about mean + 4 sd
-    assert np.array_equal(_success_ranks(1000, 0.01, FixedGaps(1)), np.arange(1000))
-    assert np.array_equal(_success_ranks(1000, 0.01, FixedGaps(3)), np.arange(2, 1000, 3))
-    assert _success_ranks(0, 0.5, FixedGaps(1)).size == 0
-    assert _success_ranks(10, 0.0, FixedGaps(1)).size == 0
+    assert np.array_equal(success_ranks(1000, 0.01, FixedGaps(1)), np.arange(1000))
+    assert np.array_equal(success_ranks(1000, 0.01, FixedGaps(3)), np.arange(2, 1000, 3))
+    assert success_ranks(0, 0.5, FixedGaps(1)).size == 0
+    assert success_ranks(10, 0.0, FixedGaps(1)).size == 0
     # Geometric(1e-300) returns int64's maximum; the running sum must not
     # wrap (1e15 trials: the pairs of 4.5e7 vertices)
-    assert _success_ranks(10**15, 1e-300, make_rng(5)).size == 0
+    assert success_ranks(10**15, 1e-300, make_rng(5)).size == 0
 
 
 def test_replicate_memory_is_linear_in_vertices():
