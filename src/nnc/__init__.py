@@ -1,5 +1,10 @@
 """Simulation and estimation of average causal effects on noisily observed networks."""
 
+from . import _allocator
+
+# before the submodules allocate anything: freed buffers stay in the heap
+_allocator.keep_freed_memory()
+
 from .estimators import (
     MixingRule,
     OutcomeTable,

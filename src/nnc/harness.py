@@ -183,6 +183,10 @@ class ExperimentConfig:
             raise ValueError(f"config lacks the keys: {', '.join(map(repr, missing))}")
         if "outcomes" in data and isinstance(data["outcomes"], list):
             data["outcomes"] = tuple(data["outcomes"])
+        # a string would pass as its letters, a number fails inside tuple()
+        names = data.get("estimators", [])
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)):
+            raise ValueError(f"estimators must be a list of names, not {names!r}")
         return cls(**data)
 
     def echo(self) -> dict:
@@ -206,17 +210,27 @@ def _spec_value(spec: dict, key: str):
     return spec[key]
 
 
+def _spec_number(spec: dict, key: str, kind: type, default=None):
+    # the key's value as an int or float; a value that is not one names the key
+    value = _spec_value(spec, key) if default is None else spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        label = "an integer" if kind is int else "a number"
+        raise ValueError(f"graph spec key {key!r} must be {label}, got {value!r}") from None
+
+
 def _build_generated_graph(spec: dict, rng: np.random.Generator) -> Graph:
     kind = spec.get("kind")
-    n_v = int(_spec_value(spec, "n_v"))
+    n_v = _spec_number(spec, "n_v", int)
     if kind == "ztp":
-        dist = ZeroTruncatedPoisson(float(_spec_value(spec, "mean_degree")))
+        dist = ZeroTruncatedPoisson(_spec_number(spec, "mean_degree", float))
     elif kind == "pareto":
         dist = ParetoExpCutoff(
-            rate=float(_spec_value(spec, "rate")),
-            shape=float(_spec_value(spec, "shape")),
-            lower=float(_spec_value(spec, "lower")),
-            upper=float(spec.get("upper", n_v - 1)),
+            rate=_spec_number(spec, "rate", float),
+            shape=_spec_number(spec, "shape", float),
+            lower=_spec_number(spec, "lower", float),
+            upper=_spec_number(spec, "upper", float, n_v - 1),
         )
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -232,13 +246,13 @@ def resolve_graph(spec: Graph | dict) -> Graph:
         raise ValueError(f"graph must be an object, not {spec!r}")
     source = spec.get("source")
     if source == "generate":
-        rng = make_rng(int(spec.get("seed", 0)), _GRAPH_STREAM)
+        rng = make_rng(_spec_number(spec, "seed", int, 0), _GRAPH_STREAM)
         return _build_generated_graph(spec, rng)
     if source == "edge_list":
         return load_edge_list(_spec_value(spec, "path"))
     if source == "rounds":
         data = load_rounds(_spec_value(spec, "path"))
-        return build_true_graph_from_rounds(data, int(spec.get("min_count", 2)))
+        return build_true_graph_from_rounds(data, _spec_number(spec, "min_count", int, 2))
     raise ValueError(f"unknown graph source {source!r}")
 
 
@@ -570,7 +584,7 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     rule = _mixing_rule(cfg)
     layout = None
     if graph is None:
-        table = OutcomeTable.constant(int(_spec_value(cfg.graph, "n_v")), cfg.outcomes)
+        table = OutcomeTable.constant(_spec_number(cfg.graph, "n_v", int), cfg.outcomes)
     else:
         # every full block of a fixed graph holds this many trials
         k = min(cfg.trials, _block_capacity(graph.n_edges, graph.n_v))

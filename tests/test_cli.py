@@ -173,6 +173,15 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypat
         "generator without n_v": (
             dict(good, graph={"source": "generate", "kind": "ztp", "mean_degree": 5.0}), "'n_v'"),
         "graph as a path": (dict(good, graph=str(full)), "must be an object"),
+        "estimators as a number": (dict(good, estimators=5), "estimators must be a list"),
+        "estimators as a string": (dict(good, estimators="MME"), "estimators must be a list"),
+        "n_v not an integer": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "n_v": "x", "mean_degree": 5.0}),
+            "graph spec key 'n_v' must be an integer, got 'x'"),
+        "mean_degree not a number": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50,
+                              "mean_degree": "abc"}),
+            "graph spec key 'mean_degree' must be a number, got 'abc'"),
         "NNC_SEED": (good, "NNC_SEED must be an integer, got 'abc'"),
     }
     needles = {}
