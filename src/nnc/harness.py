@@ -2,7 +2,10 @@
 and bootstrap summaries, all reproducible from one master seed.
 
 Per-trial randomness comes from an independent PCG64 stream seeded by an
-avalanche mix of (master_seed, trial index). The bootstrap draws one set of
+avalanche mix of (master_seed, trial index). The seed words of every
+trial's stream are hashed once per experiment, as arrays
+(``seeding.seed_words``); each stream equals ``make_rng(master_seed,
+_TRIAL_STREAM, t)`` bit for bit. The bootstrap draws one set of
 resamples per experiment from its own mix domain, and every summary column
 (estimator x level, mean and SD) is read off those same resamples.
 Trials run in blocks: a short per-trial loop makes each trial's draws, and
@@ -60,7 +63,7 @@ from .noise_fit import (
     _fit_rates,
     _replicate_moments,
 )
-from .seeding import make_rng
+from .seeding import derive_seeds, make_rng, rng_from_words, seed_words
 
 # The per-graph forms of the block kernels, which the trial loop does not
 # call. perfbench/tracing.py wraps its targets as module globals of this
@@ -214,10 +217,14 @@ def _spec_number(spec: dict, key: str, kind: type, default=None):
     # the key's value as an int or float; a value that is not one names the key
     value = _spec_value(spec, key) if default is None else spec.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
+        # int() truncates, so a non-integral number is refused; 50.0 and "50" pass
+        if kind is int and isinstance(value, Real) and number != value:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         label = "an integer" if kind is int else "a number"
         raise ValueError(f"graph spec key {key!r} must be {label}, got {value!r}") from None
+    return number
 
 
 def _build_generated_graph(spec: dict, rng: np.random.Generator) -> Graph:
@@ -294,11 +301,18 @@ def _block_capacity(m: int, n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, 3 * (m + n)))
 
 
-def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
+def _trial_words(cfg: ExperimentConfig) -> np.ndarray:
+    # the seed words of every trial's stream, one (trials, 4) uint64 array:
+    # row t seeds the generator ``make_rng(cfg.master_seed, _TRIAL_STREAM, t)``
+    return seed_words(derive_seeds(cfg.master_seed, _TRIAL_STREAM, last=np.arange(cfg.trials)))
+
+
+def _draw_block(cfg: ExperimentConfig, graph, words: np.ndarray, t0: int) -> _Draws:
     """Draws of trials t0, t0 + 1, ... until the block budget or the trials
     are spent.
 
-    Each trial has its own stream and keeps its draw order: its graph (only
+    Each trial has its own stream, built from its row of ``words``
+    (``_trial_words``), and keeps its draw order: its graph (only
     when regenerating, i.e. ``graph`` is None), then its three replicates'
     draws (``noise._draw_observations``), then the treatment uniforms. Per
     trial the loop makes only these generator calls, writing into the
@@ -322,7 +336,7 @@ def _draw_block(cfg: ExperimentConfig, graph, t0: int) -> _Draws:
     z = np.empty((trials if graph is not None else 1) * n)
     e = entries = 0
     for t in range(t0, t0 + trials):
-        rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
+        rng = rng_from_words(words[t])
         if graph is None:
             g = _build_generated_graph(cfg.graph, rng)
             tables.append(_rank_tables(g))
@@ -491,7 +505,8 @@ def _observed_degrees(ch: _Changes) -> np.ndarray:
     return deg.reshape(3, lay.n_true.size, lay.n)
 
 
-def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: int):
+def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule,
+               words: np.ndarray, t0: int):
     """Draw one block of trials from t0 on, then estimate them all at once.
 
     Per trial there are only the generator calls of ``_draw_block``; the
@@ -505,7 +520,7 @@ def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule, t0: in
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``) and its summed MME routing counts.
     """
-    draws = _draw_block(cfg, graph, t0)
+    draws = _draw_block(cfg, graph, words, t0)
     if layout is None:
         layout = _block_layout(draws.graphs, draws.tables)
     ch = _replicate_changes(draws, layout)
@@ -571,15 +586,17 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     and a third of its variance, and the inverse-confusion weights are
     exponential in it.
 
-    What lives for the whole experiment: a fixed graph's rank tables and
-    block layout (``_block_layout``: edge endpoints, degrees and rank tables
-    laid out for the largest block), made once here, of which each block
-    uses a prefix. What lives for one block: its draws, until its
-    replicates' changes are made from them (the treatment flags until the
-    block is estimated), those changes and everything estimated from them,
-    and, when every trial regenerates its graph, the block's layout. A
-    block's arrays are released before the next block draws. ``graph`` and
-    ``table`` are None when every trial regenerates its graph.
+    What lives for the whole experiment: the seed words of every trial's
+    stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
+    fixed graph's rank tables and block layout (``_block_layout``: edge
+    endpoints, degrees and rank tables laid out for the largest block),
+    made once here, of which each block uses a prefix. What lives for one
+    block: its draws, until its replicates' changes are made from them (the
+    treatment flags until the block is estimated), those changes and
+    everything estimated from them, and, when every trial regenerates its
+    graph, the block's layout. A block's arrays are released before the next
+    block draws. ``graph`` and ``table`` are None when every trial
+    regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     layout = None
@@ -596,9 +613,10 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         np.empty(n_trials, dtype=np.int64), np.empty(n_trials, dtype=np.int8),
     )
     rule_counts = np.zeros(3, dtype=np.int64)
+    words = _trial_words(cfg)
     done = 0
     while done < n_trials:
-        est, block_fits, counts = _run_block(cfg, graph, layout, table, rule, done)
+        est, block_fits, counts = _run_block(cfg, graph, layout, table, rule, words, done)
         k = est.shape[0]
         estimates[done : done + k] = est
         for whole, part in zip(fits, block_fits):

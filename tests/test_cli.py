@@ -178,6 +178,14 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypat
         "n_v not an integer": (
             dict(good, graph={"source": "generate", "kind": "ztp", "n_v": "x", "mean_degree": 5.0}),
             "graph spec key 'n_v' must be an integer, got 'x'"),
+        "n_v not integral": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50.9,
+                              "mean_degree": 5.0}),
+            "graph spec key 'n_v' must be an integer, got 50.9"),
+        "seed not integral": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50,
+                              "mean_degree": 5.0, "seed": 1.5}),
+            "graph spec key 'seed' must be an integer, got 1.5"),
         "mean_degree not a number": (
             dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50,
                               "mean_degree": "abc"}),

@@ -37,6 +37,7 @@ from nnc.harness import (
     _replicate_changes,
     _run_trials,
     _resolve_outcomes,
+    _trial_words,
     bootstrap_ci,
     emit_results,
     resolve_graph,
@@ -256,6 +257,9 @@ def test_resolve_graph_sources(tmp_path):
     g = resolve_graph(spec)
     assert g.n_v == 30
     assert resolve_graph(spec) == g  # same seed, same graph
+    # integral values convert, whatever their JSON type
+    assert resolve_graph(dict(spec, n_v=30.0, seed=2.0)) == g
+    assert resolve_graph(dict(spec, n_v="30", seed="2")) == g
     path = tmp_path / "edges.csv"
     path.write_text("node_a,node_b\na,b\nb,c\n")
     g2 = resolve_graph({"source": "edge_list", "path": str(path)})
@@ -552,7 +556,7 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
-    draws = _draw_block(cfg, graph, 0)
+    draws = _draw_block(cfg, graph, _trial_words(cfg), 0)
     assert len(draws.graphs) == cfg.trials
     tables = draws.tables if regenerate else [_rank_tables(small_graph)] * cfg.trials
     changes = _replicate_changes(draws, _block_layout(draws.graphs, tables))
@@ -592,9 +596,9 @@ class _EditedGaps:
 def _block_path(cfg, graph):
     # per trial: its graph, its replicates' edge codes and its treatment
     # flags, as the block path draws them
-    out, t = [], 0
+    out, t, words = [], 0, _trial_words(cfg)
     while t < cfg.trials:
-        draws = _draw_block(cfg, graph, t)
+        draws = _draw_block(cfg, graph, words, t)
         tables = draws.tables or [_rank_tables(graph)] * len(draws.graphs)
         ch = _replicate_changes(draws, _block_layout(draws.graphs, tables))
         lay, n = ch.lay, ch.lay.n
@@ -657,9 +661,13 @@ def test_block_draws_equal_the_per_graph_path(case, one_trial_blocks, small_grap
                            p=0.3, trials=9, master_seed=17, regenerate_graph=regenerate)
     graph = None if regenerate else graph
     if edit is not None:
-        real = harness_mod.make_rng
+        # both paths' generators: the block path's, built from hashed seed
+        # words, and the per-graph path's ``make_rng`` streams
+        real, real_words = harness_mod.make_rng, harness_mod.rng_from_words
         monkeypatch.setattr(harness_mod, "make_rng",
                             lambda *path: _EditedGaps(real(*path), edit, calls))
+        monkeypatch.setattr(harness_mod, "rng_from_words",
+                            lambda words: _EditedGaps(real_words(words), edit, calls))
     if one_trial_blocks:
         monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
 
