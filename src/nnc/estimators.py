@@ -12,7 +12,7 @@ from .exposure import (
     NoiseParams,
     Treatment,
     DET_FLOOR,
-    _own_level_probability,
+    _level_probabilities,
     _s_inverse_entries,
     exposure_levels,
 )
@@ -123,7 +123,7 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
     if lv.shape != (n,):
         raise ValueError("exposure levels do not match vertex count")
     lv = lv[None]
-    pr = _own_level_probability(g.degrees[None], lv, p)
+    pr = _level_probabilities(g.degrees[None], lv, p)
     return LevelMeans(_ht_means(lv, realized.values[None], pr)[0])
 
 
@@ -255,7 +255,7 @@ def mme_estimate(
     elif np.shape(d_obs) != (n,):
         raise ValueError("observed degrees do not match vertex count")
     lv = lv[None]
-    pr = _own_level_probability(g_obs.degrees[None], lv, p)
+    pr = _level_probabilities(g_obs.degrees[None], lv, p)
     means, counts = _mme_means(
         lv, realized.values[None], pr, np.asarray(d_obs)[None], p,
         np.array([noise_hat.alpha]), np.array([noise_hat.beta]), rule,
@@ -294,13 +294,17 @@ def _mme_means(
     want = rule.accepts(d_hat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, a, b)
+        del d_hat
         ok = np.isfinite(det) & (det > DET_FLOOR)
+        del det
         corrected = want & ok
         # c11 and c01 vertices weigh by the inverse's first column, c10 and
-        # c00 ones by its second
+        # c00 ones by its second; each entry is released once used
         first = levels % 2 == 0
         top = values * np.where(first, i11, i12)
+        del i11, i12
         bottom = values * np.where(first, i21, i22)
+        del i21, i22, first
 
     keys = _level_sum_keys(levels)
     fall = ~corrected

@@ -84,6 +84,19 @@ def _own_level_probability(degrees, levels, p: float) -> np.ndarray:
     return np.where(levels % 2 == 0, 1.0 - q, q) * np.where(levels < 2, p, 1.0 - p)
 
 
+def _level_probabilities(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
+    """``_own_level_probability`` of integer ``degrees``, gathered from a
+    table of it at every degree up to the largest.
+
+    Each table entry is the same closed form at the same degree, so the
+    gather equals the direct form bit for bit, at one power per distinct
+    degree instead of one per vertex.
+    """
+    dmax = int(degrees.max(initial=0))
+    table = _own_level_probability(np.arange(dmax + 1), np.arange(4)[:, None], p)
+    return table[levels, degrees]
+
+
 @dataclass(frozen=True)
 class ExposureProbabilities:
     c11: float

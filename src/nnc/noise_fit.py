@@ -84,8 +84,11 @@ def _replicate_moments(n_true, missed, missed_rep, false, false_rep, n_v):
     """
     n_trials = n_true.size
     pairs = n_v * (n_v - 1) // 2
-    lost = np.bincount(missed_rep * n_trials + missed // pairs, minlength=3 * n_trials)
-    gained = np.bincount(false_rep * n_trials + false // pairs, minlength=3 * n_trials)
+    # the tags may be int8, so they are scaled in int64
+    lost = np.bincount(np.multiply(missed_rep, n_trials, dtype=np.int64) + missed // pairs,
+                       minlength=3 * n_trials)
+    gained = np.bincount(np.multiply(false_rep, n_trials, dtype=np.int64) + false // pairs,
+                         minlength=3 * n_trials)
     lost, gained = lost.reshape(3, n_trials), gained.reshape(3, n_trials)
     n_edges = n_true - lost + gained
     m_pairs, m_triples, m_01 = _coincidences(missed, missed_rep, n_trials, pairs)

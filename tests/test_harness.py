@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -607,7 +608,7 @@ def _block_path(cfg, graph):
             reps = []
             for r in range(3):
                 lost = ch.missed[(miss_row == k) & (ch.miss_rep == r)] - lay.edge_start[k]
-                on = (ch.false_row == k) & (ch.false_rep == r)
+                on = (ch.false // (n * (n - 1) // 2) == k) & (ch.false_rep == r)
                 false = (ch.false_i[on] - k * n) * n + (ch.false_j[on] - k * n)
                 reps.append(np.sort(np.concatenate([np.delete(g.codes, lost), false])))
             out.append((g, reps, draws.z[k * n : (k + 1) * n]))
@@ -746,9 +747,11 @@ def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, mo
     per_trial = 3 * (graph.n_edges + graph.n_v)
     blocks = []
     real_draw = harness_mod._draw_block
+    lock = threading.Lock()  # a large graph's blocks draw on several threads
 
     def counted(*args):
-        blocks[-1] += 1
+        with lock:
+            blocks[-1] += 1
         return real_draw(*args)
 
     monkeypatch.setattr(harness_mod, "_draw_block", counted)
@@ -762,6 +765,58 @@ def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, mo
         outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
     assert blocks[0] == kwargs["trials"] and blocks[1] < blocks[0]
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkeypatch):
+    # the 2e4-vertex ZTP graph's one-trial blocks run on as many threads as
+    # there are usable CPUs (at most one per block); the output bytes, the
+    # first failing block's exception and the live thread count after the
+    # run are those of the one-thread run
+    kwargs = dict(_budget_case("ztp_sparse", tmp_path, small_graph), bootstrap_b=200,
+                  master_seed=777)
+    assert 3 * (kwargs["graph"].n_edges + kwargs["graph"].n_v) >= harness_mod._BLOCK_ENTRIES
+    real_run = harness_mod._run_block
+    ran_on, failing = [], set()
+
+    def watched(cfg, graph, layout, table, rule, words, t0):
+        ran_on.append(threading.current_thread() is threading.main_thread())
+        if t0 in failing:
+            raise RuntimeError(f"block at trial {t0}")
+        return real_run(cfg, graph, layout, table, rule, words, t0)
+
+    monkeypatch.setattr(harness_mod, "_run_block", watched)
+    start = threading.active_count()
+    outputs, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # up to more threads than cores, switching often
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+            failing.clear()
+            ran_on.clear()
+            summary = run_experiment(ExperimentConfig(**kwargs))
+            assert threading.active_count() == start
+            assert len(ran_on) == kwargs["trials"] and all(ran_on) == (cpus == 1)
+            csv_path = tmp_path / f"run_{cpus}.csv"
+            emit_results(summary, csv_path)
+            outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
+            # blocks 3 and 5 of 8 fail: block 3's exception surfaces, as in turn
+            failing.update((3, 5))
+            with pytest.raises(RuntimeError) as info:
+                run_experiment(ExperimentConfig(**kwargs))
+            assert threading.active_count() == start
+            errors.append(str(info.value))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert errors == ["block at trial 3"] * 3
+    # a small graph's blocks (three of them here), and a regenerating run's,
+    # stay on this thread
+    for case in ("school_dense", "pareto_regen_known"):
+        ran_on.clear()
+        run_experiment(ExperimentConfig(**dict(_budget_case(case, tmp_path, small_graph),
+                                               trials=160, bootstrap_b=20)))
+        assert len(ran_on) > 2 and all(ran_on)
 
 
 def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
