@@ -8,15 +8,16 @@ trial's stream are hashed once per experiment, as arrays
 _TRIAL_STREAM, t)`` bit for bit. The bootstrap draws one set of
 resamples per experiment from its own mix domain, and every summary column
 (estimator x level, mean and SD) is read off those same resamples.
-Trials run in blocks: a short per-trial loop makes each trial's draws, and
+Trials run in blocks, whose arrays and layout come from their trials'
+graphs alone: a short per-trial loop makes each trial's draws, and
 everything after the draws runs once per block on arrays keyed by (trial,
 replicate). Aggregation runs in trial-index order, so results do not
 depend on the block size or on how trials are scheduled. A fixed graph
 whose one trial holds at least ``_THREADED_TRIAL_ENTRIES`` entries runs its
 blocks on one thread per usable CPU (at most one per block); smaller
 graphs, whose per-trial Python loop holds the GIL, and regenerating runs,
-whose block sizes are known only after the draws, run on the caller's
-thread. Outputs are byte-identical either way.
+whose block sizes are known only once their graphs are drawn, run on the
+caller's thread. Outputs are byte-identical either way.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -60,8 +61,8 @@ from .noise import (
     _batch_ranks,
     _draw_observations,
     _nonedge_pairs,
+    _nonedges_before,
     _pair_count,
-    _rank_tables,
 )
 from .noise_fit import (
     FIT_CONVERGED,
@@ -168,7 +169,8 @@ class ExperimentConfig:
         # and a bool passes as an int or a real number. Plain ints, floats
         # and bools pass on one expression, because a regenerating run's
         # whole set-up is building this configuration; anything else is
-        # checked field by field
+        # checked field by field (numpy's numbers pass, and every number is
+        # stored as a built-in int or float, which the sidecar can write)
         plain_real = (int, float)
         if (type(self.trials) is type(self.bootstrap_b) is type(self.master_seed) is int
                 and type(self.noise_known) is type(self.regenerate_graph) is bool
@@ -176,7 +178,7 @@ class ExperimentConfig:
                 and type(self.p) in plain_real and type(self.bootstrap_level) in plain_real):
             return
         for names, kind, label in (
-            (("trials", "bootstrap_b", "master_seed"), int, "an integer"),
+            (("trials", "bootstrap_b", "master_seed"), Integral, "an integer"),
             (("alpha", "beta", "p", "bootstrap_level"), Real, "a real number"),
             (("noise_known", "regenerate_graph"), bool, "true or false"),
         ):
@@ -184,6 +186,9 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
                     raise ValueError(f"{name} must be {label}, not {value!r}")
+                if kind is not bool:
+                    setattr(self, name, int(value) if isinstance(value, Integral)
+                            else float(value))
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
@@ -297,24 +302,17 @@ def _mixing_rule(cfg: ExperimentConfig) -> MixingRule:
 class _Draws(NamedTuple):
     """The random draws of a block of consecutive trials, in trial order.
 
-    ``graphs`` holds each trial's true graph and ``tables`` its rank tables
-    when the trials regenerate their graphs (empty otherwise). Trials sit end
-    to end: ``missed[r]`` flags the true edges that replicate r missed, and
-    ``z`` the treated vertices, at t * n + v. ``gaps[3 * t + r]`` holds the
-    Geometric(alpha) gaps that pick the non-edges that replicate r of trial t
-    turned on (see ``noise._batch_ranks``).
+    ``graphs`` holds each trial's true graph. Trials sit end to end:
+    ``missed[r]`` flags the true edges that replicate r missed, and ``z``
+    the treated vertices, at t * n + v. ``gaps[3 * t + r]`` holds the
+    Geometric(alpha) gaps that pick the non-edges that replicate r of trial
+    t turned on (see ``noise._batch_ranks``).
     """
 
     graphs: list
-    tables: list
     missed: np.ndarray
     gaps: list
     z: np.ndarray
-
-
-def _block_capacity(m: int, n: int) -> int:
-    # most trials of m or more true edges on n vertices that one block holds
-    return max(1, _BLOCK_ENTRIES // max(1, 3 * (m + n)))
 
 
 def _usable_cpus() -> int:
@@ -339,59 +337,39 @@ def _draw_block(cfg: ExperimentConfig, graph, words: np.ndarray, t0: int) -> _Dr
     Each trial has its own stream, built from its row of ``words``
     (``_trial_words``), and keeps its draw order: its graph (only
     when regenerating, i.e. ``graph`` is None), then its three replicates'
-    draws (``noise._draw_observations``), then the treatment uniforms. Per
-    trial the loop makes only these generator calls, writing into the
-    block's arrays; the threshold on the treatment uniforms, and everything
-    made from the gaps, run once per block. A block holds at least one
-    trial and stops before the next trial would take its entries (three
-    observations of m edges and n vertices each) past ``_BLOCK_ENTRIES``.
+    draws (``noise._draw_observations``), then the treatment uniforms. A
+    block holds at least one trial and stops where its entries (three
+    observations of m edges and n vertices per trial) and the last trial's
+    again would pass ``_BLOCK_ENTRIES``. Its trials and graphs are taken
+    first, each with its generator; then its arrays are made at their sizes,
+    and the loop makes only the replicates' and treatment's generator calls,
+    writing into them. The threshold on the treatment uniforms, and
+    everything made from the gaps, run once per block.
     """
-    if graph is None:
-        # a generator refuses fewer than two vertices at the first graph
-        n, m = int(cfg.graph["n_v"]), 0
-    elif graph.n_v < 1:
-        raise ValueError("need at least one unit")
-    else:
-        n, m = graph.n_v, graph.n_edges
-    trials = min(cfg.trials - t0, _block_capacity(m, n))
-    graphs, tables, gaps = [], [], []
-    # exact for a fixed graph; regenerated graphs differ, so their arrays grow
-    missed = np.empty((3, trials * m), dtype=bool)
-    uniforms = np.empty(m)
-    z = np.empty((trials if graph is not None else 1) * n)
-    e = entries = 0
-    for t in range(t0, t0 + trials):
+    graphs, rngs = [], []
+    entries = 0
+    for t in range(t0, cfg.trials):
         rng = rng_from_words(words[t])
-        if graph is None:
-            g = _build_generated_graph(cfg.graph, rng)
-            tables.append(_rank_tables(g))
-            m = g.n_edges
-            if e + m > missed.shape[1]:
-                missed = _widened(missed, e, e + m)
-            if (t - t0 + 1) * n > z.size:
-                z = _widened(z, (t - t0) * n, (t - t0 + 1) * n)
-            if m > uniforms.size:
-                uniforms = np.empty(m)
-        else:
-            g = graph
+        g = _build_generated_graph(cfg.graph, rng) if graph is None else graph
         graphs.append(g)
-        _draw_observations(rng, 3, cfg.noise, _pair_count(n) - m, uniforms[:m],
-                           missed[:, e : e + m], gaps)
-        rng.random(out=z[(t - t0) * n : (t - t0 + 1) * n])
-        e += m
-        size = 3 * (m + n)
+        rngs.append(rng)
+        size = 3 * (g.n_edges + g.n_v)
         entries += size
         if entries + size > _BLOCK_ENTRIES:
             break
-    return _Draws(graphs, tables, missed[:, :e], gaps, z[: len(graphs) * n] < cfg.p)
-
-
-def _widened(buf: np.ndarray, used: int, need: int) -> np.ndarray:
-    # a copy of the first ``used`` entries along the last axis of ``buf``,
-    # with room for ``need`` (at least twice as many as ``buf`` had)
-    out = np.empty(buf.shape[:-1] + (max(need, 2 * buf.shape[-1]),), dtype=buf.dtype)
-    out[..., :used] = buf[..., :used]
-    return out
+    n = graphs[0].n_v
+    sizes = [g.n_edges for g in graphs]
+    missed = np.empty((3, sum(sizes)), dtype=bool)
+    uniforms = np.empty(max(sizes))
+    z = np.empty(len(graphs) * n)
+    gaps = []
+    e = 0
+    for t, (rng, m) in enumerate(zip(rngs, sizes)):
+        _draw_observations(rng, 3, cfg.noise, _pair_count(n) - m, uniforms[:m],
+                           missed[:, e : e + m], gaps)
+        rng.random(out=z[t * n : (t + 1) * n])
+        e += m
+    return _Draws(graphs, missed, gaps, z < cfg.p)
 
 
 class _Layout(NamedTuple):
@@ -399,11 +377,11 @@ class _Layout(NamedTuple):
 
     Trial t's vertex v sits at t * n + v. Its ``n_true[t]`` true edges are
     entries ``edge_start[t]`` on of ``src``/``dst`` (endpoints already at
-    t * n + v) and of ``nonedges_before`` (its first rank table, shifted by
-    t * n(n-1)/2); ``edge_row`` names each edge's trial. ``degrees`` holds
-    the true degrees at t * n + v, and ``row_cum`` is the rank table that
-    every n-vertex graph shares. Trials sit one after another, so the first
-    k trials' part is a prefix of every array (``head``).
+    t * n + v) and of ``nonedges_before`` (its graph's non-edge table,
+    ``noise._nonedges_before``, shifted by t * n(n-1)/2); ``edge_row`` names
+    each edge's trial. ``degrees`` holds the true degrees at t * n + v.
+    Trials sit one after another, so the first k trials' part is a prefix
+    of every array (``head``).
     """
 
     n: int
@@ -414,7 +392,6 @@ class _Layout(NamedTuple):
     dst: np.ndarray
     degrees: np.ndarray
     nonedges_before: np.ndarray
-    row_cum: np.ndarray
 
     def head(self, k: int) -> "_Layout":
         """The first ``k`` trials' part, as views."""
@@ -426,21 +403,22 @@ class _Layout(NamedTuple):
         )
 
 
-def _block_layout(graphs: list, tables: list) -> _Layout:
-    """The layout of trials on ``graphs``, whose rank tables are ``tables``.
+def _block_layout(graphs: list) -> _Layout:
+    """The layout of trials on ``graphs``, made from the graphs alone.
 
-    A lone trial's arrays are its graph's and its table's own, not copies.
+    A lone trial's arrays are its graph's own, not copies.
     """
     n = graphs[0].n_v
     n_true = np.array([g.n_edges for g in graphs], dtype=np.int64)
     edge_row = np.repeat(np.arange(n_true.size), n_true)
+    # one table per distinct graph: a fixed graph's trials share one
+    tables = {key: _nonedges_before(g) for key, g in {id(g): g for g in graphs}.items()}
     return _Layout(
         n, n_true, np.cumsum(n_true) - n_true, edge_row,
         _end_to_end([g.edge_i for g in graphs], edge_row, n),
         _end_to_end([g.edge_j for g in graphs], edge_row, n),
         _end_to_end([g.degrees for g in graphs]),
-        _end_to_end([tab[0] for tab in tables], edge_row, _pair_count(n)),
-        tables[0][1],
+        _end_to_end([tables[id(g)] for g in graphs], edge_row, _pair_count(n)),
     )
 
 
@@ -494,7 +472,7 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     false_rep = (draw % 3).astype(np.int8)
     del draw
     false_i, false_j = _nonedge_pairs(
-        false, false_row, lay.nonedges_before, lay.edge_start, lay.row_cum, n
+        false, false_row, lay.nonedges_before, lay.edge_start, n
     )
     shift = false_row * n
     false_i += shift
@@ -552,7 +530,7 @@ def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule,
     """
     draws = _draw_block(cfg, graph, words, t0)
     if layout is None:
-        layout = _block_layout(draws.graphs, draws.tables)
+        layout = _block_layout(draws.graphs)
     ch = _replicate_changes(draws, layout)
     # of the draws only the treatment flags are used from here on
     z = draws.z
@@ -632,13 +610,14 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
-    fixed graph's rank tables and block layout (``_block_layout``: edge
-    endpoints, degrees and rank tables laid out for the largest block),
-    made once here, of which each block uses a prefix. What lives for one
-    block: its draws, until its replicates' changes are made from them (the
-    treatment flags until replicate 0's levels are known), those changes
-    until replicate 0's treated counts are taken, what is estimated from
-    them, and, when every trial regenerates its graph, the block's layout.
+    fixed graph's block layout (``_block_layout``: edge endpoints, degrees
+    and non-edge table, laid out for the largest block), made once here, of
+    which each block uses a prefix. What lives for one block: its trials'
+    generators and graphs, its draws, until its replicates' changes are
+    made from them (the treatment flags until replicate 0's levels are
+    known), those changes until replicate 0's treated counts are taken, what
+    is estimated from them, and, when every trial regenerates its graph, the
+    block's layout.
     A block's arrays are released when it returns, so as many blocks' arrays
     live at once as there are threads: one block on a single thread, two on
     two (at n = 1e5, a block's traced peak is about 12 MiB above the
@@ -650,12 +629,15 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     threads = 1
     if graph is None:
         table = OutcomeTable.constant(_spec_number(cfg.graph, "n_v", int), cfg.outcomes)
+    elif graph.n_v < 1:
+        raise ValueError("need at least one unit")
     else:
         # every full block of a fixed graph holds this many trials
-        k = min(cfg.trials, _block_capacity(graph.n_edges, graph.n_v))
-        layout = _block_layout([graph] * k, [_rank_tables(graph)] * k)
+        per_trial = 3 * (graph.n_edges + graph.n_v)
+        k = min(cfg.trials, max(1, _BLOCK_ENTRIES // per_trial))
+        layout = _block_layout([graph] * k)
         starts = range(0, cfg.trials, k)
-        if 3 * (graph.n_edges + graph.n_v) >= _THREADED_TRIAL_ENTRIES:
+        if per_trial >= _THREADED_TRIAL_ENTRIES:
             threads = min(_usable_cpus(), len(starts))
     n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)

@@ -35,32 +35,39 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pair_of_rank(r: np.ndarray, row_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # rank r in [0, n(n-1)/2) -> the r-th pair (i, j) in canonical (i < j)
-    # order; row_cum as in _rank_tables
-    i = np.searchsorted(row_cum, r, side="right")
-    # pairs before row i: row_cum[i - 1], or none in row 0
-    j = r - np.concatenate(([0], row_cum))[i]
-    j += i
-    j += 1
-    return i, j
+# The float root in ``_pair_of_rank`` is within one row of the truth only
+# while (2n - 1)^2 < 2^53, so larger graphs are refused
+_MAX_VERTICES = 40_000_000
 
 
-def _rank_tables(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Tables that map non-edge ranks of ``g`` to pair codes, O(n + m) in size.
+def _pairs_before_row(i, n: int):
+    """S(i) = i(2n - 1 - i)/2, the first rank of row i in the canonical
+    (i < j) order of the pairs of ``n`` vertices: pair (i, j) has rank
+    S(i) + j - i - 1."""
+    if n > _MAX_VERTICES:
+        raise ValueError(f"graphs of more than {_MAX_VERTICES} vertices are not supported")
+    return i * (2 * n - 1 - i) // 2
 
-    ``nonedges_before[k]`` counts the non-edges that precede the k-th true
-    edge in canonical pair order, and ``row_cum[i]`` counts the pairs whose
-    smaller vertex is at most ``i``.
-    """
-    n, m = g.n_v, g.n_edges
-    row_cum = np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
-    # the pair (i, j) has rank row_cum[i] + j - n, and k true edges precede
-    # the k-th; updated in place to keep one O(m) temporary
-    nonedges_before = row_cum[g.edge_i]
-    nonedges_before += g.edge_j
-    nonedges_before -= np.arange(n, n + m, dtype=np.int64)
-    return nonedges_before, row_cum
+
+def _pair_of_rank(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of ranks ``r`` in canonical pair order: row i is the
+    smaller root of i^2 - (2n - 1)i + 2r = 0, floored in float64, then
+    moved by one row each way where S says it is off."""
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8 * r)) / 2).astype(np.int64)
+    i += _pairs_before_row(i + 1, n) <= r
+    i -= _pairs_before_row(i, n) > r
+    return i, r - _pairs_before_row(i, n) + i + 1
+
+
+def _nonedges_before(g: Graph) -> np.ndarray:
+    """How many non-edges of ``g`` precede each true edge in canonical pair
+    order, O(m): the rank of edge k's pair less the k true edges before it."""
+    out = _pairs_before_row(g.edge_i, g.n_v)
+    out += g.edge_j
+    out -= g.edge_i
+    out -= np.arange(1, g.n_edges + 1, dtype=np.int64)
+    return out
 
 
 def _nonedge_pairs(
@@ -68,22 +75,20 @@ def _nonedge_pairs(
     owner,
     nonedges_before: np.ndarray,
     first_edge: np.ndarray,
-    row_cum: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertex pairs (i, j) of non-edges given by their ranks.
 
     ``ranks[k]`` counts among the non-edges, in canonical pair order, of
     graph ``owner[k]`` (or ``owner``, one index for all) of several
-    ``n``-vertex graphs. ``nonedges_before`` holds their first rank tables
-    (``_rank_tables``) laid end to end, graph t's from ``first_edge[t]`` on
-    and shifted by t * n(n-1)/2, and ``row_cum`` is the second table, the
-    same for all. A non-edge rank r maps to the pair rank r + (true edges
-    before it), so one search serves every graph.
+    ``n``-vertex graphs. ``nonedges_before`` holds their tables
+    (``_nonedges_before``) laid end to end, graph t's from ``first_edge[t]``
+    on and shifted by t * n(n-1)/2. A non-edge rank r maps to the pair rank
+    r + (true edges before it), so one search serves every graph.
     """
     pair_rank = np.searchsorted(nonedges_before, owner * _pair_count(n) + ranks, side="right")
     pair_rank += ranks - first_edge[owner]
-    return _pair_of_rank(pair_rank, row_cum)
+    return _pair_of_rank(pair_rank, n)
 
 
 def _batch_size(left: int, p: float) -> int:
@@ -192,7 +197,7 @@ def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) ->
 
     Equal to ``k`` successive ``perturb`` calls on ``rng``: the draws are
     ``_draw_observations``' for ``k`` observations, and their false edges
-    are mapped to pairs through one set of ``g``'s rank tables.
+    are mapped to pairs through one table of ``g`` (``_nonedges_before``).
     """
     if k < 1:
         raise ValueError("need at least one replicate")
@@ -201,8 +206,7 @@ def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) ->
     missed, gaps = np.empty((k, m), dtype=bool), []
     _draw_observations(rng, k, noise, nonedges, np.empty(m), missed, gaps)
     ranks, obs = _batch_ranks(gaps, np.full(k, nonedges))
-    nonedges_before, row_cum = _rank_tables(g)
-    i, j = _nonedge_pairs(ranks, 0, nonedges_before, np.zeros(1, dtype=np.int64), row_cum, n)
+    i, j = _nonedge_pairs(ranks, 0, _nonedges_before(g), np.zeros(1, dtype=np.int64), n)
     false_codes = i * n + j
     ends = np.searchsorted(obs, np.arange(k + 1))
     out = []

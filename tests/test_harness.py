@@ -44,7 +44,7 @@ from nnc.harness import (
     resolve_graph,
     run_experiment,
 )
-from nnc.noise import NoiseParams, _rank_tables, replicate
+from nnc.noise import NoiseParams, _nonedges_before, replicate
 from nnc.noise_fit import (
     FIT_DEGENERATE,
     FIT_DIVERGED,
@@ -211,12 +211,31 @@ def test_config_validation():
                         ("beta", False), ("p", "0.1"), ("p", True),
                         ("bootstrap_level", "0.95"), ("bootstrap_level", True),
                         ("noise_known", "false"), ("noise_known", 0),
-                        ("regenerate_graph", "true"), ("regenerate_graph", 1)):
+                        ("regenerate_graph", "true"), ("regenerate_graph", 1),
+                        ("trials", np.bool_(True)), ("noise_known", np.bool_(False))):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ExperimentConfig.from_json({**base, name: value})
     # integers and numpy floats are real numbers
     cfg = ExperimentConfig.from_json({**base, "alpha": 0, "beta": np.float64(0.1), "p": 0.1})
     assert cfg.alpha == 0 and cfg.beta == 0.1
+
+
+def test_numpy_typed_config_emits_the_plain_typed_files(small_graph, tmp_path):
+    # numpy's numbers pass the field checks and are stored as built-in ones,
+    # so the run and both files equal those of the plain-typed config
+    plain = dict(alpha=float(np.float32(0.01)), beta=0.125, p=0.25, trials=30,
+                 bootstrap_b=50, bootstrap_level=0.9, master_seed=7)
+    typed = dict(alpha=np.float32(0.01), beta=np.float32(0.125), p=np.float64(0.25),
+                 trials=np.int64(30), bootstrap_b=np.int32(50),
+                 bootstrap_level=np.float64(0.9), master_seed=np.uint8(7))
+    outputs = []
+    for name, kwargs in (("plain", plain), ("typed", typed)):
+        cfg = ExperimentConfig(graph=small_graph, **kwargs)
+        assert all(type(getattr(cfg, key)) in (int, float) for key in kwargs)
+        csv_path = tmp_path / f"{name}.csv"
+        emit_results(run_experiment(cfg), csv_path)
+        outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
+    assert outputs[1] == outputs[0]
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -460,16 +479,32 @@ def _laid_end_to_end(graphs):
         src=np.concatenate([g.edge_i for g in graphs]) + rows * n,
         dst=np.concatenate([g.edge_j for g in graphs]) + rows * n,
         degrees=np.concatenate([g.degrees for g in graphs]),
-        nonedges_before=np.concatenate([_rank_tables(g)[0] for g in graphs]) + rows * pairs,
-        row_cum=_rank_tables(graphs[0])[1],
+        nonedges_before=np.concatenate([_nonedges_before(g) for g in graphs]) + rows * pairs,
     )
+
+
+def _stop_rule_blocks(sizes, budget):
+    # block lengths of trials with these entry counts, 3 * (m + n) each: a
+    # block holds at least one trial and stops once its entries plus the
+    # last trial's would pass the budget
+    blocks, entries, prev = [0], 0, 0
+    for size in sizes:
+        if blocks[-1] and entries + prev > budget:
+            blocks.append(0)
+            entries = 0
+        blocks[-1] += 1
+        entries += size
+        prev = size
+    return blocks
 
 
 @pytest.mark.parametrize("regenerate", [False, True])
 def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenerate,
                                                            monkeypatch):
     # one-trial blocks, then blocks of three trials with a partial last one:
-    # each block's part of the layout is its trials' graphs laid end to end
+    # each block's part of the layout is its trials' graphs laid end to end,
+    # its trial count follows the stop rule on its own graphs' sizes, and
+    # its missed-edge flags hold exactly its true edges
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
     graph = resolve_graph(spec) if regenerate else small_graph
     cfg = ExperimentConfig(graph=spec if regenerate else graph, alpha=0.01, beta=0.1, p=0.1,
@@ -480,7 +515,7 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
 
     def watching(draws, layout):
         changes = real_changes(draws, layout)
-        blocks.append((draws.graphs, changes.lay))
+        blocks.append((draws.graphs, changes.lay, draws.missed.shape[1]))
         return changes
 
     monkeypatch.setattr(harness_mod, "_replicate_changes", watching)
@@ -489,12 +524,16 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
         monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", budget)
         blocks.clear()
         _run_trials(cfg, None if regenerate else graph, table)
+        counts = [len(graphs) for graphs, _, _ in blocks]
         if not regenerate:
-            assert [len(graphs) for graphs, _ in blocks] == sizes
-        assert sum(len(graphs) for graphs, _ in blocks) == cfg.trials
+            assert counts == sizes
+        entries = [3 * (g.n_edges + g.n_v) for graphs, _, _ in blocks for g in graphs]
+        assert counts == _stop_rule_blocks(entries, budget)
+        assert sum(counts) == cfg.trials
         assert len(blocks) > 2
-        for graphs, lay in blocks:
+        for graphs, lay, missed_edges in blocks:
             assert lay.n == graphs[0].n_v
+            assert missed_edges == sum(g.n_edges for g in graphs)
             for name, want in _laid_end_to_end(graphs).items():
                 got = getattr(lay, name)
                 assert got.dtype == np.int64 and np.array_equal(got, want), name
@@ -504,6 +543,9 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
                 for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j),
                                  (lay.degrees, g.degrees)):
                     assert np.shares_memory(got, own)
+        if regenerate and budget > per_trial:
+            # the graphs differ in size, so the rule is not a fixed count
+            assert len({g.n_edges for graphs, _, _ in blocks for g in graphs}) > 1
 
 
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
@@ -552,15 +594,14 @@ def test_regenerated_graphs_vary_but_stay_deterministic():
 @pytest.mark.parametrize("regenerate", [False, True])
 def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regenerate):
     # heavy noise, so that replicates share missed and false edges; a
-    # regenerating config gives every trial its own graph and rank tables
+    # regenerating config gives every trial its own graph and non-edge table
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
     draws = _draw_block(cfg, graph, _trial_words(cfg), 0)
     assert len(draws.graphs) == cfg.trials
-    tables = draws.tables if regenerate else [_rank_tables(small_graph)] * cfg.trials
-    changes = _replicate_changes(draws, _block_layout(draws.graphs, tables))
+    changes = _replicate_changes(draws, _block_layout(draws.graphs))
     degrees = _observed_degrees(changes)
     u1, u2, u3 = _block_moments(changes)
     shared = 0
@@ -600,8 +641,7 @@ def _block_path(cfg, graph):
     out, t, words = [], 0, _trial_words(cfg)
     while t < cfg.trials:
         draws = _draw_block(cfg, graph, words, t)
-        tables = draws.tables or [_rank_tables(graph)] * len(draws.graphs)
-        ch = _replicate_changes(draws, _block_layout(draws.graphs, tables))
+        ch = _replicate_changes(draws, _block_layout(draws.graphs))
         lay, n = ch.lay, ch.lay.n
         miss_row = lay.edge_row[ch.missed]
         for k, g in enumerate(draws.graphs):

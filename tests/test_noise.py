@@ -5,7 +5,17 @@ import pytest
 from scipy import stats
 
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
-from nnc.noise import NoiseParams, _batch_ranks, _draw_observations, perturb, replicate
+from nnc.noise import (
+    NoiseParams,
+    _MAX_VERTICES,
+    _batch_ranks,
+    _draw_observations,
+    _nonedges_before,
+    _pair_of_rank,
+    _pairs_before_row,
+    perturb,
+    replicate,
+)
 from nnc.noise_fit import moment_stats
 from nnc.seeding import make_rng
 
@@ -143,7 +153,7 @@ def test_replicates_are_exchangeable_for_symmetric_statistics(base_graph):
 
 
 def test_replicate_equals_successive_perturbs(base_graph):
-    # sharing the rank tables across draws changes neither the draws nor
+    # sharing one non-edge table across draws changes neither the draws nor
     # the stream
     noise = NoiseParams(0.01, 0.1)
     rng_a, rng_b = make_rng(8), make_rng(8)
@@ -257,6 +267,96 @@ def test_success_ranks_continue_across_batches():
     # Geometric(1e-300) returns int64's maximum; the running sum must not
     # wrap (1e15 trials: the pairs of 4.5e7 vertices)
     assert success_ranks(10**15, 1e-300, make_rng(5)).size == 0
+
+
+def _row_counts_to(n):
+    # pairs whose smaller vertex is at most i, for i = 0 .. n - 2
+    return np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))
+
+
+def _searched_pairs(ranks, n):
+    # the reference: each rank's row by a search over the cumulative row counts
+    counts = _row_counts_to(n)
+    i = np.searchsorted(counts, ranks, side="right")
+    return i, ranks - np.concatenate(([0], counts))[i] + i + 1
+
+
+def _row_ends(rows, n):
+    # the first and the last rank of each row, rows computed in int64
+    first = rows * (2 * n - 1 - rows) // 2
+    return np.concatenate([first, first + (n - 2 - rows)])
+
+
+def _assert_pairs_of_ranks(ranks, n, want):
+    # ``_pair_of_rank`` against ``want(ranks, n)``, in chunks of 2**20 ranks
+    for at in range(0, ranks.size, 2**20):
+        part = ranks[at : at + 2**20]
+        got_i, got_j = _pair_of_rank(part, n)
+        want_i, want_j = want(part, n)
+        assert got_i.dtype == got_j.dtype == np.int64
+        assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 115, 1000])
+def test_pair_of_rank_equals_the_search_on_every_rank(n):
+    ranks = np.arange(n * (n - 1) // 2, dtype=np.int64)
+    _assert_pairs_of_ranks(ranks, n, _searched_pairs)
+    # S(i) is the first rank of row i
+    rows = np.arange(n - 1)
+    first = np.concatenate(([0], _row_counts_to(n)[:-1]))
+    assert np.array_equal(_pairs_before_row(rows, n), first)
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_pair_of_rank_equals_the_search_at_row_ends_and_random_ranks(n):
+    ranks = np.concatenate([
+        _row_ends(np.arange(n - 1, dtype=np.int64), n),
+        make_rng(n).integers(0, n * (n - 1) // 2, 2 * 10**6),
+    ])
+    _assert_pairs_of_ranks(ranks, n, _searched_pairs)
+
+
+def test_pair_of_rank_is_exact_at_the_vertex_limit():
+    # at n = 4e7 the search's table would take 320 MB, so the reference is
+    # its definition: row i holds the ranks r with S(i) <= r < S(i + 1)
+    n = _MAX_VERTICES
+    assert (2 * n - 1) ** 2 < 2**53
+
+    def bracketed(ranks, n):
+        i, j = _pair_of_rank(ranks, n)
+        first = i * (2 * n - 1 - i) // 2
+        assert (first <= ranks).all() and (ranks < first + (n - 1 - i)).all()
+        return i, ranks - first + i + 1
+
+    rows = np.concatenate([np.arange(n - 1 - 10**4, n - 1),
+                           np.linspace(0, n - 2, 10**6).astype(np.int64)])
+    ends = _row_ends(rows, n)
+    i, j = _pair_of_rank(ends, n)
+    assert np.array_equal(i, np.concatenate([rows, rows]))
+    assert np.array_equal(j, np.concatenate([rows + 1, np.full(rows.size, n - 1)]))
+    _assert_pairs_of_ranks(make_rng(7).integers(0, n * (n - 1) // 2, 10**6), n, bracketed)
+
+
+def test_more_vertices_than_the_limit_are_refused():
+    assert _pairs_before_row(2, _MAX_VERTICES) == 2 * (2 * _MAX_VERTICES - 3) // 2
+    with pytest.raises(ValueError, match=f"more than {_MAX_VERTICES} vertices"):
+        _pairs_before_row(np.arange(3), _MAX_VERTICES + 1)
+
+
+@pytest.mark.parametrize("case", ["random", "empty", "complete"])
+def test_nonedges_before_equals_the_row_table_form(case):
+    n = 30
+    if case == "random":
+        g = random_graph(n, 0.2, seed=9)
+    elif case == "empty":
+        g = Graph(n)
+    else:
+        g = Graph(n, *np.triu_indices(n, 1))
+    want = _row_counts_to(n)[g.edge_i] + g.edge_j - np.arange(n, n + g.n_edges)
+    got = _nonedges_before(g)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if case == "complete":
+        assert not got.any()
 
 
 def test_replicate_memory_is_linear_in_vertices():
