@@ -15,14 +15,19 @@ replicate). Aggregation runs in trial-index order, so results do not
 depend on the block size or on how trials are scheduled. A fixed graph
 whose one trial holds at least ``_THREADED_TRIAL_ENTRIES`` entries runs its
 blocks on one thread per usable CPU (at most one per block); smaller
-graphs, whose per-trial Python loop holds the GIL, and regenerating runs,
-whose block sizes are known only once their graphs are drawn, run on the
-caller's thread. Outputs are byte-identical either way.
+graphs, whose per-trial Python loop holds the GIL, run on the caller's
+thread. A regenerating run's blocks, whose sizes are known only once their
+graphs are drawn, run on the caller's thread; when its first graph has at
+least ``_THREADED_BUILD_STUBS`` stubs, the later trials' graphs are built
+ahead, in trial order, on one thread per usable CPU. Outputs are
+byte-identical either way.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -108,6 +113,16 @@ _BLOCK_ENTRIES = 2**17
 # vertices (7 trials a block), 1.01x at 3e3, 1.03x at 7e3, 1.58x at 2e4 and
 # 1.98x at 1e5; the 115-vertex school graph (75 trials a block) 0.93x
 _THREADED_TRIAL_ENTRIES = 2**16
+# stubs (2m) of a regenerating run's first graph from which the later
+# trials' graphs are built ahead on several threads. Stub matching's
+# shuffles release the GIL, but its per-attempt Python code does not. On a
+# 2-core machine, building 61 graphs ahead on two threads against in turn
+# (median of 12 alternating runs) was 0.84x as fast for the 115-vertex
+# school law (950 mean stubs), and 0.81x at 1,066 stubs, 1.16x at 1,624,
+# 1.41x at 2,181, 1.26x at 2,716 (n = 500) and 1.53x at 5,460 for the
+# n = 200 ... 1000 Pareto law of the benchmark; ZTP(10) read 1.24x at 1,456,
+# 1.42x at 1,957 and 1.48x at 2,963
+_THREADED_BUILD_STUBS = 2000
 
 
 class ExperimentError(RuntimeError):
@@ -222,7 +237,9 @@ class ExperimentConfig:
         else:
             out["graph"] = dict(self.graph)
         if not isinstance(self.outcomes, str):
-            out["outcomes"] = list(self.outcomes)
+            # numpy's numbers as built-in ones, which the sidecar can write
+            out["outcomes"] = [x.item() if isinstance(x, np.generic) else x
+                               for x in self.outcomes]
         out["estimators"] = list(self.estimators)
         return out
 
@@ -330,14 +347,27 @@ def _trial_words(cfg: ExperimentConfig) -> np.ndarray:
     return seed_words(derive_seeds(cfg.master_seed, _TRIAL_STREAM, last=np.arange(cfg.trials)))
 
 
-def _draw_block(cfg: ExperimentConfig, graph, words: np.ndarray, t0: int) -> _Draws:
+def _fixed_trial(graph: Graph, words: np.ndarray, t: int):
+    # trial t's (graph, generator) pair when every trial shares ``graph``
+    return graph, rng_from_words(words[t])
+
+
+def _regenerated(cfg: ExperimentConfig, words: np.ndarray, t: int):
+    # trial t's (graph, generator) pair when every trial draws its own
+    # graph: the generator has drawn the graph, and draws the rest next
+    rng = rng_from_words(words[t])
+    return _build_generated_graph(cfg.graph, rng), rng
+
+
+def _draw_block(cfg: ExperimentConfig, trial, t0: int) -> _Draws:
     """Draws of trials t0, t0 + 1, ... until the block budget or the trials
     are spent.
 
-    Each trial has its own stream, built from its row of ``words``
-    (``_trial_words``), and keeps its draw order: its graph (only
-    when regenerating, i.e. ``graph`` is None), then its three replicates'
-    draws (``noise._draw_observations``), then the treatment uniforms. A
+    ``trial(t)`` gives trial t's graph and generator (``_fixed_trial``,
+    ``_regenerated``); it is called once per trial, in trial order. Each
+    trial has its own stream (``_trial_words``) and keeps its draw order:
+    its graph (only when regenerating), then its three replicates' draws
+    (``noise._draw_observations``), then the treatment uniforms. A
     block holds at least one trial and stops where its entries (three
     observations of m edges and n vertices per trial) and the last trial's
     again would pass ``_BLOCK_ENTRIES``. Its trials and graphs are taken
@@ -349,8 +379,7 @@ def _draw_block(cfg: ExperimentConfig, graph, words: np.ndarray, t0: int) -> _Dr
     graphs, rngs = [], []
     entries = 0
     for t in range(t0, cfg.trials):
-        rng = rng_from_words(words[t])
-        g = _build_generated_graph(cfg.graph, rng) if graph is None else graph
+        g, rng = trial(t)
         graphs.append(g)
         rngs.append(rng)
         size = 3 * (g.n_edges + g.n_v)
@@ -513,13 +542,13 @@ def _observed_degrees(ch: _Changes) -> np.ndarray:
     return deg.reshape(3, lay.n_true.size, lay.n)
 
 
-def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule,
-               words: np.ndarray, t0: int):
+def _run_block(cfg, trial, layout, table: OutcomeTable, rule: MixingRule, t0: int):
     """Draw one block of trials from t0 on, then estimate them all at once.
 
-    Per trial there are only the generator calls of ``_draw_block``; the
-    arithmetic on their output, from the false-edge ranks on, runs once
-    per block. ``layout`` is the fixed graph's
+    Per trial there are only the generator calls of ``_draw_block``, whose
+    ``trial`` gives each trial's graph and generator; the arithmetic on
+    their output, from the false-edge ranks on, runs once per block.
+    ``layout`` is the fixed graph's
     layout (``_block_layout``); when the trials regenerate their graphs it
     is None and the block makes its own. The replicates are never built as
     graphs: each is kept as what it changed in its trial's true graph
@@ -528,7 +557,7 @@ def _run_block(cfg, graph, layout, table: OutcomeTable, rule: MixingRule,
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``) and its summed MME routing counts.
     """
-    draws = _draw_block(cfg, graph, words, t0)
+    draws = _draw_block(cfg, trial, t0)
     if layout is None:
         layout = _block_layout(draws.graphs)
     ch = _replicate_changes(draws, layout)
@@ -606,7 +635,13 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     entries runs its blocks on ``min(_usable_cpus(), blocks)`` threads; the blocks
     start at known trials, and their results are written back in trial
     order, so the first failing block's exception is the one raised. Other
-    runs go block by block on this thread.
+    runs go block by block on this thread. A regenerating run builds trial
+    0's graph here; when it has at least ``_THREADED_BUILD_STUBS`` stubs
+    (2m), the later trials' graphs and generators are built on
+    ``min(_usable_cpus(), trials - 1)`` threads, at most two per thread
+    ahead of the trial taken last, and the blocks take them in trial order
+    (``_in_turn``), so the first failing build's exception is the one
+    raised. One thread pool serves either kind of run.
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
@@ -617,18 +652,24 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     made from them (the treatment flags until replicate 0's levels are
     known), those changes until replicate 0's treated counts are taken, what
     is estimated from them, and, when every trial regenerates its graph, the
-    block's layout.
+    block's layout. A graph and generator built ahead live from their build
+    until a block takes them: at most two per thread are built, or being
+    built, beyond the trial taken last.
     A block's arrays are released when it returns, so as many blocks' arrays
-    live at once as there are threads: one block on a single thread, two on
-    two (at n = 1e5, a block's traced peak is about 12 MiB above the
-    layout's 8.4 MiB). ``graph`` and ``table`` are None when every trial
-    regenerates its graph.
+    live at once as there are threads running blocks: one block on a single
+    thread, two on two (at n = 1e5, a block's traced peak is about 12 MiB
+    above the layout's 8.4 MiB). ``graph`` and ``table`` are None when every
+    trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
+    words = _trial_words(cfg)
     layout = None
     threads = 1
     if graph is None:
-        table = OutcomeTable.constant(_spec_number(cfg.graph, "n_v", int), cfg.outcomes)
+        first = _regenerated(cfg, words, 0)
+        table = OutcomeTable.constant(first[0].n_v, cfg.outcomes)
+        if 2 * first[0].n_edges >= _THREADED_BUILD_STUBS:
+            threads = min(_usable_cpus(), cfg.trials - 1)
     elif graph.n_v < 1:
         raise ValueError("need at least one unit")
     else:
@@ -646,11 +687,19 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         np.empty(n_trials, dtype=np.int64), np.empty(n_trials, dtype=np.int8),
     )
     rule_counts = np.zeros(3, dtype=np.int64)
-    run = functools.partial(_run_block, cfg, graph, layout, table, rule, _trial_words(cfg))
     with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        # consumed in trial order either way; map cancels the blocks not yet
-        # started when one raises
-        blocks = pool.map(run, starts) if pool else _blocks_in_turn(run, n_trials)
+        if graph is None:
+            trial = _in_turn(first, functools.partial(_regenerated, cfg, words), n_trials,
+                             pool, 2 * threads)
+            del first  # taken by block 0, not held for the whole run
+            run = functools.partial(_run_block, cfg, trial, None, table, rule)
+            blocks = _blocks_in_turn(run, n_trials)
+        else:
+            trial = functools.partial(_fixed_trial, graph, words)
+            run = functools.partial(_run_block, cfg, trial, layout, table, rule)
+            # consumed in trial order either way; map cancels the blocks not
+            # yet started when one raises
+            blocks = pool.map(run, starts) if pool else _blocks_in_turn(run, n_trials)
         done = 0
         for est, block_fits, counts in blocks:
             k = est.shape[0]
@@ -663,6 +712,38 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
                       (int(c) for c in rule_counts)))
     return estimates, failed, fits, counts
+
+
+def _in_turn(first, build, n_trials: int, pool, ahead: int):
+    """``trial`` for blocks that run in turn: called for t = 0, 1, ... in
+    turn, it gives trial t's (graph, generator) pair.
+
+    Trial 0's pair is ``first``. Each later one is ``build(t)``, run when
+    it is taken or, with a ``pool``, run there up to ``ahead`` trials
+    before it is taken (``_built_ahead``).
+    """
+    later = range(1, n_trials)
+    pairs = itertools.chain(
+        [first], map(build, later) if pool is None else _built_ahead(pool, build, later, ahead)
+    )
+    return lambda t: next(pairs)
+
+
+def _built_ahead(pool, build, ts, ahead: int):
+    # build(t) for each t in turn, each submitted to pool ``ahead`` turns
+    # before it is taken; a build's exception is raised when its turn comes,
+    # and the builds not yet started are then cancelled
+    pending = collections.deque()
+    try:
+        for t in ts:
+            pending.append(pool.submit(build, t))
+            if len(pending) > ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _blocks_in_turn(run, n_trials: int):

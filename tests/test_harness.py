@@ -238,6 +238,23 @@ def test_numpy_typed_config_emits_the_plain_typed_files(small_graph, tmp_path):
     assert outputs[1] == outputs[0]
 
 
+def test_numpy_outcomes_emit_the_plain_typed_files(small_graph, tmp_path):
+    # constant outcomes given as numpy numbers run, and both files equal
+    # those of the same outcomes as built-in numbers, ints kept as ints
+    for plain, typed in (((10.0, 7.0, 5.0, 1.0), np.array([10, 7, 5, 1], dtype=np.float32)),
+                         ((10, 7, 5.0, 1.0), (np.int64(10), 7, 5.0, np.float32(1)))):
+        outputs = []
+        for name, outcomes in (("plain", plain), ("typed", typed)):
+            cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
+                                   outcomes=outcomes, trials=20, bootstrap_b=30,
+                                   master_seed=3)
+            csv_path = tmp_path / f"{name}.csv"
+            emit_results(run_experiment(cfg), csv_path)
+            outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert json.loads(outputs[0][1])["config"]["outcomes"] == list(plain)
+
+
 def test_config_from_json_roundtrip(tmp_path):
     spec = {
         "graph": {"source": "generate", "kind": "ztp", "n_v": 40, "mean_degree": 5.0, "seed": 3},
@@ -599,7 +616,7 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
-    draws = _draw_block(cfg, graph, _trial_words(cfg), 0)
+    draws = _draw_block(cfg, _trial_source(cfg, graph), 0)
     assert len(draws.graphs) == cfg.trials
     changes = _replicate_changes(draws, _block_layout(draws.graphs))
     degrees = _observed_degrees(changes)
@@ -635,12 +652,21 @@ class _EditedGaps:
         return getattr(self.rng, name)
 
 
+def _trial_source(cfg, graph):
+    # trial t's (graph, generator) pair, made when it is asked for; graph is
+    # None when every trial regenerates its graph
+    words = _trial_words(cfg)
+    if graph is None:
+        return functools.partial(harness_mod._regenerated, cfg, words)
+    return functools.partial(harness_mod._fixed_trial, graph, words)
+
+
 def _block_path(cfg, graph):
     # per trial: its graph, its replicates' edge codes and its treatment
     # flags, as the block path draws them
-    out, t, words = [], 0, _trial_words(cfg)
+    out, t, trial = [], 0, _trial_source(cfg, graph)
     while t < cfg.trials:
-        draws = _draw_block(cfg, graph, words, t)
+        draws = _draw_block(cfg, trial, t)
         ch = _replicate_changes(draws, _block_layout(draws.graphs))
         lay, n = ch.lay, ch.lay.n
         miss_row = lay.edge_row[ch.missed]
@@ -809,54 +835,91 @@ def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, mo
 
 def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkeypatch):
     # the 2e4-vertex ZTP graph's one-trial blocks run on as many threads as
-    # there are usable CPUs (at most one per block); the output bytes, the
-    # first failing block's exception and the live thread count after the
-    # run are those of the one-thread run
-    kwargs = dict(_budget_case("ztp_sparse", tmp_path, small_graph), bootstrap_b=200,
-                  master_seed=777)
-    assert 3 * (kwargs["graph"].n_edges + kwargs["graph"].n_v) >= harness_mod._BLOCK_ENTRIES
-    real_run = harness_mod._run_block
-    ran_on, failing = [], set()
+    # there are usable CPUs (at most one per block); a 500-vertex
+    # regenerating run's blocks stay on this thread, and its later graphs are
+    # built on that many threads. The output bytes, the first failing block's
+    # or graph build's exception and the live thread count after the run are
+    # those of the one-thread run
+    ztp = dict(_budget_case("ztp_sparse", tmp_path, small_graph), bootstrap_b=200,
+               master_seed=777)
+    assert 3 * (ztp["graph"].n_edges + ztp["graph"].n_v) >= harness_mod._BLOCK_ENTRIES
+    regen = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=200,
+                 master_seed=777)
+    cfg = ExperimentConfig(**regen)
+    first, _ = harness_mod._regenerated(cfg, _trial_words(cfg), 0)
+    assert 2 * first.n_edges >= harness_mod._THREADED_BUILD_STUBS
+    real_run, real_build = harness_mod._run_block, harness_mod._regenerated
+    ran_on, built_on, failing = [], {}, set()
 
-    def watched(cfg, graph, layout, table, rule, words, t0):
+    def watched(cfg, trial, layout, table, rule, t0):
         ran_on.append(threading.current_thread() is threading.main_thread())
-        if t0 in failing:
+        if layout is not None and t0 in failing:
             raise RuntimeError(f"block at trial {t0}")
-        return real_run(cfg, graph, layout, table, rule, words, t0)
+        return real_run(cfg, trial, layout, table, rule, t0)
+
+    def building(cfg, words, t):
+        built_on[t] = threading.current_thread() is threading.main_thread()
+        if t in failing:
+            raise RuntimeError(f"graph of trial {t}")
+        return real_build(cfg, words, t)
 
     monkeypatch.setattr(harness_mod, "_run_block", watched)
+    monkeypatch.setattr(harness_mod, "_regenerated", building)
     start = threading.active_count()
-    outputs, errors = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # up to more threads than cores, switching often
     try:
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
-            failing.clear()
-            ran_on.clear()
-            summary = run_experiment(ExperimentConfig(**kwargs))
-            assert threading.active_count() == start
-            assert len(ran_on) == kwargs["trials"] and all(ran_on) == (cpus == 1)
-            csv_path = tmp_path / f"run_{cpus}.csv"
-            emit_results(summary, csv_path)
-            outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
-            # blocks 3 and 5 of 8 fail: block 3's exception surfaces, as in turn
-            failing.update((3, 5))
-            with pytest.raises(RuntimeError) as info:
-                run_experiment(ExperimentConfig(**kwargs))
-            assert threading.active_count() == start
-            errors.append(str(info.value))
+        # blocks 3 and 5 of 8 fail, or the builds of trials 7 and 12: block
+        # 3's or trial 7's exception surfaces, as in turn
+        for kwargs, fails, error in ((ztp, (3, 5), "block at trial 3"),
+                                     (regen, (7, 12), "graph of trial 7")):
+            outputs, errors = [], []
+            trials = kwargs["trials"]
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+                failing.clear()
+                ran_on.clear()
+                built_on.clear()
+                summary = run_experiment(ExperimentConfig(**kwargs))
+                assert threading.active_count() == start
+                if kwargs is ztp:
+                    assert len(ran_on) == trials and all(ran_on) == (cpus == 1)
+                    assert not built_on
+                else:
+                    assert len(ran_on) > 1 and all(ran_on)
+                    # trial 0's graph is built here, the others off this
+                    # thread exactly when there are several CPUs
+                    assert sorted(built_on) == list(range(trials))
+                    assert ([built_on[t] for t in range(trials)]
+                            == [True] + [cpus == 1] * (trials - 1))
+                csv_path = tmp_path / f"run_{cpus}.csv"
+                emit_results(summary, csv_path)
+                outputs.append((csv_path.read_bytes(),
+                                csv_path.with_suffix(".json").read_bytes()))
+                failing.update(fails)
+                with pytest.raises(RuntimeError) as info:
+                    run_experiment(ExperimentConfig(**kwargs))
+                assert threading.active_count() == start
+                errors.append(str(info.value))
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+            assert errors == [error] * 3
     finally:
         sys.setswitchinterval(interval)
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    assert errors == ["block at trial 3"] * 3
+    failing.clear()
     # a small graph's blocks (three of them here), and a regenerating run's,
-    # stay on this thread
+    # stay on this thread; so do the builds of a 115-vertex regenerating run
     for case in ("school_dense", "pareto_regen_known"):
         ran_on.clear()
         run_experiment(ExperimentConfig(**dict(_budget_case(case, tmp_path, small_graph),
                                                trials=160, bootstrap_b=20)))
         assert len(ran_on) > 2 and all(ran_on)
+    school = dict(_budget_case("school_dense", tmp_path, small_graph), trials=160,
+                  bootstrap_b=20, regenerate_graph=True)
+    school["graph"] = {"source": "generate", "kind": "pareto", "n_v": 115, "rate": 0.40,
+                       "shape": 1.0, "lower": 7, "seed": 12345}
+    built_on.clear()
+    run_experiment(ExperimentConfig(**school))
+    assert len(built_on) == 160 and all(built_on.values())
 
 
 def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
