@@ -35,6 +35,16 @@ def _parse_outcomes(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _write_lines(lines: list[str], out: str | None) -> None:
+    # the lines to the file ``out`` when it is given, else to stdout
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_generate(args) -> int:
     spec = {"source": "generate", "kind": args.kind, "n_v": args.n_v, "seed": args.seed}
     if args.kind == "ztp":
@@ -69,17 +79,11 @@ def cmd_noise_fit(args) -> int:
     fit = fit_alpha_beta(
         moment_stats(*graphs), alpha0=args.alpha0, eps=args.eps, max_iter=args.max_iter
     )
-    lines = [
+    _write_lines([
         "alpha_hat,beta_hat,delta_hat,iterations,converged",
         f"{fit.alpha_hat!r},{fit.beta_hat!r},{fit.delta_hat!r},"
         f"{fit.iterations},{str(fit.converged).lower()}",
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    ], args.out)
     return 0
 
 
@@ -100,12 +104,7 @@ def cmd_bias_theory(args) -> int:
     lines = ["level,predicted_bias,exact"]
     for name, value, exact in zip(("c11", "c10", "c01", "c00"), pred.values, pred.exact):
         lines.append(f"{name},{float(value)!r},{str(exact).lower()}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     return 0
 
 

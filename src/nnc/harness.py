@@ -9,17 +9,20 @@ _TRIAL_STREAM, t)`` bit for bit. The bootstrap draws one set of
 resamples per experiment from its own mix domain, and every summary column
 (estimator x level, mean and SD) is read off those same resamples.
 Trials run in blocks, whose arrays and layout come from their trials'
-graphs alone: a short per-trial loop makes each trial's draws, and
+graphs alone. A block takes its trials' (graph, generator) pairs from a
+stream in trial order: a short per-trial loop makes each trial's draws, and
 everything after the draws runs once per block on arrays keyed by (trial,
 replicate). Aggregation runs in trial-index order, so results do not
-depend on the block size or on how trials are scheduled. A fixed graph
-whose one trial holds at least ``_THREADED_TRIAL_ENTRIES`` entries runs its
-blocks on one thread per usable CPU (at most one per block); smaller
-graphs, whose per-trial Python loop holds the GIL, run on the caller's
-thread. A regenerating run's blocks, whose sizes are known only once their
-graphs are drawn, run on the caller's thread; when its first graph has at
-least ``_THREADED_BUILD_STUBS`` stubs, the later trials' graphs are built
-ahead, in trial order, on one thread per usable CPU. Outputs are
+depend on the block size or on how trials are scheduled. One in-order
+runner (``_in_order``) schedules the work that may leave the caller's
+thread. A fixed graph whose one trial holds at least
+``_THREADED_TRIAL_ENTRIES`` entries runs its blocks through it on one
+thread per usable CPU (at most one per block); smaller graphs, whose
+per-trial Python loop holds the GIL, run on the caller's thread. A
+regenerating run's blocks, whose sizes are known only once their graphs
+are drawn, share one stream on the caller's thread; when its first graph
+has at least ``_THREADED_BUILD_STUBS`` stubs, the runner builds the later
+trials' graphs ahead on one thread per usable CPU. Outputs are
 byte-identical either way.
 """
 from __future__ import annotations
@@ -347,9 +350,10 @@ def _trial_words(cfg: ExperimentConfig) -> np.ndarray:
     return seed_words(derive_seeds(cfg.master_seed, _TRIAL_STREAM, last=np.arange(cfg.trials)))
 
 
-def _fixed_trial(graph: Graph, words: np.ndarray, t: int):
-    # trial t's (graph, generator) pair when every trial shares ``graph``
-    return graph, rng_from_words(words[t])
+def _fixed_trials(graph: Graph, words: np.ndarray, t0: int):
+    # the (graph, generator) pairs of trials t0, t0 + 1, ... when every
+    # trial shares ``graph``
+    return ((graph, rng_from_words(w)) for w in words[t0:])
 
 
 def _regenerated(cfg: ExperimentConfig, words: np.ndarray, t: int):
@@ -359,27 +363,26 @@ def _regenerated(cfg: ExperimentConfig, words: np.ndarray, t: int):
     return _build_generated_graph(cfg.graph, rng), rng
 
 
-def _draw_block(cfg: ExperimentConfig, trial, t0: int) -> _Draws:
-    """Draws of trials t0, t0 + 1, ... until the block budget or the trials
-    are spent.
+def _draw_block(cfg: ExperimentConfig, trials) -> _Draws:
+    """Draws of the next trials of ``trials`` until the block budget or the
+    stream is spent.
 
-    ``trial(t)`` gives trial t's graph and generator (``_fixed_trial``,
-    ``_regenerated``); it is called once per trial, in trial order. Each
-    trial has its own stream (``_trial_words``) and keeps its draw order:
-    its graph (only when regenerating), then its three replicates' draws
-    (``noise._draw_observations``), then the treatment uniforms. A
-    block holds at least one trial and stops where its entries (three
-    observations of m edges and n vertices per trial) and the last trial's
-    again would pass ``_BLOCK_ENTRIES``. Its trials and graphs are taken
-    first, each with its generator; then its arrays are made at their sizes,
-    and the loop makes only the replicates' and treatment's generator calls,
-    writing into them. The threshold on the treatment uniforms, and
-    everything made from the gaps, run once per block.
+    ``trials`` yields each trial's graph and generator in trial order
+    (``_fixed_trials``, or a regenerating run's one stream); the block takes
+    only the pairs it holds. Each trial has its own stream (``_trial_words``)
+    and keeps its draw order: its graph (only when regenerating), then its
+    three replicates' draws (``noise._draw_observations``), then the
+    treatment uniforms. A block holds at least one trial and stops where its
+    entries (three observations of m edges and n vertices per trial) and the
+    last trial's again would pass ``_BLOCK_ENTRIES``. Its trials and graphs
+    are taken first, each with its generator; then its arrays are made at
+    their sizes, and the loop makes only the replicates' and treatment's
+    generator calls, writing into them. The threshold on the treatment
+    uniforms, and everything made from the gaps, run once per block.
     """
     graphs, rngs = [], []
     entries = 0
-    for t in range(t0, cfg.trials):
-        g, rng = trial(t)
+    for g, rng in trials:
         graphs.append(g)
         rngs.append(rng)
         size = 3 * (g.n_edges + g.n_v)
@@ -542,12 +545,12 @@ def _observed_degrees(ch: _Changes) -> np.ndarray:
     return deg.reshape(3, lay.n_true.size, lay.n)
 
 
-def _run_block(cfg, trial, layout, table: OutcomeTable, rule: MixingRule, t0: int):
-    """Draw one block of trials from t0 on, then estimate them all at once.
+def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
+    """Draw the next block of ``trials``, then estimate them all at once.
 
-    Per trial there are only the generator calls of ``_draw_block``, whose
-    ``trial`` gives each trial's graph and generator; the arithmetic on
-    their output, from the false-edge ranks on, runs once per block.
+    Per trial there are only the generator calls of ``_draw_block``, which
+    takes each trial's graph and generator from ``trials``; the arithmetic
+    on their output, from the false-edge ranks on, runs once per block.
     ``layout`` is the fixed graph's
     layout (``_block_layout``); when the trials regenerate their graphs it
     is None and the block makes its own. The replicates are never built as
@@ -557,7 +560,7 @@ def _run_block(cfg, trial, layout, table: OutcomeTable, rule: MixingRule, t0: in
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``) and its summed MME routing counts.
     """
-    draws = _draw_block(cfg, trial, t0)
+    draws = _draw_block(cfg, trials)
     if layout is None:
         layout = _block_layout(draws.graphs)
     ch = _replicate_changes(draws, layout)
@@ -631,17 +634,23 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     and a third of its variance, and the inverse-confusion weights are
     exponential in it.
 
-    A fixed graph whose one trial holds at least ``_THREADED_TRIAL_ENTRIES``
-    entries runs its blocks on ``min(_usable_cpus(), blocks)`` threads; the blocks
-    start at known trials, and their results are written back in trial
-    order, so the first failing block's exception is the one raised. Other
-    runs go block by block on this thread. A regenerating run builds trial
-    0's graph here; when it has at least ``_THREADED_BUILD_STUBS`` stubs
-    (2m), the later trials' graphs and generators are built on
-    ``min(_usable_cpus(), trials - 1)`` threads, at most two per thread
-    ahead of the trial taken last, and the blocks take them in trial order
-    (``_in_turn``), so the first failing build's exception is the one
-    raised. One thread pool serves either kind of run.
+    Every block takes its trials' (graph, generator) pairs in trial order
+    from a stream. A fixed graph's blocks start at known trials: the block
+    at t0 reads ``_fixed_trials(graph, words, t0)``. A regenerating run
+    builds trial 0's graph here, and all its blocks share one stream: trial
+    0's pair, then ``_regenerated`` for trials 1 ... T - 1.
+
+    One runner, ``_in_order``, yields its results in order. It runs a fixed
+    graph's blocks, all submitted at once, on ``min(_usable_cpus(),
+    blocks)`` threads when one trial holds at least
+    ``_THREADED_TRIAL_ENTRIES`` entries. It runs a regenerating run's later
+    builds on ``min(_usable_cpus(), trials - 1)`` threads, at most two per
+    thread ahead of the trial taken last, when trial 0's graph has at least
+    ``_THREADED_BUILD_STUBS`` stubs (2m). Otherwise it runs them on this
+    thread. A block's or build's exception is raised when its turn comes,
+    so the first failing one's is raised. The runner is closed before the
+    pool joins, so the calls not yet started are cancelled, also when a
+    regenerating run's block fails rather than a build.
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
@@ -689,54 +698,50 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     rule_counts = np.zeros(3, dtype=np.int64)
     with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
         if graph is None:
-            trial = _in_turn(first, functools.partial(_regenerated, cfg, words), n_trials,
-                             pool, 2 * threads)
+            ordered = _in_order(pool, functools.partial(_regenerated, cfg, words),
+                                range(1, n_trials), 2 * threads)
+            trials = itertools.chain([first], ordered)
             del first  # taken by block 0, not held for the whole run
-            run = functools.partial(_run_block, cfg, trial, None, table, rule)
-            blocks = _blocks_in_turn(run, n_trials)
+            # block after block, until the loop below has every trial
+            blocks = (_run_block(cfg, trials, None, table, rule) for _ in itertools.count())
         else:
-            trial = functools.partial(_fixed_trial, graph, words)
-            run = functools.partial(_run_block, cfg, trial, layout, table, rule)
-            # consumed in trial order either way; map cancels the blocks not
-            # yet started when one raises
-            blocks = pool.map(run, starts) if pool else _blocks_in_turn(run, n_trials)
-        done = 0
-        for est, block_fits, counts in blocks:
-            k = est.shape[0]
-            estimates[done : done + k] = est
-            for whole, part in zip(fits, block_fits):
-                whole[done : done + k] = part
-            rule_counts += counts
-            done += k
+            ordered = blocks = _in_order(
+                pool, lambda t0: _run_block(cfg, _fixed_trials(graph, words, t0), layout,
+                                            table, rule),
+                starts, len(starts))
+        # closed before the pool joins: a failing block cancels the calls
+        # not yet started
+        with contextlib.closing(ordered):
+            done = 0
+            while done < n_trials:
+                est, block_fits, counts = next(blocks)
+                k = est.shape[0]
+                estimates[done : done + k] = est
+                for whole, part in zip(fits, block_fits):
+                    whole[done : done + k] = part
+                rule_counts += counts
+                done += k
     failed = fits.status >= FIT_DEGENERATE
     counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
                       (int(c) for c in rule_counts)))
     return estimates, failed, fits, counts
 
 
-def _in_turn(first, build, n_trials: int, pool, ahead: int):
-    """``trial`` for blocks that run in turn: called for t = 0, 1, ... in
-    turn, it gives trial t's (graph, generator) pair.
+def _in_order(pool, fn, items, ahead: int):
+    """``fn(item)`` for each of ``items``, yielded in order.
 
-    Trial 0's pair is ``first``. Each later one is ``build(t)``, run when
-    it is taken or, with a ``pool``, run there up to ``ahead`` trials
-    before it is taken (``_built_ahead``).
+    Without a ``pool`` this is ``map``. With one, each call is submitted to
+    it ``ahead`` items before its result is taken; a call's exception is
+    raised when its turn comes, and the calls not yet started are cancelled
+    when the generator is closed or raises.
     """
-    later = range(1, n_trials)
-    pairs = itertools.chain(
-        [first], map(build, later) if pool is None else _built_ahead(pool, build, later, ahead)
-    )
-    return lambda t: next(pairs)
-
-
-def _built_ahead(pool, build, ts, ahead: int):
-    # build(t) for each t in turn, each submitted to pool ``ahead`` turns
-    # before it is taken; a build's exception is raised when its turn comes,
-    # and the builds not yet started are then cancelled
+    if pool is None:
+        yield from map(fn, items)
+        return
     pending = collections.deque()
     try:
-        for t in ts:
-            pending.append(pool.submit(build, t))
+        for item in items:
+            pending.append(pool.submit(fn, item))
             if len(pending) > ahead:
                 yield pending.popleft().result()
         while pending:
@@ -744,15 +749,6 @@ def _built_ahead(pool, build, ts, ahead: int):
     finally:
         for future in pending:
             future.cancel()
-
-
-def _blocks_in_turn(run, n_trials: int):
-    # run(t0) for each block in turn; a block's size is known once it ran
-    done = 0
-    while done < n_trials:
-        out = run(done)
-        yield out
-        done += out[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -786,9 +782,8 @@ def bootstrap_ci(
     b: int,
     level: float,
     rng: np.random.Generator,
-    statistic: str = "mean",
 ) -> tuple[float, float]:
-    """Percentile confidence interval for the mean or SD of ``samples``.
+    """Percentile confidence interval for the mean of ``samples``.
 
     The one-column case of the shared resampler: ``b`` resamples from
     ``_bootstrap_columns``, the symmetric percentile interval at the given
@@ -801,10 +796,8 @@ def bootstrap_ci(
         raise ValueError("need at least one resample")
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    if statistic not in ("mean", "sd"):
-        raise ValueError("statistic must be 'mean' or 'sd'")
-    means, sds = _bootstrap_columns(x[:, None], b, rng)
-    lo, hi = _percentile_interval(means if statistic == "mean" else sds, level)
+    means, _ = _bootstrap_columns(x[:, None], b, rng)
+    lo, hi = _percentile_interval(means, level)
     return float(lo[0]), float(hi[0])
 
 
@@ -987,11 +980,8 @@ def _fit_summary(fits: RateFits, ok: np.ndarray) -> dict:
     }
 
 
-_CSV_COLUMNS = (
-    "estimator", "level", "truth", "mean_estimate", "bias",
-    "bias_ci_lo", "bias_ci_hi", "sd", "sd_ci_lo", "sd_ci_hi",
-    "n_trials", "n_failed",
-)
+# one column per ``LevelSummary`` field, then the run's trial counts
+_CSV_COLUMNS = (*(f.name for f in fields(LevelSummary)), "n_trials", "n_failed")
 
 
 def emit_results(summary: EstimateSummary, csv_path, sidecar_path=None) -> None:
@@ -1003,26 +993,11 @@ def emit_results(summary: EstimateSummary, csv_path, sidecar_path=None) -> None:
     csv_path = Path(csv_path)
     if sidecar_path is None:
         sidecar_path = csv_path.with_suffix(".json")
+    counts = f"{summary.n_trials},{summary.n_failed}"
     lines = [",".join(_CSV_COLUMNS)]
     for r in summary.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.estimator,
-                    r.level,
-                    repr(r.truth),
-                    repr(r.mean_estimate),
-                    repr(r.bias),
-                    repr(r.bias_ci_lo),
-                    repr(r.bias_ci_hi),
-                    repr(r.sd),
-                    repr(r.sd_ci_lo),
-                    repr(r.sd_ci_hi),
-                    str(summary.n_trials),
-                    str(summary.n_failed),
-                ]
-            )
-        )
+        cells = (getattr(r, f.name) for f in fields(LevelSummary))
+        lines.append(",".join([*(repr(v) if isinstance(v, float) else v for v in cells), counts]))
     try:
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         sidecar = {

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -82,8 +83,10 @@ def test_bootstrap_nested_levels():
 
 
 def test_bootstrap_sd_statistic_targets_spread():
+    # the SD intervals of run_experiment: the shared resamples' SDs
     x = make_rng(5).normal(scale=2.0, size=10_000)
-    lo, hi = bootstrap_ci(x, 400, 0.95, make_rng(6), statistic="sd")
+    _, sds = _bootstrap_columns(x[:, None], 400, make_rng(6))
+    (lo,), (hi,) = _percentile_interval(sds, 0.95)
     assert lo < 2.0 < hi
 
 
@@ -105,8 +108,6 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], 0, 0.95, make_rng(0))
     with pytest.raises(ValueError):
         bootstrap_ci([1.0], 10, 1.0, make_rng(0))
-    with pytest.raises(ValueError):
-        bootstrap_ci([1.0], 10, 0.95, make_rng(0), statistic="median")
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
@@ -133,18 +134,23 @@ def test_shared_bootstrap_equals_per_column_gather(n, monkeypatch):
     else:
         want = draw.std(axis=1, ddof=1)
         assert np.all(np.abs(sds - want) <= 1e-12 * want + tol)
-    # bootstrap_ci is the one-column case: the same stream gives the
-    # percentile interval of the gathered statistics
+    # the percentile intervals of the gathered statistics: of the means
+    # through bootstrap_ci, the one-column case on the same stream, and of
+    # the SDs through _percentile_interval, as run_experiment reads them
+    sd_ci = _percentile_interval(sds, 0.9)
     for c in (0, 5):
         for statistic in ("mean", "sd"):
-            ci = bootstrap_ci(x[:, c], b, 0.9, make_rng(41, n), statistic=statistic)
+            if statistic == "mean":
+                ci = np.array(bootstrap_ci(x[:, c], b, 0.9, make_rng(41, n)))
+            else:
+                ci = sd_ci[:, c]
             if n == 1 and statistic == "sd":
                 assert np.isnan(ci).all()
                 continue
             col = draw[:, :, c]
             stats = col.mean(axis=1) if statistic == "mean" else col.std(axis=1, ddof=1)
             want = np.percentile(stats, [5.0, 95.0])
-            assert np.all(np.abs(np.array(ci) - want) <= 1e-12 * np.abs(want) + tol[c])
+            assert np.all(np.abs(ci - want) <= 1e-12 * np.abs(want) + tol[c])
     # the block size changes neither the draws nor the statistics beyond rounding
     monkeypatch.undo()
     means_one, sds_one = _bootstrap_columns(x, b, make_rng(41, n))
@@ -616,8 +622,9 @@ def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regener
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
     graph = None if regenerate else small_graph
-    draws = _draw_block(cfg, _trial_source(cfg, graph), 0)
-    assert len(draws.graphs) == cfg.trials
+    trials = _trial_source(cfg, graph)
+    draws = _draw_block(cfg, trials)
+    assert len(draws.graphs) == cfg.trials and next(trials, None) is None
     changes = _replicate_changes(draws, _block_layout(draws.graphs))
     degrees = _observed_degrees(changes)
     u1, u2, u3 = _block_moments(changes)
@@ -653,20 +660,20 @@ class _EditedGaps:
 
 
 def _trial_source(cfg, graph):
-    # trial t's (graph, generator) pair, made when it is asked for; graph is
-    # None when every trial regenerates its graph
+    # every trial's (graph, generator) pair in trial order, each made when
+    # it is taken; graph is None when every trial regenerates its graph
     words = _trial_words(cfg)
     if graph is None:
-        return functools.partial(harness_mod._regenerated, cfg, words)
-    return functools.partial(harness_mod._fixed_trial, graph, words)
+        return map(functools.partial(harness_mod._regenerated, cfg, words), range(cfg.trials))
+    return harness_mod._fixed_trials(graph, words, 0)
 
 
 def _block_path(cfg, graph):
     # per trial: its graph, its replicates' edge codes and its treatment
     # flags, as the block path draws them
-    out, t, trial = [], 0, _trial_source(cfg, graph)
-    while t < cfg.trials:
-        draws = _draw_block(cfg, trial, t)
+    out, trials = [], _trial_source(cfg, graph)
+    while len(out) < cfg.trials:
+        draws = _draw_block(cfg, trials)
         ch = _replicate_changes(draws, _block_layout(draws.graphs))
         lay, n = ch.lay, ch.lay.n
         miss_row = lay.edge_row[ch.missed]
@@ -678,7 +685,6 @@ def _block_path(cfg, graph):
                 false = (ch.false_i[on] - k * n) * n + (ch.false_j[on] - k * n)
                 reps.append(np.sort(np.concatenate([np.delete(g.codes, lost), false])))
             out.append((g, reps, draws.z[k * n : (k + 1) * n]))
-        t += len(draws.graphs)
     return out
 
 
@@ -849,13 +855,18 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
     first, _ = harness_mod._regenerated(cfg, _trial_words(cfg), 0)
     assert 2 * first.n_edges >= harness_mod._THREADED_BUILD_STUBS
     real_run, real_build = harness_mod._run_block, harness_mod._regenerated
+    real_fixed = harness_mod._fixed_trials
     ran_on, built_on, failing = [], {}, set()
 
-    def watched(cfg, trial, layout, table, rule, t0):
+    def watched(cfg, trials, layout, table, rule):
         ran_on.append(threading.current_thread() is threading.main_thread())
-        if layout is not None and t0 in failing:
+        return real_run(cfg, trials, layout, table, rule)
+
+    def fixed(graph, words, t0):
+        # a fixed graph's block at t0 asks for its trials on its own thread
+        if t0 in failing:
             raise RuntimeError(f"block at trial {t0}")
-        return real_run(cfg, trial, layout, table, rule, t0)
+        return real_fixed(graph, words, t0)
 
     def building(cfg, words, t):
         built_on[t] = threading.current_thread() is threading.main_thread()
@@ -864,6 +875,7 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
         return real_build(cfg, words, t)
 
     monkeypatch.setattr(harness_mod, "_run_block", watched)
+    monkeypatch.setattr(harness_mod, "_fixed_trials", fixed)
     monkeypatch.setattr(harness_mod, "_regenerated", building)
     start = threading.active_count()
     interval = sys.getswitchinterval()
@@ -920,6 +932,76 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
     built_on.clear()
     run_experiment(ExperimentConfig(**school))
     assert len(built_on) == 160 and all(built_on.values())
+
+
+def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_path,
+                                                           monkeypatch):
+    # a regenerating run's one-trial blocks on two threads, its builds slowed
+    # so that some wait in the pool's queue when block 2 raises: none of
+    # them may start after the raise, and no thread is left
+    kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
+                  master_seed=777)
+    real_run, real_build = harness_mod._run_block, harness_mod._regenerated
+    events, lock = [], threading.Lock()
+
+    def slow(cfg, words, t):
+        with lock:
+            events.append("build")
+        time.sleep(0.05)
+        return real_build(cfg, words, t)
+
+    def failing(*args):
+        with lock:
+            events.append("block")
+            if events.count("block") == 3:
+                events.append("raise")
+                raise RuntimeError("block 2")
+        return real_run(*args)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(harness_mod, "_regenerated", slow)
+    monkeypatch.setattr(harness_mod, "_run_block", failing)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="^block 2$"):
+        run_experiment(ExperimentConfig(**kwargs))
+    assert threading.active_count() == start
+    assert "build" not in events[events.index("raise"):]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_builds_run_at_most_two_per_thread_ahead(cpus, small_graph, tmp_path, monkeypatch):
+    # whenever a build starts, the builds started less the trials taken
+    # are at most two per thread; the blocks take their trials slowly, so
+    # the builders run ahead by more than one per thread (a build starts
+    # once its thread takes the GIL, often after the next trial is taken)
+    kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
+                  master_seed=777)
+    real_draw, real_build = harness_mod._draw_block, harness_mod._regenerated
+    lock = threading.Lock()
+    started, taken, depths = [], [], []
+
+    def build(cfg, words, t):
+        if t:  # trial 0 is built on this thread before the stream starts
+            with lock:
+                started.append(t)
+                depths.append(len(started) - len(taken))
+        return real_build(cfg, words, t)
+
+    def slowly(trials):
+        for pair in trials:
+            with lock:
+                taken.append(None)
+            time.sleep(0.02)
+            yield pair
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness_mod, "_regenerated", build)
+    monkeypatch.setattr(harness_mod, "_draw_block",
+                        lambda cfg, trials: real_draw(cfg, slowly(trials)))
+    run_experiment(ExperimentConfig(**kwargs))
+    assert started == list(range(1, kwargs["trials"])) and len(taken) == kwargs["trials"]
+    assert cpus < max(depths) <= 2 * cpus
 
 
 def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
