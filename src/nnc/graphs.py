@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
@@ -266,30 +267,29 @@ _MATCH_CHUNK = 2**13
 
 
 def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator,
-                   out: np.ndarray, reject: bool) -> bool:
-    """Fill ``out`` with the stubs in uniform random order; entries 2k and
+                   out: np.ndarray) -> bool:
+    """Fill ``out`` with the stubs in uniform random order, abandoning the
+    draw early when the matching it makes cannot be simple; entries 2k and
     2k + 1 are the k-th pair of the matching.
 
-    With ``reject``, the first half of the order is drawn in chunks that start
-    at ``max(_MATCH_CHUNK, stubs.size // 64)`` stubs and double, as long as
-    the next chunk keeps the drawn prefix below half the stubs. A chunk is a
-    uniform ordered sample of stub indices with the already drawn ones
-    removed, which is a uniform ordered sample of the undrawn ones, so the
-    prefix is that of a uniform permutation. The draw stops and returns False
-    as soon as the pairs drawn so far hold a self-loop or a repeated pair:
-    the matching cannot be simple. Otherwise the undrawn stubs follow in
-    uniform random order and True is returned. Without ``reject``, or with
-    at most ``2 * _MATCH_CHUNK`` stubs, no chunk is drawn, and ``out`` gets
-    exactly the stubs and generator state of ``rng.permutation(stubs)``.
-    ``n`` is the vertex count, the base of the pair codes ``lo * n + hi``.
+    The first half of the order is drawn in chunks that start at
+    ``max(_MATCH_CHUNK, stubs.size // 64)`` stubs and double, as long as the
+    next chunk keeps the drawn prefix below half the stubs; the builder calls
+    this only above ``2 * _MATCH_CHUNK`` stubs, so at least one chunk is
+    drawn. A chunk is a uniform ordered sample of stub indices with the
+    already drawn ones removed, which is a uniform ordered sample of the
+    undrawn ones, so the prefix is that of a uniform permutation. The draw
+    stops and returns False as soon as the pairs drawn so far hold a
+    self-loop or a repeated pair. Otherwise the undrawn stubs follow in
+    uniform random order and True is returned. ``n`` is the vertex count,
+    the base of the pair codes ``lo * n + hi``.
     """
-    n_stubs = stubs.size
-    used = np.zeros(n_stubs, dtype=bool)
+    used = np.zeros(stubs.size, dtype=bool)
     seen = np.empty(0, dtype=np.int64)  # sorted pair codes of the prefix
     head = 0
-    chunk = max(_MATCH_CHUNK, n_stubs // 64)
-    while reject and 2 * (head + chunk) < n_stubs:
-        idx = rng.choice(n_stubs, chunk, replace=False)
+    chunk = max(_MATCH_CHUNK, stubs.size // 64)
+    while 2 * (head + chunk) < stubs.size:
+        idx = rng.choice(stubs.size, chunk, replace=False)
         idx = idx[~used[idx]]
         used[idx] = True
         start = head - head % 2  # an odd stub left over pairs with the chunk's first
@@ -303,9 +303,8 @@ def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator,
         if np.any(seen[1:] == seen[:-1]):
             return False
         chunk *= 2
-    tail = out[head:]
-    tail[:] = stubs[~used] if head else stubs
-    rng.shuffle(tail)
+    out[head:] = stubs[~used]
+    rng.shuffle(out[head:])
     return True
 
 
@@ -323,24 +322,28 @@ def build_graph_configuration(
     erasure is reported in ``meta['erased_stub_count']`` beside the number
     of matchings drawn (``meta['matching_attempts']``). An odd stub total is
     repaired by adding one stub to a uniformly chosen vertex that can still
-    take it (``meta['odd_repair_node']``).
+    take it (``meta['odd_repair_node']``). ``max_attempts`` must be a
+    positive integer (not a bool).
 
     The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
     or the school Pareto essentially never yield one: all attempts run and
-    the last one is erased. Each attempt before the last is drawn lazily
-    (``_shuffle_stubs``) and abandoned at the first chunk that shows a
-    self-loop or a repeated pair (ZTP(10) at n = 1e5: after ~15% of stubs);
-    one that survives half its stubs is completed and checked in full. The
-    last attempt is always a full permutation. Attempts stay independent
-    uniform matchings accepted iff simple, so the graph and ``meta`` have
-    the law of redrawing whole matchings, though above ``2 * _MATCH_CHUNK``
-    stubs not the same stream. At or below that size each attempt is one
-    ``rng.permutation(stubs)``, and the graph, ``meta`` and the generator's
-    state are exactly those of building every attempt in full.
+    the last one is erased. Above ``2 * _MATCH_CHUNK`` stubs each attempt
+    before the last is drawn lazily (``_shuffle_stubs``) and abandoned at
+    the first chunk that shows a self-loop or a repeated pair (ZTP(10) at
+    n = 1e5: after ~15% of stubs); one that survives half its stubs is
+    completed and checked in full. Every other attempt, the last one
+    included, is one whole permutation: the stubs are copied into one buffer
+    and shuffled in place, which draws exactly what ``rng.permutation(stubs)``
+    draws, and only an attempt without a self-loop, or the last one, builds
+    its pair codes. Attempts stay independent uniform matchings accepted iff
+    simple, so the graph and ``meta`` have the law of redrawing whole
+    matchings, though above ``2 * _MATCH_CHUNK`` stubs not the same stream.
+    At or below that size the graph, ``meta`` and the generator's state are
+    exactly those of drawing every attempt with ``rng.permutation``.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+    if type(max_attempts) is bool or not isinstance(max_attempts, Integral) or max_attempts < 1:
+        raise ValueError("max_attempts must be an integer of at least 1")
     d = np.asarray(degrees, dtype=np.int64).copy()
     n = d.size
     if n == 0:
@@ -350,20 +353,23 @@ def build_graph_configuration(
 
     meta: dict = {"odd_repair_node": None}
     if d.sum() % 2 == 1:
-        candidates = np.flatnonzero(d < n - 1)
-        pick = int(rng.choice(candidates))
+        pick = int(rng.choice(np.flatnonzero(d < n - 1)))
         d[pick] += 1
         meta["odd_repair_node"] = pick
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     n_pairs = stubs.size // 2
     perm = np.empty_like(stubs)
+    a, b = perm[0::2], perm[1::2]
+    # attempts drawn in chunks: all but the last above 2 * _MATCH_CHUNK stubs
+    lazy = max_attempts - 1 if stubs.size > 2 * _MATCH_CHUNK else 0
     for attempts in range(1, max_attempts + 1):
-        last = attempts == max_attempts
-        if not _shuffle_stubs(stubs, n, rng, perm, reject=not last):
+        if attempts > lazy:
+            perm[:] = stubs
+            rng.shuffle(perm)
+        elif not _shuffle_stubs(stubs, n, rng, perm):
             continue
-        a, b = perm[0::2], perm[1::2]
-        if not last and np.any(a == b):
+        if attempts < max_attempts and (a == b).any():
             continue
         codes = np.minimum(a, b)
         codes *= n

@@ -120,11 +120,12 @@ _THREADED_TRIAL_ENTRIES = 2**16
 # trials' graphs are built ahead on several threads. Stub matching's
 # shuffles release the GIL, but its per-attempt Python code does not. On a
 # 2-core machine, building 61 graphs ahead on two threads against in turn
-# (median of 12 alternating runs) was 0.84x as fast for the 115-vertex
-# school law (950 mean stubs), and 0.81x at 1,066 stubs, 1.16x at 1,624,
-# 1.41x at 2,181, 1.26x at 2,716 (n = 500) and 1.53x at 5,460 for the
-# n = 200 ... 1000 Pareto law of the benchmark; ZTP(10) read 1.24x at 1,456,
-# 1.42x at 1,957 and 1.48x at 2,963
+# (median of 12 alternating runs; pairs where threads won) was 0.96x as
+# fast for the 115-vertex school law (955 mean stubs; 5/12), and 0.97x at
+# 1,064 stubs (3/12), 1.31x at 1,619 (12/12), 1.45x at 2,172 and 1.33x at
+# 2,709 (n = 500; both 12/12) for the n = 200 ... 500 Pareto law of the
+# benchmark. Whole 61-trial experiments read 1.00x (5/12), 1.03x (8/12)
+# and 1.23x (12/12) at the first three sizes
 _THREADED_BUILD_STUBS = 2000
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import io
 import itertools
 import math
@@ -273,9 +274,13 @@ def test_configuration_rejects_bad_degrees():
 
 
 def test_configuration_rejects_nonpositive_max_attempts():
-    for bad in (0, -1):
+    # a bool, a float and a string are not attempt counts, even when they
+    # would pass for one; numpy integers are
+    for bad in (0, -1, True, 2.0, "3"):
         with pytest.raises(ValueError, match="max_attempts"):
             build_graph_configuration([2, 2, 2], make_rng(0), max_attempts=bad)
+    g = build_graph_configuration([2, 2, 2], make_rng(0), max_attempts=np.int64(3))
+    assert 1 <= g.meta["matching_attempts"] <= 3
 
 
 def _reference_configuration(degrees, rng, max_attempts):
@@ -334,6 +339,38 @@ def test_configuration_matches_reference_matching_bit_for_bit():
     assert ("ztp10_n1000", False, True) in outcomes
 
 
+def test_configuration_one_permutation_above_chunks_bit_for_bit():
+    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _MATCH_CHUNK.
+    # With one attempt no chunk is drawn: the only attempt is one whole
+    # permutation, so the builder and the reference consume the same stream
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
+    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    for seed in range(5):
+        rng_a, rng_b = make_rng(seed), make_rng(seed)
+        g = build_graph_configuration(degrees, rng_a, max_attempts=1)
+        codes, meta = _reference_configuration(degrees, rng_b, 1)
+        assert np.array_equal(g.codes, codes), seed
+        assert g.meta == meta, seed
+        assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+
+
+def test_configuration_chunked_stream_is_pinned():
+    # ZTP(10) at n = 3000: about 3e4 stubs, so each of the first 99 attempts
+    # starts with a chunk of _MATCH_CHUNK stubs, and the last is one whole
+    # permutation. The values were recorded from this stream; a change
+    # that alters what the chunked attempts draw fails here. A declared
+    # change of the stream updates them
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(3))
+    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    rng = make_rng(4)
+    g = build_graph_configuration(degrees, rng)
+    assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
+        "b9d76b59c403a438ad41ad4e04c9c8978a9207dfe57affbab47337d8281345e4")
+    assert g.meta == {"odd_repair_node": 2939, "matching_attempts": 100,
+                      "erased_stub_count": 52}
+    assert rng.integers(2**62) == 3480078085162780988
+
+
 def _outcome_counts(build, degrees, max_attempts, seeds):
     counts = collections.Counter()
     for seed in seeds:
@@ -382,7 +419,7 @@ def test_lazy_stub_order_starts_as_a_uniform_permutation(monkeypatch):
     rng = make_rng(31)
     counts = collections.Counter()
     for _ in range(336 * 50):
-        assert graphs._shuffle_stubs(stubs, 8, rng, out, reject=True)
+        assert graphs._shuffle_stubs(stubs, 8, rng, out)
         assert np.array_equal(np.sort(out), stubs)
         counts[tuple(out[:3])] += 1
     assert len(counts) == 336
