@@ -8,6 +8,7 @@ the n^2 vertex pairs.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -15,6 +16,9 @@ from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
+
+from ._runner import _in_order, _usable_cpus
+from .seeding import derive_seeds, rng_from_words, seed_words
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -161,7 +165,8 @@ def _truncated_poisson_rate(mean_degree: float) -> float:
 
     The truncated mean mu / (1 - exp(-mu)) increases from 1, so targets at
     or below 1 collapse to the point mass at degree 1 (rate 0). Solved by
-    bisection to an interval width of 1e-12.
+    bisection to an interval width of 1e-12, or, for large means where
+    floats are coarser than that, until the midpoint is one of the ends.
     """
     if not math.isfinite(mean_degree) or mean_degree <= 0:
         raise ValueError("mean degree must be positive and finite")
@@ -170,6 +175,8 @@ def _truncated_poisson_rate(mean_degree: float) -> float:
     lo, hi = 1e-12, float(mean_degree)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if mid / -math.expm1(-mid) < mean_degree:
             lo = mid
         else:
@@ -261,51 +268,101 @@ def sample_degree_sequence(
 # -- graph construction --------------------------------------------------
 
 
-# smallest first chunk (stubs) of a lazily drawn matching; a matching of at
-# most 2 * _MATCH_CHUNK stubs is drawn as one permutation
+# a matching of at most 2 * _MATCH_CHUNK stubs is drawn as one permutation;
+# a larger one's attempts are drawn in chunks of at least _MATCH_CHUNK // 2
 _MATCH_CHUNK = 2**13
+# stubs from which a lazily drawn build's attempts run on several threads.
+# Most numpy calls of an attempt's chunk loop hold the GIL, and below this
+# size they are short. On a 2-core machine, two threads against one (median
+# of 5 or 6 alternating processes, two passes) built a ZTP(10) graph
+# 0.79-0.83x as fast at 3e4 stubs, 1.01-1.20x at 2e5, 1.09-1.25x at 3e5,
+# 1.23-1.26x at 5e5 and 1.62-1.72x at 1e6
+_THREADED_MATCH_STUBS = 2**18
 
 
-def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator,
-                   out: np.ndarray) -> bool:
-    """Fill ``out`` with the stubs in uniform random order, abandoning the
-    draw early when the matching it makes cannot be simple; entries 2k and
-    2k + 1 are the k-th pair of the matching.
+def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    # sorted distinct codes lo * n + hi of the pairs (a[k], b[k]) that are
+    # not self-loops; the matching is simple iff there are len(a) of them
+    codes = np.minimum(a, b)
+    codes *= n
+    codes += np.maximum(a, b)
+    return _sorted_unique(codes[a != b])
 
-    The first half of the order is drawn in chunks that start at
-    ``max(_MATCH_CHUNK, stubs.size // 64)`` stubs and double, as long as the
-    next chunk keeps the drawn prefix below half the stubs; the builder calls
-    this only above ``2 * _MATCH_CHUNK`` stubs, so at least one chunk is
-    drawn. A chunk is a uniform ordered sample of stub indices with the
-    already drawn ones removed, which is a uniform ordered sample of the
-    undrawn ones, so the prefix is that of a uniform permutation. The draw
-    stops and returns False as soon as the pairs drawn so far hold a
-    self-loop or a repeated pair. Otherwise the undrawn stubs follow in
-    uniform random order and True is returned. ``n`` is the vertex count,
-    the base of the pair codes ``lo * n + hi``.
+
+def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
+    """The stubs in uniform random order, or None as soon as the matching
+    that order makes cannot be simple; entries 2k and 2k + 1 of the order
+    are the k-th pair of the matching.
+
+    The first half of the order is drawn in chunks while the drawn prefix
+    stays below half the stubs. The first chunk draws ``max(1,
+    _MATCH_CHUNK // 2, N // 25)`` stub indices (N = ``stubs.size``), and
+    each later one a quarter more, uniformly with replacement; a chunk
+    keeps, in draw order, the stubs not drawn before that it draws exactly
+    once. Which draws are kept depends only on which of them are equal or
+    hit an earlier chunk, never on their values, so the kept stubs are a
+    uniform ordered sample of the undrawn ones, and the prefix is that of a
+    uniform permutation. An odd stub left over pairs with the next
+    chunk's first. The draw stops and returns None at the first chunk whose
+    pairs hold a self-loop or repeat a pair: the chunk's pair codes are
+    sorted and merged into the sorted codes of the pairs drawn before (two
+    sorted runs, which a stable sort merges in one pass), where a repeat
+    shows as two equal neighbours. Until then an attempt holds its chunks,
+    those codes and one flag per stub; no chunk allocates an array of N
+    entries. Only a prefix that reaches half the stubs gets the N-entry
+    order: its chunks, then the undrawn stubs in uniform random order.
+    ``n`` is the vertex count, the base of the pair codes.
     """
-    used = np.zeros(stubs.size, dtype=bool)
+    size = stubs.size
+    chunk = max(1, _MATCH_CHUNK // 2, size // 25)
+    used = np.zeros(size, dtype=bool)
     seen = np.empty(0, dtype=np.int64)  # sorted pair codes of the prefix
+    drawn = []
     head = 0
-    chunk = max(_MATCH_CHUNK, stubs.size // 64)
-    while 2 * (head + chunk) < stubs.size:
-        idx = rng.choice(stubs.size, chunk, replace=False)
+    odd = stubs[:0]  # the prefix's last stub while it has no partner
+    while 2 * (head + chunk) < size:
+        idx = rng.integers(0, size, chunk)
         idx = idx[~used[idx]]
         used[idx] = True
-        start = head - head % 2  # an odd stub left over pairs with the chunk's first
-        out[head:head + idx.size] = stubs[idx]
-        head += idx.size
-        stop = head - head % 2
-        a, b = out[start:stop:2], out[start + 1:stop:2]
-        if np.any(a == b):
-            return False
-        seen = np.sort(np.concatenate([seen, np.minimum(a, b) * n + np.maximum(a, b)]))
-        if np.any(seen[1:] == seen[:-1]):
-            return False
-        chunk *= 2
-    out[head:] = stubs[~used]
-    rng.shuffle(out[head:])
-    return True
+        # a stub this chunk draws more than once is dropped and stays undrawn
+        ordered = np.sort(idx)
+        used[ordered[1:][ordered[1:] == ordered[:-1]]] = False
+        idx = idx[used[idx]]
+        part = stubs[idx]
+        drawn.append(part)
+        head += part.size
+        if odd.size:
+            part = np.concatenate([odd, part])
+        stop = part.size - part.size % 2
+        a, b = part[0:stop:2], part[1:stop:2]
+        odd = part[stop:]
+        if (a == b).any():
+            return None
+        new = np.minimum(a, b)
+        new *= n
+        new += np.maximum(a, b)
+        new.sort()
+        seen = np.concatenate([seen, new])
+        seen.sort(kind="stable")
+        if (seen[1:] == seen[:-1]).any():
+            return None
+        chunk += chunk // 4
+    order = np.empty_like(stubs)
+    np.concatenate(drawn, out=order[:head])
+    rest = order[head:]
+    rest[:] = stubs[~used]
+    rng.shuffle(rest)
+    return order
+
+
+def _lazy_attempt(stubs: np.ndarray, n: int, words: np.ndarray, k: int):
+    # attempt k + 1 of a lazily drawn build, on the generator of row k of
+    # ``words``: the pair codes of its matching when that is simple, else None
+    order = _shuffle_stubs(stubs, n, rng_from_words(words[k]))
+    if order is None:
+        return None
+    codes = _pair_codes(order[0::2], order[1::2], n)
+    return codes if codes.size == stubs.size // 2 else None
 
 
 def build_graph_configuration(
@@ -329,18 +386,28 @@ def build_graph_configuration(
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
     or the school Pareto essentially never yield one: all attempts run and
     the last one is erased. Above ``2 * _MATCH_CHUNK`` stubs each attempt
-    before the last is drawn lazily (``_shuffle_stubs``) and abandoned at
-    the first chunk that shows a self-loop or a repeated pair (ZTP(10) at
-    n = 1e5: after ~15% of stubs); one that survives half its stubs is
-    completed and checked in full. Every other attempt, the last one
-    included, is one whole permutation: the stubs are copied into one buffer
-    and shuffled in place, which draws exactly what ``rng.permutation(stubs)``
-    draws, and only an attempt without a self-loop, or the last one, builds
-    its pair codes. Attempts stay independent uniform matchings accepted iff
-    simple, so the graph and ``meta`` have the law of redrawing whole
-    matchings, though above ``2 * _MATCH_CHUNK`` stubs not the same stream.
-    At or below that size the graph, ``meta`` and the generator's state are
-    exactly those of drawing every attempt with ``rng.permutation``.
+    before the last runs on its own generator, seeded from one draw of
+    ``rng`` (``seeding.derive_seeds`` over the attempt indices), and is
+    drawn lazily (``_shuffle_stubs``): abandoned at the first chunk that
+    shows a self-loop or a repeated pair (ZTP(10) at n = 1e5: after ~12% of
+    its stubs), completed and checked in full when it survives half its
+    stubs. These attempts run through the in-order runner (``nnc._runner``),
+    on ``min(usable CPUs, attempts)`` threads from
+    ``_THREADED_MATCH_STUBS`` stubs and in turn below that or on one of the
+    runner's own worker threads. The first simple one in attempt order
+    wins, and the attempts not yet started are cancelled. Every other
+    attempt, the last one included, is one whole permutation drawn from
+    ``rng``: the stubs are copied into one buffer and shuffled in place,
+    which draws exactly what ``rng.permutation(stubs)`` draws, and only an
+    attempt without a self-loop, or the last one, builds its pair codes.
+    Attempts stay independent uniform matchings accepted iff simple, so the
+    graph and ``meta`` have the law of redrawing whole matchings, though
+    above ``2 * _MATCH_CHUNK`` stubs not the same stream; there the graph,
+    ``meta`` and the generator's state after the build do not depend on the
+    number of threads. At or below that size, and with one attempt, no
+    attempt seed is drawn, and the graph, ``meta`` and the generator's
+    state are exactly those of drawing every attempt with
+    ``rng.permutation``.
     """
     if type(max_attempts) is bool or not isinstance(max_attempts, Integral) or max_attempts < 1:
         raise ValueError("max_attempts must be an integer of at least 1")
@@ -359,24 +426,29 @@ def build_graph_configuration(
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     n_pairs = stubs.size // 2
-    perm = np.empty_like(stubs)
-    a, b = perm[0::2], perm[1::2]
-    # attempts drawn in chunks: all but the last above 2 * _MATCH_CHUNK stubs
+    codes = None
+    # attempts on their own streams: all but the last above 2 * _MATCH_CHUNK stubs
     lazy = max_attempts - 1 if stubs.size > 2 * _MATCH_CHUNK else 0
-    for attempts in range(1, max_attempts + 1):
-        if attempts > lazy:
+    if lazy:
+        seed = int(rng.integers(2**64, dtype=np.uint64))
+        words = seed_words(derive_seeds(seed, last=np.arange(lazy)))
+        threads = min(_usable_cpus(), lazy) if stubs.size >= _THREADED_MATCH_STUBS else 1
+        attempt = functools.partial(_lazy_attempt, stubs, n, words)
+        with _in_order(attempt, range(lazy), threads, threads) as results:
+            for attempts, codes in enumerate(results, 1):
+                if codes is not None:
+                    break
+    if codes is None:
+        perm = np.empty_like(stubs)
+        a, b = perm[0::2], perm[1::2]
+        for attempts in range(lazy + 1, max_attempts + 1):
             perm[:] = stubs
             rng.shuffle(perm)
-        elif not _shuffle_stubs(stubs, n, rng, perm):
-            continue
-        if attempts < max_attempts and (a == b).any():
-            continue
-        codes = np.minimum(a, b)
-        codes *= n
-        codes += np.maximum(a, b)
-        codes = _sorted_unique(codes[a != b])
-        if codes.size == n_pairs:
-            break
+            if attempts < max_attempts and (a == b).any():
+                continue
+            codes = _pair_codes(a, b, n)
+            if codes.size == n_pairs:
+                break
     meta["matching_attempts"] = attempts
     meta["erased_stub_count"] = int(2 * (n_pairs - codes.size))
     return Graph._from_codes(n, codes, meta=meta)

@@ -14,26 +14,24 @@ stream in trial order: a short per-trial loop makes each trial's draws, and
 everything after the draws runs once per block on arrays keyed by (trial,
 replicate). Aggregation runs in trial-index order, so results do not
 depend on the block size or on how trials are scheduled. One in-order
-runner (``_in_order``) schedules the work that may leave the caller's
-thread. A fixed graph whose one trial holds at least
-``_THREADED_TRIAL_ENTRIES`` entries runs its blocks through it on one
-thread per usable CPU (at most one per block); smaller graphs, whose
+runner (``nnc._runner._in_order``, shared with stub matching) schedules
+the work that may leave the caller's thread. A fixed graph whose one trial
+holds at least ``_THREADED_TRIAL_ENTRIES`` entries runs its blocks through
+it on one thread per usable CPU (at most one per block); smaller graphs, whose
 per-trial Python loop holds the GIL, run on the caller's thread. A
 regenerating run's blocks, whose sizes are known only once their graphs
 are drawn, share one stream on the caller's thread; when its first graph
 has at least ``_THREADED_BUILD_STUBS`` stubs, the runner builds the later
-trials' graphs ahead on one thread per usable CPU. Outputs are
-byte-identical either way.
+trials' graphs ahead on one thread per usable CPU; a build made there runs
+its stub-matching attempts in turn, since a runner opened on the runner's
+own worker thread starts no second pool. Outputs are byte-identical either
+way.
 """
 from __future__ import annotations
 
-import collections
-import contextlib
 import functools
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -41,6 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._runner import _in_order, _usable_cpus
 from .estimators import (
     MixingRule,
     OutcomeTable,
@@ -334,15 +333,6 @@ class _Draws(NamedTuple):
     missed: np.ndarray
     gaps: list
     z: np.ndarray
-
-
-def _usable_cpus() -> int:
-    # the CPUs this process may run on; all of them where there is no
-    # affinity mask (macOS)
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _trial_words(cfg: ExperimentConfig) -> np.ndarray:
@@ -641,17 +631,18 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     builds trial 0's graph here, and all its blocks share one stream: trial
     0's pair, then ``_regenerated`` for trials 1 ... T - 1.
 
-    One runner, ``_in_order``, yields its results in order. It runs a fixed
-    graph's blocks, all submitted at once, on ``min(_usable_cpus(),
+    One runner, ``_runner._in_order``, yields its results in order. It runs
+    a fixed graph's blocks, all submitted at once, on ``min(_usable_cpus(),
     blocks)`` threads when one trial holds at least
     ``_THREADED_TRIAL_ENTRIES`` entries. It runs a regenerating run's later
     builds on ``min(_usable_cpus(), trials - 1)`` threads, at most two per
     thread ahead of the trial taken last, when trial 0's graph has at least
-    ``_THREADED_BUILD_STUBS`` stubs (2m). Otherwise it runs them on this
-    thread. A block's or build's exception is raised when its turn comes,
-    so the first failing one's is raised. The runner is closed before the
-    pool joins, so the calls not yet started are cancelled, also when a
-    regenerating run's block fails rather than a build.
+    ``_THREADED_BUILD_STUBS`` stubs (2m). Otherwise, or when this runs on
+    one of the runner's own threads, it runs them on this thread. A block's
+    or build's exception is raised when its turn comes, so the first
+    failing one's is raised. The runner is closed before the pool joins, so
+    the calls not yet started are cancelled, also when a regenerating run's
+    block fails rather than a build.
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
@@ -680,6 +671,8 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         table = OutcomeTable.constant(first[0].n_v, cfg.outcomes)
         if 2 * first[0].n_edges >= _THREADED_BUILD_STUBS:
             threads = min(_usable_cpus(), cfg.trials - 1)
+        fn = functools.partial(_regenerated, cfg, words)
+        items, ahead = range(1, cfg.trials), 2 * threads
     elif graph.n_v < 1:
         raise ValueError("need at least one unit")
     else:
@@ -690,6 +683,11 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         starts = range(0, cfg.trials, k)
         if per_trial >= _THREADED_TRIAL_ENTRIES:
             threads = min(_usable_cpus(), len(starts))
+
+        def fn(t0):
+            return _run_block(cfg, _fixed_trials(graph, words, t0), layout, table, rule)
+
+        items, ahead = starts, len(starts)
     n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)
     fits = RateFits(
@@ -697,59 +695,27 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         np.empty(n_trials, dtype=np.int64), np.empty(n_trials, dtype=np.int8),
     )
     rule_counts = np.zeros(3, dtype=np.int64)
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+    with _in_order(fn, items, threads, ahead) as ordered:
         if graph is None:
-            ordered = _in_order(pool, functools.partial(_regenerated, cfg, words),
-                                range(1, n_trials), 2 * threads)
             trials = itertools.chain([first], ordered)
             del first  # taken by block 0, not held for the whole run
             # block after block, until the loop below has every trial
             blocks = (_run_block(cfg, trials, None, table, rule) for _ in itertools.count())
         else:
-            ordered = blocks = _in_order(
-                pool, lambda t0: _run_block(cfg, _fixed_trials(graph, words, t0), layout,
-                                            table, rule),
-                starts, len(starts))
-        # closed before the pool joins: a failing block cancels the calls
-        # not yet started
-        with contextlib.closing(ordered):
-            done = 0
-            while done < n_trials:
-                est, block_fits, counts = next(blocks)
-                k = est.shape[0]
-                estimates[done : done + k] = est
-                for whole, part in zip(fits, block_fits):
-                    whole[done : done + k] = part
-                rule_counts += counts
-                done += k
+            blocks = ordered
+        done = 0
+        while done < n_trials:
+            est, block_fits, counts = next(blocks)
+            k = est.shape[0]
+            estimates[done : done + k] = est
+            for whole, part in zip(fits, block_fits):
+                whole[done : done + k] = part
+            rule_counts += counts
+            done += k
     failed = fits.status >= FIT_DEGENERATE
     counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
                       (int(c) for c in rule_counts)))
     return estimates, failed, fits, counts
-
-
-def _in_order(pool, fn, items, ahead: int):
-    """``fn(item)`` for each of ``items``, yielded in order.
-
-    Without a ``pool`` this is ``map``. With one, each call is submitted to
-    it ``ahead`` items before its result is taken; a call's exception is
-    raised when its turn comes, and the calls not yet started are cancelled
-    when the generator is closed or raises.
-    """
-    if pool is None:
-        yield from map(fn, items)
-        return
-    pending = collections.deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 @dataclass(frozen=True)

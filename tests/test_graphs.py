@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,23 @@ def test_truncated_poisson_rate_solves_mean_equation():
     for target in (1.2, 2.0, 5.0, 10.0, 40.0):
         mu = _truncated_poisson_rate(target)
         assert abs(mu / -math.expm1(-mu) - target) < 1e-9
+
+
+def test_truncated_poisson_rate_is_unchanged_where_it_returned():
+    # the rates as recorded before the bisection also stopped at a midpoint
+    # equal to one of its ends; ZTP(10) feeds every acceptance graph
+    recorded = {1.5: 0.874217465798514, 6.0: 5.984901226402714,
+                10.0: 9.99954579444676, 5000.0: 5000.0, 8192.0: 8192.0}
+    for target, rate in recorded.items():
+        assert _truncated_poisson_rate(target) == rate
+
+
+@pytest.mark.parametrize("target", [1e4, 1e6, 1e15])
+def test_truncated_poisson_rate_returns_for_large_means(target):
+    # from a mean of about 8,200 the floats near the rate are spaced wider
+    # than the bisection's 1e-12 width, which it then never reached
+    mu = _truncated_poisson_rate(target)
+    assert abs(mu / -math.expm1(-mu) / target - 1) < 1e-12
 
 
 def test_ztp_tiny_mean_gives_all_ones():
@@ -356,19 +374,92 @@ def test_configuration_one_permutation_above_chunks_bit_for_bit():
 
 def test_configuration_chunked_stream_is_pinned():
     # ZTP(10) at n = 3000: about 3e4 stubs, so each of the first 99 attempts
-    # starts with a chunk of _MATCH_CHUNK stubs, and the last is one whole
-    # permutation. The values were recorded from this stream; a change
-    # that alters what the chunked attempts draw fails here. A declared
-    # change of the stream updates them
+    # is drawn in chunks on its own stream, seeded from one draw of the
+    # build's generator, and the last is one whole permutation drawn from it
+    # after that draw. The values were recorded from this stream; a change
+    # that alters what the build draws fails here. A declared change of the
+    # stream updates them
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(3))
     assert degrees.sum() > 2 * graphs._MATCH_CHUNK
     rng = make_rng(4)
     g = build_graph_configuration(degrees, rng)
     assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
-        "b9d76b59c403a438ad41ad4e04c9c8978a9207dfe57affbab47337d8281345e4")
+        "26deef48eec5ed5393c4d512ccf54726365b5a4abab81909c93fb8be7c8540d0")
     assert g.meta == {"odd_repair_node": 2939, "matching_attempts": 100,
-                      "erased_stub_count": 52}
-    assert rng.integers(2**62) == 3480078085162780988
+                      "erased_stub_count": 62}
+    assert rng.integers(2**62) == 2027499558075298037
+
+
+def test_configuration_simple_chunked_stream_is_pinned():
+    # ZTP(1.3) at n = 2e4: about 2.6e4 stubs, and at this seed the fourth
+    # chunked attempt is the first simple one, so the graph is what that
+    # attempt's own stream draws, chunks and shuffled rest. Recorded as the
+    # test above; a declared change of the stream updates them
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
+    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    rng = make_rng(7)
+    g = build_graph_configuration(degrees, rng)
+    assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
+        "90adc348fe7b8dd2104d0141d961ca332fe38a341dc4299b376bb26e007cbe32")
+    assert g.meta == {"odd_repair_node": 7057, "matching_attempts": 4,
+                      "erased_stub_count": 0}
+    assert rng.integers(2**62) == 3031336035241103477
+
+
+@pytest.mark.parametrize("mean, n, seed, attempts", [(10.0, 3000, 6, 100),
+                                                     (10.0, 20_000, 6, 100),
+                                                     (1.3, 20_000, 7, 4)])
+def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, seed, attempts):
+    # builds on the lazy path, their attempts on 1, 2 and 3 threads (the
+    # size from which they use threads lowered to 0): ZTP(10) builds reject
+    # all 99 chunked attempts, and the ZTP(1.3) one takes its fourth though
+    # later ones may finish first. The codes, meta and the generator's next
+    # draw are those of one thread, the attempts leave this thread exactly
+    # when there are several CPUs, and no thread is left
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(mean), n, make_rng(8))
+    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    real_attempt = graphs._lazy_attempt
+    ran_on = set()
+
+    def watched(*args):
+        ran_on.add(threading.current_thread().name)
+        return real_attempt(*args)
+
+    monkeypatch.setattr(graphs, "_THREADED_MATCH_STUBS", 0)
+    monkeypatch.setattr(graphs, "_lazy_attempt", watched)
+    start = threading.active_count()
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
+        ran_on.clear()
+        rng = make_rng(seed)
+        g = build_graph_configuration(degrees, rng)
+        assert threading.active_count() == start
+        assert (ran_on == {threading.current_thread().name}) == (cpus == 1)
+        outputs.append((g.codes.tobytes(), g.meta, rng.integers(2**62)))
+    assert outputs[0][1]["matching_attempts"] == attempts
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_configuration_raises_a_failing_attempts_error(monkeypatch, cpus):
+    # attempt 6 of a ZTP(10) build raises (attempts 7 and 10 too): its error
+    # is raised, as on one thread, and no thread is left
+    degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(5))
+    real_attempt = graphs._lazy_attempt
+
+    def failing(stubs, n, words, k):
+        if k + 1 in (6, 7, 10):
+            raise RuntimeError(f"attempt {k + 1}")
+        return real_attempt(stubs, n, words, k)
+
+    monkeypatch.setattr(graphs, "_THREADED_MATCH_STUBS", 0)
+    monkeypatch.setattr(graphs, "_lazy_attempt", failing)
+    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="^attempt 6$"):
+        build_graph_configuration(degrees, make_rng(6))
+    assert threading.active_count() == start
 
 
 def _outcome_counts(build, degrees, max_attempts, seeds):
@@ -406,20 +497,38 @@ def test_chunked_matching_has_the_reference_law(monkeypatch, degrees, max_attemp
     assert stats.chi2_contingency(table).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("degrees", [[1, 2, 2, 2, 3, 2], [3, 3, 3, 3]])
+def test_chunked_matching_with_repeated_draws_has_the_reference_law(monkeypatch, degrees):
+    # chunks of two draws over 12 stubs: a chunk draws the same stub twice in
+    # one of 12 chunks, and both draws are dropped. The law of (graph,
+    # matching_attempts, erased_stub_count) at 4 attempts must still be that
+    # of redrawing whole matchings; chi-square as in the test above
+    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 4)
+    draws = 5000
+    got = _outcome_counts(_built, degrees, 4, range(draws))
+    want = _outcome_counts(_reference_configuration, degrees, 4, range(draws, 2 * draws))
+    cells = got.keys() | want.keys()
+    common = [c for c in cells if got[c] + want[c] >= 10]
+    rare = [c for c in cells if got[c] + want[c] < 10]
+    table = [[counts[c] for c in common] + ([sum(counts[c] for c in rare)] if rare else [])
+             for counts in (got, want)]
+    assert len(common) > 1
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 def test_lazy_stub_order_starts_as_a_uniform_permutation(monkeypatch):
     # eight distinct one-stub vertices never form a loop or a repeated pair,
-    # so every draw completes. Chunks of 1 and 2 stubs (the second filtered
-    # against the first) draw the first 2 or 3 entries, the shuffled rest
-    # follows, and the first three must be a uniform ordered triple:
+    # so every draw completes. Chunks of one draw each (a stub drawn before
+    # is dropped) draw the first 3 entries, the shuffled rest follows, and
+    # the first three must be a uniform ordered triple:
     # chi-square over the 336 triples, 50 expected per triple, fails below
     # p = 1e-3
     monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
     stubs = np.arange(8, dtype=np.int64)
-    out = np.empty_like(stubs)
     rng = make_rng(31)
     counts = collections.Counter()
     for _ in range(336 * 50):
-        assert graphs._shuffle_stubs(stubs, 8, rng, out)
+        assert (out := graphs._shuffle_stubs(stubs, 8, rng)) is not None
         assert np.array_equal(np.sort(out), stubs)
         counts[tuple(out[:3])] += 1
     assert len(counts) == 336

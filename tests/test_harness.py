@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nnc._runner as runner_mod
 import nnc.estimators as estimators_mod
+import nnc.graphs as graphs_mod
 import nnc.harness as harness_mod
 from nnc.estimators import MixingRule, ht_estimate, mme_estimate, realize_outcomes
 from nnc.exposure import LEVEL_NAMES, assign_treatment, exposure_levels
@@ -967,6 +969,50 @@ def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_pat
         run_experiment(ExperimentConfig(**kwargs))
     assert threading.active_count() == start
     assert "build" not in events[events.index("raise"):]
+
+
+def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
+    # a regenerating run whose ZTP(10) graphs (n = 2000, about 2e4 stubs)
+    # take the lazy path, with the size from which a build's attempts use
+    # threads lowered to 0: trial 0's attempts run on the build's own pool,
+    # and the later builds run their attempts in turn on the run's builder
+    # threads. At 2 usable CPUs no more than 2 runner threads are ever alive,
+    # and the CSV and sidecar are those of the 1-CPU run
+    kwargs = dict(graph={"source": "generate", "kind": "ztp", "n_v": 2000, "mean_degree": 10.0,
+                         "seed": 12345},
+                  alpha=0.005, beta=0.10, p=0.1, trials=6, bootstrap_b=20, master_seed=777,
+                  noise_known=True, regenerate_graph=True)
+    real_attempt = graphs_mod._lazy_attempt
+    alive, ran_on, lock = [], set(), threading.Lock()
+
+    def watched(*args):
+        with lock:
+            alive.append(sum(t.name.startswith(runner_mod._THREAD_PREFIX)
+                             for t in threading.enumerate()))
+            ran_on.add(threading.current_thread().name)
+        return real_attempt(*args)
+
+    monkeypatch.setattr(graphs_mod, "_THREADED_MATCH_STUBS", 0)
+    monkeypatch.setattr(graphs_mod, "_lazy_attempt", watched)
+    start = threading.active_count()
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(graphs_mod, "_usable_cpus", lambda: cpus)
+        alive.clear()
+        ran_on.clear()
+        summary = run_experiment(ExperimentConfig(**kwargs))
+        assert threading.active_count() == start
+        assert len(alive) == 6 * 99
+        if cpus == 1:
+            assert max(alive) == 0 and ran_on == {threading.current_thread().name}
+        else:
+            assert 0 < max(alive) <= 2
+            assert all(name.startswith(runner_mod._THREAD_PREFIX) for name in ran_on)
+        csv_path = tmp_path / f"run_{cpus}.csv"
+        emit_results(summary, csv_path)
+        outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
