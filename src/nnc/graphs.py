@@ -269,15 +269,23 @@ def sample_degree_sequence(
 
 
 # a matching of at most 2 * _MATCH_CHUNK stubs is drawn as one permutation;
-# a larger one's attempts are drawn in chunks of at least _MATCH_CHUNK // 2
+# a larger one's attempts are drawn in chunks of at least half as many
 _MATCH_CHUNK = 2**13
 # stubs from which a lazily drawn build's attempts run on several threads.
 # Most numpy calls of an attempt's chunk loop hold the GIL, and below this
-# size they are short. On a 2-core machine, two threads against one (median
-# of 5 or 6 alternating processes, two passes) built a ZTP(10) graph
-# 0.79-0.83x as fast at 3e4 stubs, 1.01-1.20x at 2e5, 1.09-1.25x at 3e5,
-# 1.23-1.26x at 5e5 and 1.62-1.72x at 1e6
+# size they are short. On a 2-core machine, two threads against one (ZTP(10)
+# whole builds, 12-16 alternating pairs in one process) read 0.82x at 3e4
+# stubs, 0.87x at 6e4, 0.94x at 1e5 and 1.3e5, 0.97x at 2e5, 0.94-0.99x at
+# 2.6e5, 0.95-1.32x at 3.3e5 and 1.45-1.51x at 7e5 and 1e6. No benchmark
+# workload builds a graph between 2 * _MATCH_CHUNK stubs and this size
 _THREADED_MATCH_STUBS = 2**18
+# at most this many lazy attempts run at once, so the memory a build needs
+# does not grow with the CPU count. At 1e6 stubs (ZTP(10), n = 1e5) a
+# rejected attempt holds a traced 3.7 MB at the median and 6.0 MB at p90,
+# and one that survives half its stubs 20.5 MB, beside the 8.8 MB of stubs
+# and degrees. The build's traced peak (four seeds) read 32.8 MB at 1 to
+# 16 usable CPUs; with no cap it read 37-39 MB at 8 and 51-54 MB at 16
+_MATCH_THREADS = 4
 
 
 def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -286,7 +294,8 @@ def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     codes = np.minimum(a, b)
     codes *= n
     codes += np.maximum(a, b)
-    return _sorted_unique(codes[a != b])
+    codes = codes[a != b]  # frees the unfiltered codes before the sort
+    return _sorted_unique(codes)
 
 
 def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
@@ -295,8 +304,8 @@ def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
     are the k-th pair of the matching.
 
     The first half of the order is drawn in chunks while the drawn prefix
-    stays below half the stubs. The first chunk draws ``max(1,
-    _MATCH_CHUNK // 2, N // 25)`` stub indices (N = ``stubs.size``), and
+    stays below half the stubs. The first chunk draws ``max(ceil(
+    _MATCH_CHUNK / 2), N // 25)`` stub indices (N = ``stubs.size``), and
     each later one a quarter more, uniformly with replacement; a chunk
     keeps, in draw order, the stubs not drawn before that it draws exactly
     once. Which draws are kept depends only on which of them are equal or
@@ -314,7 +323,10 @@ def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
     ``n`` is the vertex count, the base of the pair codes.
     """
     size = stubs.size
-    chunk = max(1, _MATCH_CHUNK // 2, size // 25)
+    chunk = max((_MATCH_CHUNK + 1) // 2, size // 25)
+    # the narrowest unsigned type that holds a stub index: at 4e5 stubs a
+    # chunk of 3e4 indices sorts in it in half the time it takes as int64
+    index_type = np.min_scalar_type(size)
     used = np.zeros(size, dtype=bool)
     seen = np.empty(0, dtype=np.int64)  # sorted pair codes of the prefix
     drawn = []
@@ -325,7 +337,7 @@ def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
         idx = idx[~used[idx]]
         used[idx] = True
         # a stub this chunk draws more than once is dropped and stays undrawn
-        ordered = np.sort(idx)
+        ordered = np.sort(idx.astype(index_type))
         used[ordered[1:][ordered[1:] == ordered[:-1]]] = False
         idx = idx[used[idx]]
         part = stubs[idx]
@@ -349,8 +361,10 @@ def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
         chunk += chunk // 4
     order = np.empty_like(stubs)
     np.concatenate(drawn, out=order[:head])
+    del drawn
     rest = order[head:]
-    rest[:] = stubs[~used]
+    # the indices are in range: "clip" only spares take a buffer for ``out``
+    np.take(stubs, np.flatnonzero(~used), out=rest, mode="clip")
     rng.shuffle(rest)
     return order
 
@@ -392,7 +406,7 @@ def build_graph_configuration(
     shows a self-loop or a repeated pair (ZTP(10) at n = 1e5: after ~12% of
     its stubs), completed and checked in full when it survives half its
     stubs. These attempts run through the in-order runner (``nnc._runner``),
-    on ``min(usable CPUs, attempts)`` threads from
+    on ``min(usable CPUs, attempts, _MATCH_THREADS)`` threads from
     ``_THREADED_MATCH_STUBS`` stubs and in turn below that or on one of the
     runner's own worker threads. The first simple one in attempt order
     wins, and the attempts not yet started are cancelled. Every other
@@ -432,7 +446,9 @@ def build_graph_configuration(
     if lazy:
         seed = int(rng.integers(2**64, dtype=np.uint64))
         words = seed_words(derive_seeds(seed, last=np.arange(lazy)))
-        threads = min(_usable_cpus(), lazy) if stubs.size >= _THREADED_MATCH_STUBS else 1
+        threads = 1
+        if stubs.size >= _THREADED_MATCH_STUBS:
+            threads = min(_usable_cpus(), lazy, _MATCH_THREADS)
         attempt = functools.partial(_lazy_attempt, stubs, n, words)
         with _in_order(attempt, range(lazy), threads, threads) as results:
             for attempts, codes in enumerate(results, 1):

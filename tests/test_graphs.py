@@ -570,6 +570,15 @@ def test_configuration_memory_on_100k_vertices():
     assert g.degrees.sum() == degrees.sum() - g.meta["erased_stub_count"]
 
 
+@pytest.mark.parametrize("cpus", [8, 16])
+def test_configuration_memory_does_not_grow_with_the_cpu_count(monkeypatch, cpus):
+    # the build above, its lazy attempts offered 8 or 16 threads, under the
+    # same bound: at most _MATCH_THREADS attempts hold memory at once.
+    # Without that cap the traced peak read 37-39 MB at 8 and 46-54 MB at 16
+    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
+    test_configuration_memory_on_100k_vertices()
+
+
 # -- edge-list ingestion ----------------------------------------------------
 
 
