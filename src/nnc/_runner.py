@@ -2,12 +2,11 @@
 taken in item order, its calls run on a pool of threads when there are
 several usable CPUs.
 
-It serves three kinds of work: a large stub-matching build's attempts
-(``graphs.build_graph_configuration``), and in ``harness`` a large fixed
-graph's trial blocks and a regenerating run's later graph builds. A runner
-opened on one of the runner's own worker threads runs its calls in turn on
-that thread, so a graph built ahead by a regenerating run never nests a
-second pool.
+It serves two kinds of work: a large stub-matching build's attempts
+(``graphs.build_graph_configuration``) and, in ``harness``, the trial ranges
+of a run on a large graph. A runner opened on one of the runner's own worker
+threads runs its calls in turn on that thread, so a graph that a regenerating
+range builds there never nests a second pool.
 """
 from __future__ import annotations
 
@@ -31,36 +30,33 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _in_order(fn, items, threads: int, ahead: int):
+def _in_order(fn, items, threads: int):
     """Open an iterator over ``fn(item)`` for each of ``items``, in order.
 
     With fewer than two ``threads``, or on one of the runner's own worker
     threads, the calls run in turn on the calling thread, as ``map`` runs
     them. Otherwise they run on a pool of ``threads`` threads: each call is
-    submitted ``ahead`` items before its result is taken, and a call's
-    exception is raised when its turn comes. On leaving the context, also by
-    an exception, the calls not yet started are cancelled and then the
-    pool's threads are joined, so none is left.
+    submitted ``threads`` items before its result is taken, so at most
+    ``threads`` run at once and one waits, and a call's exception is raised
+    when its turn comes. On leaving the context, also by an exception, no
+    call is submitted any more, the submitted calls not yet started are
+    cancelled, and then the pool's threads are joined, so none is left.
     """
     if threads < 2 or threading.current_thread().name.startswith(_THREAD_PREFIX):
         yield map(fn, items)
         return
-    with ThreadPoolExecutor(threads, thread_name_prefix=_THREAD_PREFIX) as pool:
-        results = _submitted(pool, fn, items, ahead)
-        # closed before the pool joins: the calls not yet started are cancelled
-        with contextlib.closing(results):
-            yield results
-
-
-def _submitted(pool, fn, items, ahead: int):
-    pending = collections.deque()
+    pool = ThreadPoolExecutor(threads, thread_name_prefix=_THREAD_PREFIX)
     try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        yield _submitted(pool, fn, items, threads)
     finally:
-        for future in pending:
-            future.cancel()
+        pool.shutdown(cancel_futures=True)
+
+
+def _submitted(pool, fn, items, threads: int):
+    pending = collections.deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) > threads:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()

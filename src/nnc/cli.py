@@ -118,6 +118,10 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"NNC_SEED must be an integer, got {env_seed!r}") from None
     summary = run_experiment(cfg)
     emit_results(summary, args.out, args.sidecar)
+    if summary.unattained_levels:
+        pairs = ", ".join(f"{u['estimator']} {u['level']}" for u in summary.unattained_levels)
+        print(f"nnc: warning: no kept trial attains {pairs}; those rows read 0",
+              file=sys.stderr)
     print(f"wrote {args.out} ({summary.n_trials} trials, {summary.n_failed} failed)")
     return 0
 

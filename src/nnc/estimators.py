@@ -124,7 +124,8 @@ def ht_estimate(g: Graph, levels, realized: RealizedOutcomes, p: float) -> Level
         raise ValueError("exposure levels do not match vertex count")
     lv = lv[None]
     pr = _level_probabilities(g.degrees[None], lv, p)
-    return LevelMeans(_ht_means(lv, realized.values[None], pr)[0])
+    means, _ = _ht_means(lv, realized.values[None], pr)
+    return LevelMeans(means[0])
 
 
 def _level_sum_keys(levels: np.ndarray) -> np.ndarray:
@@ -132,19 +133,23 @@ def _level_sum_keys(levels: np.ndarray) -> np.ndarray:
     return levels + 4 * np.arange(levels.shape[0])[:, None]
 
 
-def _ht_means(levels: np.ndarray, values: np.ndarray, pr: np.ndarray) -> np.ndarray:
+def _ht_means(
+    levels: np.ndarray, values: np.ndarray, pr: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-probability-weighted level means of T trials at once.
 
     All arguments are (T, n): level codes, realized outcomes and the
     probability of each vertex's level. Each level sum adds its terms in
-    vertex order, so a trial's means do not depend on the others.
+    vertex order, so a trial's means do not depend on the others. Returns
+    the (T, 4) means and the (T, 4) counts of their terms.
     """
     t, n = levels.shape
     if np.any(pr <= 0.0):
         raise ValueError("zero exposure probability at an attained level")
-    sums = np.bincount(_level_sum_keys(levels).ravel(), weights=(values / pr).ravel(),
-                       minlength=4 * t)
-    return sums.reshape(t, 4) / n
+    keys = _level_sum_keys(levels).ravel()
+    sums = np.bincount(keys, weights=(values / pr).ravel(), minlength=4 * t)
+    terms = np.bincount(keys, minlength=4 * t)
+    return sums.reshape(t, 4) / n, terms.reshape(t, 4)
 
 
 def degree_estimate(d_obs, alpha_hat, beta_hat, n_v: int):
@@ -256,7 +261,7 @@ def mme_estimate(
         raise ValueError("observed degrees do not match vertex count")
     lv = lv[None]
     pr = _level_probabilities(g_obs.degrees[None], lv, p)
-    means, counts = _mme_means(
+    means, _, counts = _mme_means(
         lv, realized.values[None], pr, np.asarray(d_obs)[None], p,
         np.array([noise_hat.alpha]), np.array([noise_hat.beta]), rule,
     )
@@ -278,15 +283,16 @@ def _mme_means(
     alpha: np.ndarray,
     beta: np.ndarray,
     rule: MixingRule,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Confusion-corrected level means of T trials at once.
 
     ``levels``, ``values``, ``pr`` (as in ``_ht_means``) and ``d_obs`` are
     (T, n); ``alpha``/``beta`` hold each trial's rates, with alpha + beta
-    < 1. Returns the (T, 4) means and the (T, 3) counts of corrected,
-    rule-fallback and singular-fallback vertices. A corrected vertex adds
-    one term to each level of its arm, taken from the closed-form inverse
-    of its confusion block; every level sum adds its terms in vertex order.
+    < 1. Returns the (T, 4) means, the (T, 4) counts of their terms and the
+    (T, 3) counts of corrected, rule-fallback and singular-fallback
+    vertices. A corrected vertex adds one term to each level of its arm,
+    taken from the closed-form inverse of its confusion block; every level
+    sum adds its terms in vertex order.
     """
     t, n = levels.shape
     a, b = alpha[:, None], beta[:, None]
@@ -308,12 +314,12 @@ def _mme_means(
 
     keys = _level_sum_keys(levels)
     fall = ~corrected
+    fall_keys, keys = keys[fall], keys[corrected]
     est = np.zeros(4 * t)
-    est += np.bincount(keys[fall], weights=values[fall] / pr[fall], minlength=4 * t)
+    est += np.bincount(fall_keys, weights=values[fall] / pr[fall], minlength=4 * t)
     est = est.reshape(t, 4)
-    top = np.bincount(keys[corrected], weights=top[corrected], minlength=4 * t).reshape(t, 4)
-    bottom = np.bincount(keys[corrected], weights=bottom[corrected], minlength=4 * t)
-    bottom = bottom.reshape(t, 4)
+    top = np.bincount(keys, weights=top[corrected], minlength=4 * t).reshape(t, 4)
+    bottom = np.bincount(keys, weights=bottom[corrected], minlength=4 * t).reshape(t, 4)
     f = p / (1.0 - p)
     est[:, 0] += top[:, 0]
     est[:, 0] += top[:, 1]
@@ -323,7 +329,11 @@ def _mme_means(
     est[:, 2] += f * top[:, 3]
     est[:, 3] += f * bottom[:, 2]
     est[:, 3] += f * bottom[:, 3]
+    # a level's terms: its fallback vertices and its arm's corrected ones
+    terms = np.bincount(fall_keys, minlength=4 * t).reshape(t, 4)
+    arm = np.bincount(keys, minlength=4 * t).reshape(t, 2, 2).sum(axis=2)
+    terms += np.repeat(arm, 2, axis=1)
     counts = np.stack(
-        [corrected.sum(axis=1), (~want).sum(axis=1), (want & ~ok).sum(axis=1)], axis=1
+        [arm.sum(axis=1), (~want).sum(axis=1), (want & ~ok).sum(axis=1)], axis=1
     )
-    return est / n, counts
+    return est / n, terms, counts

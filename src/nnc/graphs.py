@@ -120,30 +120,6 @@ class Graph:
             return 0.0
         return 2.0 * self.n_edges / (self.n_v * (self.n_v - 1))
 
-    def _check_vertex(self, i: int) -> int:
-        i = int(i)
-        if not 0 <= i < self.n_v:
-            raise IndexError(f"vertex {i} out of range for {self.n_v} vertices")
-        return i
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbors of ``i``: the lower ones, then the higher ones.
-
-        Lower neighbors are the ``edge_i`` of edges ending at ``i``; higher
-        ones are the ``edge_j`` run where ``edge_i == i``. Both come out
-        sorted because the codes are.
-        """
-        i = self._check_vertex(i)
-        lo, hi = np.searchsorted(self.edge_i, [i, i + 1])
-        return np.concatenate([self.edge_i[self.edge_j == i], self.edge_j[lo:hi]])
-
-    def common_neighbors(self, i: int, j: int) -> int:
-        i = self._check_vertex(i)
-        j = self._check_vertex(j)
-        if i == j:
-            raise ValueError("common_neighbors needs two distinct vertices")
-        return int(np.intersect1d(self.neighbors(i), self.neighbors(j), assume_unique=True).size)
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -450,7 +426,7 @@ def build_graph_configuration(
         if stubs.size >= _THREADED_MATCH_STUBS:
             threads = min(_usable_cpus(), lazy, _MATCH_THREADS)
         attempt = functools.partial(_lazy_attempt, stubs, n, words)
-        with _in_order(attempt, range(lazy), threads, threads) as results:
+        with _in_order(attempt, range(lazy), threads) as results:
             for attempts, codes in enumerate(results, 1):
                 if codes is not None:
                     break

@@ -8,29 +8,22 @@ trial's stream are hashed once per experiment, as arrays
 _TRIAL_STREAM, t)`` bit for bit. The bootstrap draws one set of
 resamples per experiment from its own mix domain, and every summary column
 (estimator x level, mean and SD) is read off those same resamples.
-Trials run in blocks, whose arrays and layout come from their trials'
-graphs alone. A block takes its trials' (graph, generator) pairs from a
-stream in trial order: a short per-trial loop makes each trial's draws, and
-everything after the draws runs once per block on arrays keyed by (trial,
-replicate). Aggregation runs in trial-index order, so results do not
-depend on the block size or on how trials are scheduled. One in-order
-runner (``nnc._runner._in_order``, shared with stub matching) schedules
-the work that may leave the caller's thread. A fixed graph whose one trial
-holds at least ``_THREADED_TRIAL_ENTRIES`` entries runs its blocks through
-it on one thread per usable CPU (at most one per block); smaller graphs, whose
-per-trial Python loop holds the GIL, run on the caller's thread. A
-regenerating run's blocks, whose sizes are known only once their graphs
-are drawn, share one stream on the caller's thread; when its first graph
-has at least ``_THREADED_BUILD_STUBS`` stubs, the runner builds the later
-trials' graphs ahead on one thread per usable CPU; a build made there runs
-its stub-matching attempts in turn, since a runner opened on the runner's
-own worker thread starts no second pool. Outputs are byte-identical either
-way.
+Every run is cut into ranges of one size k, fixed up front from the fixed
+graph or from trial 0's graph, and each range is one block: a short
+per-trial loop makes each trial's draws (its graph first, when every trial
+draws its own), and everything after the draws runs once per block on
+arrays keyed by (trial, replicate). The ranges run on one in-order runner
+(``nnc._runner._in_order``, shared with stub matching), on one thread per
+usable CPU when one trial of that graph holds at least
+``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
+``_THREADED_BUILD_STUBS`` stubs (regenerating), and in turn on the caller's
+thread otherwise. A regenerating range builds its graphs where it runs; a
+build there runs its stub-matching attempts in turn, since a runner opened
+on the runner's own worker thread starts no second pool. Results are written
+back in trial order, so outputs do not depend on k or on the thread count.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
@@ -115,17 +108,17 @@ _BLOCK_ENTRIES = 2**17
 # vertices (7 trials a block), 1.01x at 3e3, 1.03x at 7e3, 1.58x at 2e4 and
 # 1.98x at 1e5; the 115-vertex school graph (75 trials a block) 0.93x
 _THREADED_TRIAL_ENTRIES = 2**16
-# stubs (2m) of a regenerating run's first graph from which the later
-# trials' graphs are built ahead on several threads. Stub matching's
-# shuffles release the GIL, but its per-attempt Python code does not. On a
-# 2-core machine, building 61 graphs ahead on two threads against in turn
-# (median of 12 alternating runs; pairs where threads won) was 0.96x as
-# fast for the 115-vertex school law (955 mean stubs; 5/12), and 0.97x at
-# 1,064 stubs (3/12), 1.31x at 1,619 (12/12), 1.45x at 2,172 and 1.33x at
-# 2,709 (n = 500; both 12/12) for the n = 200 ... 500 Pareto law of the
-# benchmark. Whole 61-trial experiments read 1.00x (5/12), 1.03x (8/12)
-# and 1.23x (12/12) at the first three sizes
-_THREADED_BUILD_STUBS = 2000
+# stubs (2m) of a regenerating run's trial 0 graph from which its ranges run
+# on several threads. Stub matching's shuffles release the GIL, but its
+# per-attempt Python code and a block's per-trial loop do not. On a 2-core
+# machine, whole 61-trial experiments took this share of their in-turn time
+# on two threads (median of 12-16 alternating pairs in one process; pairs
+# where threads won): 1.25-1.76 at 224-526 mean stubs, 0.97 (7/12) and 1.19
+# (5/16) at 790, 0.82 (8/12) and 0.93 (10/16) for the 115-vertex school law
+# (956 stubs), 0.81 (12/12 and 15/16) at 1,066, and 0.77, 0.73 and 0.64
+# (12/12 each) at 1,637, 2,176 and 2,724 (n = 200 ... 500, the benchmark's
+# Pareto law)
+_THREADED_BUILD_STUBS = 1000
 
 
 class ExperimentError(RuntimeError):
@@ -329,7 +322,7 @@ class _Draws(NamedTuple):
     t turned on (see ``noise._batch_ranks``).
     """
 
-    graphs: list
+    graphs: tuple
     missed: np.ndarray
     gaps: list
     z: np.ndarray
@@ -341,45 +334,29 @@ def _trial_words(cfg: ExperimentConfig) -> np.ndarray:
     return seed_words(derive_seeds(cfg.master_seed, _TRIAL_STREAM, last=np.arange(cfg.trials)))
 
 
-def _fixed_trials(graph: Graph, words: np.ndarray, t0: int):
-    # the (graph, generator) pairs of trials t0, t0 + 1, ... when every
-    # trial shares ``graph``
-    return ((graph, rng_from_words(w)) for w in words[t0:])
-
-
-def _regenerated(cfg: ExperimentConfig, words: np.ndarray, t: int):
-    # trial t's (graph, generator) pair when every trial draws its own
-    # graph: the generator has drawn the graph, and draws the rest next
+def _trial(cfg: ExperimentConfig, graph: Graph | None, words: np.ndarray, t: int):
+    # trial t's (graph, generator) pair: ``graph`` when every trial shares
+    # it; when it is None, a graph the generator draws first, then the rest
     rng = rng_from_words(words[t])
-    return _build_generated_graph(cfg.graph, rng), rng
+    if graph is None:
+        graph = _build_generated_graph(cfg.graph, rng)
+    return graph, rng
 
 
 def _draw_block(cfg: ExperimentConfig, trials) -> _Draws:
-    """Draws of the next trials of ``trials`` until the block budget or the
-    stream is spent.
+    """Draws of a block of trials, from their (graph, generator) pairs.
 
     ``trials`` yields each trial's graph and generator in trial order
-    (``_fixed_trials``, or a regenerating run's one stream); the block takes
-    only the pairs it holds. Each trial has its own stream (``_trial_words``)
-    and keeps its draw order: its graph (only when regenerating), then its
-    three replicates' draws (``noise._draw_observations``), then the
-    treatment uniforms. A block holds at least one trial and stops where its
-    entries (three observations of m edges and n vertices per trial) and the
-    last trial's again would pass ``_BLOCK_ENTRIES``. Its trials and graphs
-    are taken first, each with its generator; then its arrays are made at
-    their sizes, and the loop makes only the replicates' and treatment's
-    generator calls, writing into them. The threshold on the treatment
-    uniforms, and everything made from the gaps, run once per block.
+    (``_trial``), and the block takes every pair it yields. Each trial has
+    its own stream (``_trial_words``) and keeps its draw order: its graph
+    (only when regenerating), then its three replicates' draws
+    (``noise._draw_observations``), then the treatment uniforms. The pairs
+    are taken first; then the block's arrays are made at their sizes, and
+    the loop makes only the replicates' and treatment's generator calls,
+    writing into them. The threshold on the treatment uniforms, and
+    everything made from the gaps, run once per block.
     """
-    graphs, rngs = [], []
-    entries = 0
-    for g, rng in trials:
-        graphs.append(g)
-        rngs.append(rng)
-        size = 3 * (g.n_edges + g.n_v)
-        entries += size
-        if entries + size > _BLOCK_ENTRIES:
-            break
+    graphs, rngs = zip(*trials)
     n = graphs[0].n_v
     sizes = [g.n_edges for g in graphs]
     missed = np.empty((3, sum(sizes)), dtype=bool)
@@ -537,19 +514,20 @@ def _observed_degrees(ch: _Changes) -> np.ndarray:
 
 
 def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
-    """Draw the next block of ``trials``, then estimate them all at once.
+    """Draw a block of ``trials``, then estimate them all at once.
 
     Per trial there are only the generator calls of ``_draw_block``, which
     takes each trial's graph and generator from ``trials``; the arithmetic
     on their output, from the false-edge ranks on, runs once per block.
-    ``layout`` is the fixed graph's
-    layout (``_block_layout``); when the trials regenerate their graphs it
-    is None and the block makes its own. The replicates are never built as
-    graphs: each is kept as what it changed in its trial's true graph
-    (``_replicate_changes``). HT_true classifies the true graphs and AS_noisy
-    and MME share replicate 0's classification and level probabilities.
-    Returns the block's estimates (NaN for failed fits), its rate fits
-    (``RateFits``) and its summed MME routing counts.
+    ``layout`` is the fixed graph's layout (``_block_layout``); when the
+    trials regenerate their graphs it is None and the block makes its own.
+    The replicates are never built as graphs: each is kept as what it
+    changed in its trial's true graph (``_replicate_changes``). HT_true
+    classifies the true graphs and AS_noisy and MME share replicate 0's
+    classification and level probabilities. Returns the block's estimates
+    (NaN for failed fits), its rate fits (``RateFits``), its summed MME
+    routing counts and, per estimator and level, how many of its kept
+    trials have a level mean with at least one term.
     """
     draws = _draw_block(cfg, trials)
     if layout is None:
@@ -570,9 +548,10 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
 
     estimates = np.full((n_t, len(cfg.estimators), 4), np.nan)
     rule_counts = np.zeros(3, dtype=np.int64)
+    reached = np.zeros((len(cfg.estimators), 4), dtype=np.int64)
     rows = np.flatnonzero(fits.status <= FIT_UNCONVERGED)
     if not (rows.size and cfg.estimators):
-        return estimates, fits, rule_counts
+        return estimates, fits, rule_counts, reached
     if rows.size == n_t:
         rows = slice(None)  # every trial is kept: views, not copies
     deg = _observed_degrees(ch)[:, rows]
@@ -596,126 +575,117 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
         if name == "HT_true":
             d_true = lay.degrees.reshape(n_t, n)[rows]
             pr_true = _level_probabilities(d_true, lv_true, cfg.p)
-            estimates[rows, e] = _ht_means(lv_true, values, pr_true)
+            means, terms = _ht_means(lv_true, values, pr_true)
             del pr_true
         elif name == "AS_noisy":
-            estimates[rows, e] = _ht_means(lv_obs, values, pr_obs)
+            means, terms = _ht_means(lv_obs, values, pr_obs)
         else:
-            means, counts = _mme_means(lv_obs, values, pr_obs, d_mean, cfg.p,
-                                       fits.alpha_hat[rows], fits.beta_hat[rows], rule)
-            estimates[rows, e] = means
+            means, terms, counts = _mme_means(lv_obs, values, pr_obs, d_mean, cfg.p,
+                                              fits.alpha_hat[rows], fits.beta_hat[rows], rule)
             rule_counts += counts.sum(axis=0)
-    return estimates, fits, rule_counts
+        estimates[rows, e] = means
+        reached[e] = np.count_nonzero(terms, axis=0)
+    return estimates, fits, rule_counts, reached
 
 
 def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable | None):
     """Run every trial; returns per-trial estimates and bookkeeping.
 
-    Returns (estimates, failed, fits, rule_counts): a (trials, estimators,
-    4) array, the failed-trial flags, every trial's ``RateFits`` entry (the
-    configured rates and status converged when they are known) and the
-    summed MME routing counts. A trial fails when its rate fit is
-    degenerate or diverged; its estimates are NaN.
+    Returns (estimates, failed, fits, rule_counts, reached): a (trials,
+    estimators, 4) array, the failed-trial flags, every trial's ``RateFits``
+    entry (the configured rates and status converged when they are known),
+    the summed MME routing counts and, per estimator and level, the number
+    of kept trials whose level mean has at least one term. A trial fails
+    when its rate fit is degenerate or diverged; its estimates are NaN.
 
-    Trials run in blocks (``_run_block``); every trial has its own stream,
-    so no result depends on the block size. HT_true classifies the true
-    graph and AS_noisy and MME share replicate 0's classification and
-    level probabilities. MME's corrected degree is the mean observed degree
-    of all three replicates: it has the expectation of replicate 0's degree
-    and a third of its variance, and the inverse-confusion weights are
-    exponential in it.
+    HT_true classifies the true graph and AS_noisy and MME share replicate
+    0's classification and level probabilities. MME's corrected degree is
+    the mean observed degree of all three replicates: it has the
+    expectation of replicate 0's degree and a third of its variance, and
+    the inverse-confusion weights are exponential in it.
 
-    Every block takes its trials' (graph, generator) pairs in trial order
-    from a stream. A fixed graph's blocks start at known trials: the block
-    at t0 reads ``_fixed_trials(graph, words, t0)``. A regenerating run
-    builds trial 0's graph here, and all its blocks share one stream: trial
-    0's pair, then ``_regenerated`` for trials 1 ... T - 1.
-
-    One runner, ``_runner._in_order``, yields its results in order. It runs
-    a fixed graph's blocks, all submitted at once, on ``min(_usable_cpus(),
-    blocks)`` threads when one trial holds at least
-    ``_THREADED_TRIAL_ENTRIES`` entries. It runs a regenerating run's later
-    builds on ``min(_usable_cpus(), trials - 1)`` threads, at most two per
-    thread ahead of the trial taken last, when trial 0's graph has at least
-    ``_THREADED_BUILD_STUBS`` stubs (2m). Otherwise, or when this runs on
-    one of the runner's own threads, it runs them on this thread. A block's
-    or build's exception is raised when its turn comes, so the first
-    failing one's is raised. The runner is closed before the pool joins, so
-    the calls not yet started are cancelled, also when a regenerating run's
-    block fails rather than a build.
+    The trials are cut into ranges of k trials (the last may hold fewer),
+    and each range is one block (``_run_block``). k is fixed here, from the
+    fixed graph or, when every trial draws its own graph, from trial 0's
+    graph, which is drawn here and taken by block 0: as many trials as fit
+    ``_BLOCK_ENTRIES`` entries, 3 (m + n) per trial, and at least one. The
+    ranges run through the in-order runner (``_runner._in_order``), which
+    yields their results in order. It gets ``min(_usable_cpus(), trials)``
+    threads when one trial of that graph holds at least
+    ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
+    ``_THREADED_BUILD_STUBS`` stubs, 2m (regenerating), and k is then cut
+    so that the number of ranges is a multiple of the thread count.
+    Otherwise, or on one of the runner's own threads, the ranges run in
+    turn on this thread. A regenerating range draws its own graphs where it
+    runs, each first on its trial's own stream. Every trial has its own
+    stream and the results are written back in trial order, so no output
+    depends on k or on the thread count. A range's exception is raised when
+    its turn comes, so the first failing range's is raised, and no range
+    starts after it.
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
     fixed graph's block layout (``_block_layout``: edge endpoints, degrees
-    and non-edge table, laid out for the largest block), made once here, of
-    which each block uses a prefix. What lives for one block: its trials'
+    and non-edge table, laid out for k trials), made once here, of which
+    each block uses a prefix. What lives for one block: its trials'
     generators and graphs, its draws, until its replicates' changes are
     made from them (the treatment flags until replicate 0's levels are
     known), those changes until replicate 0's treated counts are taken, what
     is estimated from them, and, when every trial regenerates its graph, the
-    block's layout. A graph and generator built ahead live from their build
-    until a block takes them: at most two per thread are built, or being
-    built, beyond the trial taken last.
-    A block's arrays are released when it returns, so as many blocks' arrays
-    live at once as there are threads running blocks: one block on a single
+    block's layout. All of it is released when the block returns, so as many
+    blocks' arrays live at once as there are threads: one block on a single
     thread, two on two (at n = 1e5, a block's traced peak is about 12 MiB
     above the layout's 8.4 MiB). ``graph`` and ``table`` are None when every
     trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     words = _trial_words(cfg)
-    layout = None
-    threads = 1
+    n_trials = cfg.trials
+    made = {}  # trial 0's pair when it regenerates, until block 0 takes it
     if graph is None:
-        first = _regenerated(cfg, words, 0)
-        table = OutcomeTable.constant(first[0].n_v, cfg.outcomes)
-        if 2 * first[0].n_edges >= _THREADED_BUILD_STUBS:
-            threads = min(_usable_cpus(), cfg.trials - 1)
-        fn = functools.partial(_regenerated, cfg, words)
-        items, ahead = range(1, cfg.trials), 2 * threads
+        made[0] = _trial(cfg, None, words, 0)
+        sample = made[0][0]
+        table = OutcomeTable.constant(sample.n_v, cfg.outcomes)
+        threaded = 2 * sample.n_edges >= _THREADED_BUILD_STUBS
     elif graph.n_v < 1:
         raise ValueError("need at least one unit")
     else:
-        # every full block of a fixed graph holds this many trials
-        per_trial = 3 * (graph.n_edges + graph.n_v)
-        k = min(cfg.trials, max(1, _BLOCK_ENTRIES // per_trial))
-        layout = _block_layout([graph] * k)
-        starts = range(0, cfg.trials, k)
-        if per_trial >= _THREADED_TRIAL_ENTRIES:
-            threads = min(_usable_cpus(), len(starts))
+        sample = graph
+        threaded = 3 * (graph.n_edges + graph.n_v) >= _THREADED_TRIAL_ENTRIES
+    k = min(n_trials, max(1, _BLOCK_ENTRIES // (3 * (sample.n_edges + sample.n_v))))
+    del sample
+    threads = min(_usable_cpus(), n_trials) if threaded else 1
+    if threads > 1:
+        # as many ranges on every thread: their count rounded up to a multiple
+        ranges = -(-n_trials // k)
+        ranges += -ranges % threads
+        k = -(-n_trials // ranges)
+    layout = None if graph is None else _block_layout([graph] * k)
 
-        def fn(t0):
-            return _run_block(cfg, _fixed_trials(graph, words, t0), layout, table, rule)
+    def block(t0):
+        trials = (made.pop(t, None) or _trial(cfg, graph, words, t)
+                  for t in range(t0, min(t0 + k, n_trials)))
+        return _run_block(cfg, trials, layout, table, rule)
 
-        items, ahead = starts, len(starts)
-    n_trials = cfg.trials
     estimates = np.full((n_trials, len(cfg.estimators), 4), np.nan)
     fits = RateFits(
         np.empty(n_trials), np.empty(n_trials), np.empty(n_trials),
         np.empty(n_trials, dtype=np.int64), np.empty(n_trials, dtype=np.int8),
     )
     rule_counts = np.zeros(3, dtype=np.int64)
-    with _in_order(fn, items, threads, ahead) as ordered:
-        if graph is None:
-            trials = itertools.chain([first], ordered)
-            del first  # taken by block 0, not held for the whole run
-            # block after block, until the loop below has every trial
-            blocks = (_run_block(cfg, trials, None, table, rule) for _ in itertools.count())
-        else:
-            blocks = ordered
-        done = 0
-        while done < n_trials:
-            est, block_fits, counts = next(blocks)
-            k = est.shape[0]
-            estimates[done : done + k] = est
+    reached = np.zeros((len(cfg.estimators), 4), dtype=np.int64)
+    starts = range(0, n_trials, k)
+    with _in_order(block, starts, threads) as blocks:
+        for t0, (est, block_fits, counts, block_reached) in zip(starts, blocks):
+            estimates[t0 : t0 + k] = est
             for whole, part in zip(fits, block_fits):
-                whole[done : done + k] = part
+                whole[t0 : t0 + k] = part
             rule_counts += counts
-            done += k
+            reached += block_reached
     failed = fits.status >= FIT_DEGENERATE
     counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
                       (int(c) for c in rule_counts)))
-    return estimates, failed, fits, counts
+    return estimates, failed, fits, counts, reached
 
 
 @dataclass(frozen=True)
@@ -742,6 +712,8 @@ class EstimateSummary:
     mme_bias_reduction: tuple[dict, ...] | None
     noise_fit: dict | None
     config: dict
+    # the (estimator, level) pairs whose mean no kept trial gave a term
+    unattained_levels: tuple[dict, ...] = ()
 
 
 def bootstrap_ci(
@@ -854,7 +826,9 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
 
     The bias and SD intervals of all columns come from one set of
     ``bootstrap_b`` resamples of the surviving trials; when AS_noisy and MME
-    both run, the same resamples give ``mme_bias_reduction``.
+    both run, the same resamples give ``mme_bias_reduction``. A level whose
+    mean has no term in any kept trial reads 0 in every such trial;
+    ``unattained_levels`` names each such (estimator, level) pair.
     """
     if cfg.regenerate_graph:
         graph = table = None
@@ -864,7 +838,7 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         table = _resolve_outcomes(cfg, graph.n_v)
         truth = table.truth()
 
-    estimates, failed, fits, rule_counts = _run_trials(cfg, graph, table)
+    estimates, failed, fits, rule_counts, reached = _run_trials(cfg, graph, table)
     n_failed = int(failed.sum())
     if n_failed > 0.01 * cfg.trials:
         raise ExperimentError(
@@ -918,6 +892,10 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         mme_bias_reduction=reduction,
         noise_fit=fit_summary,
         config=cfg.echo(),
+        unattained_levels=tuple(
+            {"estimator": cfg.estimators[e], "level": LEVEL_NAMES[k]}
+            for e, k in zip(*np.nonzero(reached == 0))
+        ),
     )
 
 
@@ -977,6 +955,8 @@ def emit_results(summary: EstimateSummary, csv_path, sidecar_path=None) -> None:
         }
         if summary.mme_bias_reduction is not None:
             sidecar["mme_bias_reduction"] = list(summary.mme_bias_reduction)
+        if summary.unattained_levels:
+            sidecar["unattained_levels"] = list(summary.unattained_levels)
         Path(sidecar_path).write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

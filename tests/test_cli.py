@@ -144,6 +144,42 @@ def test_experiment_command_and_seed_override(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_experiment_names_the_levels_no_trial_attains(tmp_path, capsys):
+    # ZTP degrees clamped to 199 of 200 vertices: a vertex has no treated
+    # neighbour with probability about 0.9**125, so no trial has a c10 or
+    # c00 vertex. HT_true and AS_noisy have no term there; MME's corrected
+    # c11 and c01 vertices still add to c10 and c00. The rows read as
+    # before, the sidecar names the four pairs and one warning line says so
+    cfg = {"graph": {"source": "generate", "kind": "ztp", "n_v": 200, "mean_degree": 10000},
+           "alpha": 0.01, "beta": 0.1, "p": 0.1, "trials": 20, "bootstrap_b": 200,
+           "master_seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("nnc: warning: ") and err.count("\n") == 1
+    unattained = [(e, lvl) for e in ("HT_true", "AS_noisy") for lvl in ("c10", "c00")]
+    sidecar = json.loads((tmp_path / "out.json").read_text())
+    assert sidecar["n_failed"] == 0
+    assert sidecar["unattained_levels"] == [{"estimator": e, "level": lvl}
+                                            for e, lvl in unattained]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 12
+    for name, level, _, mean, _, _, _, sd, *_ in rows:
+        if (name, level) in unattained:
+            assert float(mean) == 0.0 and float(sd) == 0.0
+        else:
+            assert float(sd) > 0.0
+
+    # every level attained: no key, no warning
+    cfg["graph"]["mean_degree"] = 5.0
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "unattained_levels" not in json.loads((tmp_path / "out.json").read_text())
+
+
 def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypatch):
     degs = tmp_path / "degrees.txt"
     degs.write_text("1\n2\n3\n5\n8\n13\n")

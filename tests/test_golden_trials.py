@@ -58,7 +58,7 @@ def _results(case: str, tmp_dir: Path) -> dict:
     else:
         graph = cfg.graph
         table = _resolve_outcomes(cfg, graph.n_v)
-    estimates, _, fits, rule_counts = _run_trials(cfg, graph, table)
+    estimates, _, fits, rule_counts, _ = _run_trials(cfg, graph, table)
     return {
         "estimates": estimates.reshape(cfg.trials, -1).tolist(),
         "alpha_hat": fits.alpha_hat.tolist(),

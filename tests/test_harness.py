@@ -353,7 +353,7 @@ def test_mme_degree_comes_from_all_three_replicates(small_graph):
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=5, master_seed=17)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, _, _ = _run_trials(cfg, small_graph, table)
+    est, failed, _, _, _ = _run_trials(cfg, small_graph, table)
     assert not failed[4]
     rng = make_rng(cfg.master_seed, _TRIAL_STREAM, 4)
     reps = replicate(small_graph, cfg.noise, 3, rng)
@@ -397,7 +397,7 @@ def test_each_graph_is_classified_once_per_trial(small_graph, monkeypatch):
                            trials=6, master_seed=9)
     assert cfg.estimators == ESTIMATOR_NAMES
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, small_graph, table)
+    _, failed, _, _, _ = _run_trials(cfg, small_graph, table)
     assert not failed.any()
     # three blocks of two trials, two classifications each
     assert sizes == [2 * small_graph.n_v] * 6
@@ -410,7 +410,7 @@ def test_empty_first_replicate_fails_trials_not_the_run():
     cfg = ExperimentConfig(graph=graph, alpha=0.0, beta=0.9, p=0.5,
                            trials=50, bootstrap_b=50)
     table = _resolve_outcomes(cfg, graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, graph, table)
+    _, failed, _, _, _ = _run_trials(cfg, graph, table)
     empty = np.array([
         replicate(graph, cfg.noise, 3, make_rng(cfg.master_seed, _TRIAL_STREAM, t))[0].n_edges == 0
         for t in range(cfg.trials)
@@ -484,7 +484,7 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1,
                            trials=7, master_seed=23)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, _, _ = _run_trials(cfg, small_graph, table)
+    _, failed, _, _, _ = _run_trials(cfg, small_graph, table)
     assert failed.any() == bool(fail_every)
     assert alive_at_call == [0] * 4
     assert len(layouts) == 4 and len(layouts[0]) == len(harness_mod._Layout._fields) - 1
@@ -508,33 +508,20 @@ def _laid_end_to_end(graphs):
     )
 
 
-def _stop_rule_blocks(sizes, budget):
-    # block lengths of trials with these entry counts, 3 * (m + n) each: a
-    # block holds at least one trial and stops once its entries plus the
-    # last trial's would pass the budget
-    blocks, entries, prev = [0], 0, 0
-    for size in sizes:
-        if blocks[-1] and entries + prev > budget:
-            blocks.append(0)
-            entries = 0
-        blocks[-1] += 1
-        entries += size
-        prev = size
-    return blocks
-
-
 @pytest.mark.parametrize("regenerate", [False, True])
 def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenerate,
                                                            monkeypatch):
     # one-trial blocks, then blocks of three trials with a partial last one:
     # each block's part of the layout is its trials' graphs laid end to end,
-    # its trial count follows the stop rule on its own graphs' sizes, and
-    # its missed-edge flags hold exactly its true edges
+    # its trial count is the one fixed by the fixed graph's or trial 0's
+    # graph's size, and its missed-edge flags hold exactly its true edges
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
-    graph = resolve_graph(spec) if regenerate else small_graph
-    cfg = ExperimentConfig(graph=spec if regenerate else graph, alpha=0.01, beta=0.1, p=0.1,
-                           trials=7, master_seed=23, regenerate_graph=regenerate)
-    table = None if regenerate else _resolve_outcomes(cfg, graph.n_v)
+    cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.01, beta=0.1,
+                           p=0.1, trials=7, master_seed=23, regenerate_graph=regenerate)
+    if regenerate:
+        graph, table = harness_mod._trial(cfg, None, _trial_words(cfg), 0)[0], None
+    else:
+        graph, table = small_graph, _resolve_outcomes(cfg, small_graph.n_v)
     real_changes = harness_mod._replicate_changes
     blocks = []
 
@@ -549,13 +536,7 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
         monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", budget)
         blocks.clear()
         _run_trials(cfg, None if regenerate else graph, table)
-        counts = [len(graphs) for graphs, _, _ in blocks]
-        if not regenerate:
-            assert counts == sizes
-        entries = [3 * (g.n_edges + g.n_v) for graphs, _, _ in blocks for g in graphs]
-        assert counts == _stop_rule_blocks(entries, budget)
-        assert sum(counts) == cfg.trials
-        assert len(blocks) > 2
+        assert [len(graphs) for graphs, _, _ in blocks] == sizes
         for graphs, lay, missed_edges in blocks:
             assert lay.n == graphs[0].n_v
             assert missed_edges == sum(g.n_edges for g in graphs)
@@ -568,8 +549,8 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
                 for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j),
                                  (lay.degrees, g.degrees)):
                     assert np.shares_memory(got, own)
-        if regenerate and budget > per_trial:
-            # the graphs differ in size, so the rule is not a fixed count
+        if regenerate:
+            # the graphs differ in size, yet every full block holds k trials
             assert len({g.n_edges for graphs, _, _ in blocks for g in graphs}) > 1
 
 
@@ -591,7 +572,7 @@ def test_unconverged_unidentifiable_fit_fails_the_trial_not_the_run(small_graph,
     cfg = ExperimentConfig(graph=small_graph, alpha=0.3, beta=0.6, p=0.1,
                            trials=40, master_seed=3)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, fits, _ = _run_trials(cfg, small_graph, table)
+    est, failed, fits, _, _ = _run_trials(cfg, small_graph, table)
     stuck = (fits.status == FIT_DIVERGED) & (fits.iterations == 1)
     assert stuck.any()
     assert failed[stuck].all() and np.isnan(est[stuck]).all()
@@ -661,21 +642,21 @@ class _EditedGaps:
         return getattr(self.rng, name)
 
 
-def _trial_source(cfg, graph):
-    # every trial's (graph, generator) pair in trial order, each made when
-    # it is taken; graph is None when every trial regenerates its graph
+def _trial_source(cfg, graph, t0=0, t1=None):
+    # the (graph, generator) pairs of trials t0 ... t1 - 1 in trial order,
+    # each made when it is taken; graph is None when every trial
+    # regenerates its graph
     words = _trial_words(cfg)
-    if graph is None:
-        return map(functools.partial(harness_mod._regenerated, cfg, words), range(cfg.trials))
-    return harness_mod._fixed_trials(graph, words, 0)
+    t1 = cfg.trials if t1 is None else t1
+    return (harness_mod._trial(cfg, graph, words, t) for t in range(t0, t1))
 
 
-def _block_path(cfg, graph):
+def _block_path(cfg, graph, size):
     # per trial: its graph, its replicates' edge codes and its treatment
-    # flags, as the block path draws them
-    out, trials = [], _trial_source(cfg, graph)
-    while len(out) < cfg.trials:
-        draws = _draw_block(cfg, trials)
+    # flags, as the block path draws them in blocks of ``size`` trials
+    out = []
+    for t0 in range(0, cfg.trials, size):
+        draws = _draw_block(cfg, _trial_source(cfg, graph, t0, min(t0 + size, cfg.trials)))
         ch = _replicate_changes(draws, _block_layout(draws.graphs))
         lay, n = ch.lay, ch.lay.n
         miss_row = lay.edge_row[ch.missed]
@@ -743,10 +724,7 @@ def test_block_draws_equal_the_per_graph_path(case, one_trial_blocks, small_grap
                             lambda *path: _EditedGaps(real(*path), edit, calls))
         monkeypatch.setattr(harness_mod, "rng_from_words",
                             lambda words: _EditedGaps(real_words(words), edit, calls))
-    if one_trial_blocks:
-        monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
-
-    block = _block_path(cfg, graph)
+    block = _block_path(cfg, graph, 1 if one_trial_blocks else cfg.trials)
     assert len(block) == cfg.trials
     block_calls = len(calls)
     for t, (g, reps, z) in enumerate(block):
@@ -817,7 +795,10 @@ def _budget_case(case, tmp_path, small_graph):
                                   "vertex_outcomes", "criterion_5", "criterion_7"])
 def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, monkeypatch):
     kwargs = dict(_budget_case(case, tmp_path, small_graph), bootstrap_b=200, master_seed=777)
-    graph = resolve_graph(kwargs["graph"])  # a regenerating run's set-up graph
+    cfg = ExperimentConfig(**kwargs)
+    # the fixed graph, or the graph of a regenerating run's trial 0
+    graph = _trial_source(cfg, None if cfg.regenerate_graph else resolve_graph(cfg.graph))
+    graph = next(graph)[0]
     per_trial = 3 * (graph.n_edges + graph.n_v)
     blocks = []
     real_draw = harness_mod._draw_block
@@ -842,51 +823,43 @@ def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, mo
 
 
 def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkeypatch):
-    # the 2e4-vertex ZTP graph's one-trial blocks run on as many threads as
-    # there are usable CPUs (at most one per block); a 500-vertex
-    # regenerating run's blocks stay on this thread, and its later graphs are
-    # built on that many threads. The output bytes, the first failing block's
-    # or graph build's exception and the live thread count after the run are
-    # those of the one-thread run
+    # the 2e4-vertex ZTP graph's one-trial ranges, and a 500-vertex
+    # regenerating run's ranges with the graphs they build, run on as many
+    # threads as there are usable CPUs (at most one per range). The output
+    # bytes, the first failing range's exception and the live thread count
+    # after the run are those of the one-thread run
     ztp = dict(_budget_case("ztp_sparse", tmp_path, small_graph), bootstrap_b=200,
                master_seed=777)
     assert 3 * (ztp["graph"].n_edges + ztp["graph"].n_v) >= harness_mod._BLOCK_ENTRIES
     regen = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=200,
                  master_seed=777)
     cfg = ExperimentConfig(**regen)
-    first, _ = harness_mod._regenerated(cfg, _trial_words(cfg), 0)
+    first, _ = harness_mod._trial(cfg, None, _trial_words(cfg), 0)
     assert 2 * first.n_edges >= harness_mod._THREADED_BUILD_STUBS
-    real_run, real_build = harness_mod._run_block, harness_mod._regenerated
-    real_fixed = harness_mod._fixed_trials
+    real_run, real_trial = harness_mod._run_block, harness_mod._trial
     ran_on, built_on, failing = [], {}, set()
 
     def watched(cfg, trials, layout, table, rule):
         ran_on.append(threading.current_thread() is threading.main_thread())
         return real_run(cfg, trials, layout, table, rule)
 
-    def fixed(graph, words, t0):
-        # a fixed graph's block at t0 asks for its trials on its own thread
-        if t0 in failing:
-            raise RuntimeError(f"block at trial {t0}")
-        return real_fixed(graph, words, t0)
-
-    def building(cfg, words, t):
-        built_on[t] = threading.current_thread() is threading.main_thread()
+    def trial(cfg, graph, words, t):
+        # a range makes its trials' pairs on its own thread
+        if graph is None:
+            built_on[t] = threading.current_thread() is threading.main_thread()
         if t in failing:
-            raise RuntimeError(f"graph of trial {t}")
-        return real_build(cfg, words, t)
+            raise RuntimeError(f"trial {t}")
+        return real_trial(cfg, graph, words, t)
 
     monkeypatch.setattr(harness_mod, "_run_block", watched)
-    monkeypatch.setattr(harness_mod, "_fixed_trials", fixed)
-    monkeypatch.setattr(harness_mod, "_regenerated", building)
+    monkeypatch.setattr(harness_mod, "_trial", trial)
     start = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # up to more threads than cores, switching often
     try:
-        # blocks 3 and 5 of 8 fail, or the builds of trials 7 and 12: block
+        # trials 3 and 5 of 8 fail, or the builds of trials 7 and 12: trial
         # 3's or trial 7's exception surfaces, as in turn
-        for kwargs, fails, error in ((ztp, (3, 5), "block at trial 3"),
-                                     (regen, (7, 12), "graph of trial 7")):
+        for kwargs, fails, error in ((ztp, (3, 5), "trial 3"), (regen, (7, 12), "trial 7")):
             outputs, errors = [], []
             trials = kwargs["trials"]
             for cpus in (1, 2, 3):
@@ -896,11 +869,11 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
                 built_on.clear()
                 summary = run_experiment(ExperimentConfig(**kwargs))
                 assert threading.active_count() == start
+                assert len(ran_on) > 1 and all(ran_on) == (cpus == 1)
                 if kwargs is ztp:
-                    assert len(ran_on) == trials and all(ran_on) == (cpus == 1)
+                    assert len(ran_on) == trials
                     assert not built_on
                 else:
-                    assert len(ran_on) > 1 and all(ran_on)
                     # trial 0's graph is built here, the others off this
                     # thread exactly when there are several CPUs
                     assert sorted(built_on) == list(range(trials))
@@ -920,55 +893,61 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
     finally:
         sys.setswitchinterval(interval)
     failing.clear()
-    # a small graph's blocks (three of them here), and a regenerating run's,
-    # stay on this thread; so do the builds of a 115-vertex regenerating run
-    for case in ("school_dense", "pareto_regen_known"):
-        ran_on.clear()
-        run_experiment(ExperimentConfig(**dict(_budget_case(case, tmp_path, small_graph),
-                                               trials=160, bootstrap_b=20)))
-        assert len(ran_on) > 2 and all(ran_on)
+    # a small graph's ranges (three of them here) stay on this thread, and
+    # so do the ranges and builds of a 115-vertex regenerating run
+    ran_on.clear()
+    run_experiment(ExperimentConfig(**dict(_budget_case("school_dense", tmp_path, small_graph),
+                                           trials=160, bootstrap_b=20)))
+    assert len(ran_on) == 3 and all(ran_on)
     school = dict(_budget_case("school_dense", tmp_path, small_graph), trials=160,
                   bootstrap_b=20, regenerate_graph=True)
     school["graph"] = {"source": "generate", "kind": "pareto", "n_v": 115, "rate": 0.40,
                        "shape": 1.0, "lower": 7, "seed": 12345}
+    ran_on.clear()
     built_on.clear()
     run_experiment(ExperimentConfig(**school))
+    assert len(ran_on) > 1 and all(ran_on)
     assert len(built_on) == 160 and all(built_on.values())
 
 
 def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_path,
                                                            monkeypatch):
-    # a regenerating run's one-trial blocks on two threads, its builds slowed
-    # so that some wait in the pool's queue when block 2 raises: none of
-    # them may start after the raise, and no thread is left
+    # a regenerating run's one-trial ranges on two threads, each slowed, so
+    # that most have not started when range 2 raises: its exception is
+    # raised, those ranges never start, so they never build their graphs,
+    # also after the run returns, and no thread is left
     kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
                   master_seed=777)
-    real_run, real_build = harness_mod._run_block, harness_mod._regenerated
-    events, lock = [], threading.Lock()
+    real_run, real_trial = harness_mod._run_block, harness_mod._trial
+    started, built, lock = [], [], threading.Lock()
 
-    def slow(cfg, words, t):
+    def building(cfg, graph, words, t):
         with lock:
-            events.append("build")
-        time.sleep(0.05)
-        return real_build(cfg, words, t)
+            built.append(t)
+        return real_trial(cfg, graph, words, t)
 
-    def failing(*args):
+    def failing(cfg, trials, layout, table, rule):
+        trials = list(trials)
         with lock:
-            events.append("block")
-            if events.count("block") == 3:
-                events.append("raise")
+            started.append(len(started))
+            if len(started) == 3:
                 raise RuntimeError("block 2")
-        return real_run(*args)
+        time.sleep(0.05)
+        return real_run(cfg, trials, layout, table, rule)
 
     monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(harness_mod, "_regenerated", slow)
+    monkeypatch.setattr(harness_mod, "_trial", building)
     monkeypatch.setattr(harness_mod, "_run_block", failing)
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="^block 2$"):
         run_experiment(ExperimentConfig(**kwargs))
     assert threading.active_count() == start
-    assert "build" not in events[events.index("raise"):]
+    ran, builds = len(started), len(built)
+    time.sleep(0.2)
+    assert len(started) == ran < kwargs["trials"] // 2
+    # trial 0 is built here; every other build belongs to a range that started
+    assert len(built) == builds == ran
 
 
 def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
@@ -1016,38 +995,32 @@ def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_builds_run_at_most_two_per_thread_ahead(cpus, small_graph, tmp_path, monkeypatch):
-    # whenever a build starts, the builds started less the trials taken
-    # are at most two per thread; the blocks take their trials slowly, so
-    # the builders run ahead by more than one per thread (a build starts
-    # once its thread takes the GIL, often after the next trial is taken)
+def test_at_most_threads_blocks_run_at_once(cpus, small_graph, tmp_path, monkeypatch):
+    # a regenerating run's one-trial ranges, each slowed while it holds no
+    # lock, run on ``cpus`` threads: never more of them at once, and that
+    # many at once at some point
     kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
                   master_seed=777)
-    real_draw, real_build = harness_mod._draw_block, harness_mod._regenerated
+    real_run = harness_mod._run_block
     lock = threading.Lock()
-    started, taken, depths = [], [], []
+    running, depths = [0], []
 
-    def build(cfg, words, t):
-        if t:  # trial 0 is built on this thread before the stream starts
+    def slowly(*args):
+        with lock:
+            running[0] += 1
+            depths.append(running[0])
+        time.sleep(0.05)
+        try:
+            return real_run(*args)
+        finally:
             with lock:
-                started.append(t)
-                depths.append(len(started) - len(taken))
-        return real_build(cfg, words, t)
-
-    def slowly(trials):
-        for pair in trials:
-            with lock:
-                taken.append(None)
-            time.sleep(0.02)
-            yield pair
+                running[0] -= 1
 
     monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness_mod, "_regenerated", build)
-    monkeypatch.setattr(harness_mod, "_draw_block",
-                        lambda cfg, trials: real_draw(cfg, slowly(trials)))
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(harness_mod, "_run_block", slowly)
     run_experiment(ExperimentConfig(**kwargs))
-    assert started == list(range(1, kwargs["trials"])) and len(taken) == kwargs["trials"]
-    assert cpus < max(depths) <= 2 * cpus
+    assert len(depths) == kwargs["trials"] and max(depths) == cpus
 
 
 def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
@@ -1055,7 +1028,7 @@ def test_sidecar_summarises_the_rate_fits(small_graph, tmp_path):
                            bootstrap_b=50, master_seed=31)
     summary = run_experiment(cfg)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    _, failed, fits, _ = _run_trials(cfg, small_graph, table)
+    _, failed, fits, _, _ = _run_trials(cfg, small_graph, table)
     assert not failed.any()
 
     def spread(x):
@@ -1120,7 +1093,7 @@ def test_mme_bias_reduction_comes_from_the_shared_resamples(small_graph, tmp_pat
                            estimators=("MME", "AS_noisy"))
     summary = run_experiment(cfg)
     table = _resolve_outcomes(cfg, small_graph.n_v)
-    est, failed, _, _ = _run_trials(cfg, small_graph, table)
+    est, failed, _, _, _ = _run_trials(cfg, small_graph, table)
     data = est[~failed]
     means, _ = _bootstrap_columns(data.reshape(len(data), 8), cfg.bootstrap_b,
                                   make_rng(cfg.master_seed, _BOOT_STREAM))
