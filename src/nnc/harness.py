@@ -713,7 +713,7 @@ class EstimateSummary:
     noise_fit: dict | None
     config: dict
     # the (estimator, level) pairs whose mean no kept trial gave a term
-    unattained_levels: tuple[dict, ...] = ()
+    unattained_levels: tuple[dict, ...]
 
 
 def bootstrap_ci(
