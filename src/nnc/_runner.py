@@ -1,19 +1,13 @@
 """The in-order runner: one function over a sequence of items, its results
 taken in item order, its calls run on a pool of threads when there are
-several usable CPUs.
-
-It serves two kinds of work: a large stub-matching build's attempts
-(``graphs.build_graph_configuration``) and, in ``harness``, the trial ranges
-of a run on a large graph. A runner opened on one of the runner's own worker
-threads runs its calls in turn on that thread, so a graph that a regenerating
-range builds there never nests a second pool.
+several usable CPUs. ``harness`` runs the trial ranges of a run on a large
+graph through it.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 # the names of the runner's worker threads start with this
@@ -33,23 +27,24 @@ def _usable_cpus() -> int:
 def _in_order(fn, items, threads: int):
     """Open an iterator over ``fn(item)`` for each of ``items``, in order.
 
-    With fewer than two ``threads``, or on one of the runner's own worker
-    threads, the calls run in turn on the calling thread, as ``map`` runs
-    them. Otherwise they run on a pool of ``threads`` threads: each call is
-    submitted ``threads`` items before its result is taken, so at most
-    ``threads`` run at once and one waits, and a call's exception is raised
-    when its turn comes. On leaving the context, also by an exception, no
-    call is submitted any more, the submitted calls not yet started are
-    cancelled, and then the pool's threads are joined, so none is left.
+    With fewer than two ``threads`` the calls run in turn on the calling
+    thread, as ``map`` runs them. Otherwise they run on a pool of
+    ``threads`` threads: each call is submitted ``threads`` items before its
+    result is taken, so at most ``threads`` run at once and one waits, and a
+    call's exception is raised when its turn comes. What stops the later
+    calls on leaving the context, also by an exception, is that nothing more
+    is submitted: the calls already submitted (the others running and the
+    one queued) still run, and then the pool's threads are joined, so none
+    is left.
     """
-    if threads < 2 or threading.current_thread().name.startswith(_THREAD_PREFIX):
+    if threads < 2:
         yield map(fn, items)
         return
     pool = ThreadPoolExecutor(threads, thread_name_prefix=_THREAD_PREFIX)
     try:
         yield _submitted(pool, fn, items, threads)
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
 
 
 def _submitted(pool, fn, items, threads: int):

@@ -8,7 +8,6 @@ the n^2 vertex pairs.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -17,7 +16,6 @@ from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 
-from ._runner import _in_order, _usable_cpus
 from .seeding import derive_seeds, rng_from_words, seed_words
 
 
@@ -245,23 +243,14 @@ def sample_degree_sequence(
 
 
 # a matching of at most 2 * _MATCH_CHUNK stubs is drawn as one permutation;
-# a larger one's attempts are drawn in chunks of at least half as many
+# a larger one's attempts but the last are revealed lazily, hub first
 _MATCH_CHUNK = 2**13
-# stubs from which a lazily drawn build's attempts run on several threads.
-# Most numpy calls of an attempt's chunk loop hold the GIL, and below this
-# size they are short. On a 2-core machine, two threads against one (ZTP(10)
-# whole builds, 12-16 alternating pairs in one process) read 0.82x at 3e4
-# stubs, 0.87x at 6e4, 0.94x at 1e5 and 1.3e5, 0.97x at 2e5, 0.94-0.99x at
-# 2.6e5, 0.95-1.32x at 3.3e5 and 1.45-1.51x at 7e5 and 1e6. No benchmark
-# workload builds a graph between 2 * _MATCH_CHUNK stubs and this size
-_THREADED_MATCH_STUBS = 2**18
-# at most this many lazy attempts run at once, so the memory a build needs
-# does not grow with the CPU count. At 1e6 stubs (ZTP(10), n = 1e5) a
-# rejected attempt holds a traced 3.7 MB at the median and 6.0 MB at p90,
-# and one that survives half its stubs 20.5 MB, beside the 8.8 MB of stubs
-# and degrees. The build's traced peak (four seeds) read 32.8 MB at 1 to
-# 16 usable CPUs; with no cap it read 37-39 MB at 8 and 51-54 MB at 16
-_MATCH_THREADS = 4
+# a lazy attempt's first group of vertices holds at least N // _FIRST_GROUP
+# of the N stubs (and at least one vertex), and each later group at least
+# twice as many as the one before. Rejected ZTP(10) attempts at 2e5 and 1e6
+# stubs took 0.38 and 1.56 ms at N // 64, 0.31 and 1.23 ms at N // 128, and
+# 0.36 and 1.25 ms at N // 256 (one process, best of three passes)
+_FIRST_GROUP = 128
 
 
 def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -274,85 +263,151 @@ def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return _sorted_unique(codes)
 
 
-def _shuffle_stubs(stubs: np.ndarray, n: int, rng: np.random.Generator):
-    """The stubs in uniform random order, or None as soon as the matching
-    that order makes cannot be simple; entries 2k and 2k + 1 of the order
-    are the k-th pair of the matching.
+def _hub_first(d: np.ndarray):
+    """The stubs in hub-first order and the ends of the reveal's groups.
 
-    The first half of the order is drawn in chunks while the drawn prefix
-    stays below half the stubs. The first chunk draws ``max(ceil(
-    _MATCH_CHUNK / 2), N // 25)`` stub indices (N = ``stubs.size``), and
-    each later one a quarter more, uniformly with replacement; a chunk
-    keeps, in draw order, the stubs not drawn before that it draws exactly
-    once. Which draws are kept depends only on which of them are equal or
-    hit an earlier chunk, never on their values, so the kept stubs are a
-    uniform ordered sample of the undrawn ones, and the prefix is that of a
-    uniform permutation. An odd stub left over pairs with the next
-    chunk's first. The draw stops and returns None at the first chunk whose
-    pairs hold a self-loop or repeat a pair: the chunk's pair codes are
-    sorted and merged into the sorted codes of the pairs drawn before (two
-    sorted runs, which a stable sort merges in one pass), where a repeat
-    shows as two equal neighbours. Until then an attempt holds its chunks,
-    those codes and one flag per stub; no chunk allocates an array of N
-    entries. Only a prefix that reaches half the stubs gets the N-entry
-    order: its chunks, then the undrawn stubs in uniform random order.
-    ``n`` is the vertex count, the base of the pair codes.
+    The vertices are put in decreasing degree order, ties by id; entry k of
+    the returned stub array is the vertex of stub k in that order, so each
+    vertex's stubs are a contiguous run. The groups cut that order at vertex
+    boundaries, the first after at least ``N // _FIRST_GROUP`` stubs (N the
+    stub count), each later one after at least twice as many stubs as the
+    one before; the last ends at N.
     """
-    size = stubs.size
-    chunk = max((_MATCH_CHUNK + 1) // 2, size // 25)
-    # the narrowest unsigned type that holds a stub index: at 4e5 stubs a
-    # chunk of 3e4 indices sorts in it in half the time it takes as int64
-    index_type = np.min_scalar_type(size)
-    used = np.zeros(size, dtype=bool)
-    seen = np.empty(0, dtype=np.int64)  # sorted pair codes of the prefix
-    drawn = []
-    head = 0
-    odd = stubs[:0]  # the prefix's last stub while it has no partner
-    while 2 * (head + chunk) < size:
-        idx = rng.integers(0, size, chunk)
-        idx = idx[~used[idx]]
-        used[idx] = True
-        # a stub this chunk draws more than once is dropped and stays undrawn
-        ordered = np.sort(idx.astype(index_type))
-        used[ordered[1:][ordered[1:] == ordered[:-1]]] = False
-        idx = idx[used[idx]]
-        part = stubs[idx]
-        drawn.append(part)
-        head += part.size
-        if odd.size:
-            part = np.concatenate([odd, part])
-        stop = part.size - part.size % 2
-        a, b = part[0:stop:2], part[1:stop:2]
-        odd = part[stop:]
-        if (a == b).any():
-            return None
-        new = np.minimum(a, b)
-        new *= n
-        new += np.maximum(a, b)
-        new.sort()
-        seen = np.concatenate([seen, new])
-        seen.sort(kind="stable")
-        if (seen[1:] == seen[:-1]).any():
-            return None
-        chunk += chunk // 4
-    order = np.empty_like(stubs)
-    np.concatenate(drawn, out=order[:head])
-    del drawn
-    rest = order[head:]
-    # the indices are in range: "clip" only spares take a buffer for ``out``
-    np.take(stubs, np.flatnonzero(~used), out=rest, mode="clip")
+    n = d.size
+    # a stable radix sort of the narrow key: ~1 ms at n = 1e5, 5 ms on -d
+    order = np.argsort((d.max() - d).astype(np.min_scalar_type(d.max())), kind="stable")
+    deg = d[order]
+    hub = np.repeat(order.astype(np.min_scalar_type(n - 1)), deg)
+    cum = np.cumsum(deg)
+    ends, end, size = [], 0, max(1, hub.size // _FIRST_GROUP)
+    while end < hub.size:
+        end = int(cum[min(np.searchsorted(cum, end + size), n - 1)])
+        ends.append(end)
+        size *= 2
+    return hub, ends
+
+
+def _slot_pairs(rng: np.random.Generator, u: int, s: int, index_type) -> int:
+    # how many of the slots (2j, 2j + 1) hold two of s uniform distinct
+    # positions in [0, u). The positions are the distinct values of
+    # uniform draws, drawn s - (distinct so far) at a time until there are
+    # s: that set is the distinct values of the shortest prefix of an iid
+    # sequence that holds s of them, so it is a uniform s-subset
+    pos = _sorted_unique(rng.integers(0, u, s, dtype=index_type))
+    while pos.size < s:
+        more = rng.integers(0, u, s - pos.size, dtype=index_type)
+        pos = _sorted_unique(np.concatenate([pos, more]))
+    slots = pos >> 1
+    return int(np.count_nonzero(slots[1:] == slots[:-1]))
+
+
+def _outside(rng: np.random.Generator, lo: int, size: int, count: int,
+             matched: np.ndarray, index_type) -> np.ndarray:
+    # ``count`` stubs drawn in order from the unmatched ones in [lo, size),
+    # a uniform ordered sample, each then marked in ``matched``. A batch
+    # draws the count still missing uniformly with replacement and keeps, in
+    # draw order, the unmatched stubs it draws exactly once; a sorted copy
+    # finds the repeats. Which draws are kept depends only on which of them
+    # are equal or hit a matched stub, never on their values, so the kept
+    # stubs are uniform
+    taken = [np.empty(0, dtype=index_type)]
+    while count:
+        idx = rng.integers(lo, size, count, dtype=index_type)
+        idx = idx[~matched[idx]]
+        matched[idx] = True
+        ordered = np.sort(idx)
+        repeated = ordered[1:] == ordered[:-1]
+        if repeated.any():
+            matched[ordered[1:][repeated]] = False
+            idx = idx[matched[idx]]
+        taken.append(idx)
+        count -= idx.size
+    return np.concatenate(taken)
+
+
+def _lazy_attempt(hub: np.ndarray, ends: list, matched: np.ndarray, n: int,
+                  rng: np.random.Generator):
+    """One uniform stub matching revealed hub first: its sorted pair codes
+    when it is simple, else None as soon as it shows a self-loop or a
+    repeated pair.
+
+    ``hub`` and ``ends`` are ``_hub_first``'s, ``n`` the vertex count, and
+    ``matched`` one flag per stub, all False, which the attempt uses as
+    scratch and leaves all False. Group by group, with u stubs unmatched,
+    the group's unmatched stubs S (s of them) get their partners: s uniform
+    distinct positions in a uniform order of the u stubs, each paired with
+    the stub at its neighbouring position (2j with 2j + 1), give the number
+    k of pairs inside S; a uniform ordered sample of 2k stubs of S is paired
+    in turn, and the other stubs of S, in order, with a uniform ordered
+    sample of the unmatched stubs outside S. That is the law of a uniform
+    matching's pairs at S given the pairs revealed before, and which stubs
+    are revealed next depends only on those, so the whole is a uniform
+    matching (the pairing model: Bollobas, Eur. J. Combin. 1:311-316, 1980).
+    Every pair a group reveals has an end in that group and none in an
+    earlier one, so it can only repeat a pair of the same group, and each
+    group is checked on its own. Once S would exceed a quarter of the
+    unmatched stubs, the unmatched stubs are shuffled and paired in order
+    and checked the same way. Revealing a vertex's stubs together shows
+    every repeated pair at it: a rejected ZTP(10) attempt at n = 1e5 has
+    matched a median of ~15.5k of its 1e6 stubs, in 1.5 groups on average.
+    """
+    size = hub.size
+    # rng.integers draws 16-bit values slower than 32-bit ones
+    index_type = np.promote_types(np.min_scalar_type(size), np.uint32)
+    parts = []  # each group's sorted pair codes
+    taken = []  # the stubs marked in ``matched``
+    try:
+        lo, u = 0, size
+        for hi in ends:
+            group = hub[lo:hi][~matched[lo:hi]]
+            s = group.size
+            if 4 * s > u:
+                break
+            if s:
+                k = _slot_pairs(rng, u, s, index_type)
+                out = _outside(rng, hi, size, s - 2 * k, matched, index_type)
+                taken.append(out)
+                a, b = group, hub[out]
+                if k:
+                    inner = rng.choice(s, 2 * k, replace=False)
+                    keep = np.ones(s, dtype=bool)
+                    keep[inner] = False
+                    a = np.concatenate([group[inner[0::2]], group[keep]])
+                    b = np.concatenate([group[inner[1::2]], b])
+                # only the pairs inside the group can be self-loops
+                if (codes := _group_codes(a, b, n, k)) is None:
+                    return None
+                parts.append(codes)
+                u -= s + out.size
+            lo = hi
+        if u:
+            if (codes := _rest_codes(hub[lo:][~matched[lo:]], n, rng)) is None:
+                return None
+            parts.append(codes)
+        return np.sort(np.concatenate(parts))
+    finally:
+        for out in taken:
+            matched[out] = False
+
+
+def _rest_codes(rest: np.ndarray, n: int, rng: np.random.Generator):
+    # ``_group_codes`` of a uniform matching of the stubs ``rest``: one
+    # shuffle, then pairs in order (int64 shuffles twice as fast as uint32)
+    rest = rest.astype(np.int64)
     rng.shuffle(rest)
-    return order
+    return _group_codes(rest[0::2], rest[1::2], n, rest.size // 2)
 
 
-def _lazy_attempt(stubs: np.ndarray, n: int, words: np.ndarray, k: int):
-    # attempt k + 1 of a lazily drawn build, on the generator of row k of
-    # ``words``: the pair codes of its matching when that is simple, else None
-    order = _shuffle_stubs(stubs, n, rng_from_words(words[k]))
-    if order is None:
+def _group_codes(a: np.ndarray, b: np.ndarray, n: int, loops: int):
+    # the sorted codes lo * n + hi of the pairs (a[k], b[k]), or None when
+    # one of the first ``loops`` pairs is a self-loop or two pairs are equal
+    if loops and (a[:loops] == b[:loops]).any():
         return None
-    codes = _pair_codes(order[0::2], order[1::2], n)
-    return codes if codes.size == stubs.size // 2 else None
+    codes = np.minimum(a, b).astype(np.int64)
+    codes *= n
+    codes += np.maximum(a, b)
+    codes.sort()
+    return None if (codes[1:] == codes[:-1]).any() else codes
 
 
 def build_graph_configuration(
@@ -378,26 +433,25 @@ def build_graph_configuration(
     the last one is erased. Above ``2 * _MATCH_CHUNK`` stubs each attempt
     before the last runs on its own generator, seeded from one draw of
     ``rng`` (``seeding.derive_seeds`` over the attempt indices), and is
-    drawn lazily (``_shuffle_stubs``): abandoned at the first chunk that
-    shows a self-loop or a repeated pair (ZTP(10) at n = 1e5: after ~12% of
-    its stubs), completed and checked in full when it survives half its
-    stubs. These attempts run through the in-order runner (``nnc._runner``),
-    on ``min(usable CPUs, attempts, _MATCH_THREADS)`` threads from
-    ``_THREADED_MATCH_STUBS`` stubs and in turn below that or on one of the
-    runner's own worker threads. The first simple one in attempt order
-    wins, and the attempts not yet started are cancelled. Every other
-    attempt, the last one included, is one whole permutation drawn from
-    ``rng``: the stubs are copied into one buffer and shuffled in place,
-    which draws exactly what ``rng.permutation(stubs)`` draws, and only an
-    attempt without a self-loop, or the last one, builds its pair codes.
-    Attempts stay independent uniform matchings accepted iff simple, so the
-    graph and ``meta`` have the law of redrawing whole matchings, though
-    above ``2 * _MATCH_CHUNK`` stubs not the same stream; there the graph,
-    ``meta`` and the generator's state after the build do not depend on the
-    number of threads. At or below that size, and with one attempt, no
-    attempt seed is drawn, and the graph, ``meta`` and the generator's
-    state are exactly those of drawing every attempt with
-    ``rng.permutation``.
+    revealed lazily, hub first (``_lazy_attempt``): the partners of whole
+    vertices' stubs, in groups of vertices in decreasing degree order, until
+    the first self-loop or repeated pair. A ZTP(10) attempt at n = 1e5 is
+    rejected after revealing a median of ~15.5k of its 1e6 stubs. The
+    attempts run in turn on the calling thread, and the first simple one
+    wins. Every other attempt, the last one included, is one whole
+    permutation drawn from ``rng``: the stubs are copied into one buffer and
+    shuffled in place, which draws exactly what ``rng.permutation(stubs)``
+    draws, and only an attempt without a self-loop, or the last one, builds
+    its pair codes. Attempts stay independent uniform matchings accepted iff
+    simple, so the graph and ``meta`` have the law of redrawing whole
+    matchings, though above ``2 * _MATCH_CHUNK`` stubs not the same stream.
+    There a build whose lazy attempts are all rejected, as ZTP(10) and
+    Pareto builds essentially always are, draws its last attempt from
+    ``rng`` right after the seed, so its graph, ``meta`` and the
+    generator's state do not depend on how the lazy attempts are drawn. At
+    or below that size, and with one attempt, no attempt seed is drawn, and
+    the graph, ``meta`` and the generator's state are exactly those of
+    drawing every attempt with ``rng.permutation``.
     """
     if type(max_attempts) is bool or not isinstance(max_attempts, Integral) or max_attempts < 1:
         raise ValueError("max_attempts must be an integer of at least 1")
@@ -414,23 +468,22 @@ def build_graph_configuration(
         d[pick] += 1
         meta["odd_repair_node"] = pick
 
-    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    n_pairs = stubs.size // 2
+    n_pairs = int(d.sum()) // 2
     codes = None
     # attempts on their own streams: all but the last above 2 * _MATCH_CHUNK stubs
-    lazy = max_attempts - 1 if stubs.size > 2 * _MATCH_CHUNK else 0
+    lazy = max_attempts - 1 if n_pairs > _MATCH_CHUNK else 0
     if lazy:
         seed = int(rng.integers(2**64, dtype=np.uint64))
         words = seed_words(derive_seeds(seed, last=np.arange(lazy)))
-        threads = 1
-        if stubs.size >= _THREADED_MATCH_STUBS:
-            threads = min(_usable_cpus(), lazy, _MATCH_THREADS)
-        attempt = functools.partial(_lazy_attempt, stubs, n, words)
-        with _in_order(attempt, range(lazy), threads) as results:
-            for attempts, codes in enumerate(results, 1):
-                if codes is not None:
-                    break
+        hub, ends = _hub_first(d)
+        matched = np.zeros(hub.size, dtype=bool)
+        for attempts in range(1, lazy + 1):
+            codes = _lazy_attempt(hub, ends, matched, n, rng_from_words(words[attempts - 1]))
+            if codes is not None:
+                break
+        del hub, matched  # before the last attempt's stub buffers
     if codes is None:
+        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         perm = np.empty_like(stubs)
         a, b = perm[0::2], perm[1::2]
         for attempts in range(lazy + 1, max_attempts + 1):

@@ -13,14 +13,13 @@ graph or from trial 0's graph, and each range is one block: a short
 per-trial loop makes each trial's draws (its graph first, when every trial
 draws its own), and everything after the draws runs once per block on
 arrays keyed by (trial, replicate). The ranges run on one in-order runner
-(``nnc._runner._in_order``, shared with stub matching), on one thread per
-usable CPU when one trial of that graph holds at least
-``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
-``_THREADED_BUILD_STUBS`` stubs (regenerating), and in turn on the caller's
-thread otherwise. A regenerating range builds its graphs where it runs; a
-build there runs its stub-matching attempts in turn, since a runner opened
-on the runner's own worker thread starts no second pool. Results are written
-back in trial order, so outputs do not depend on k or on the thread count.
+(``nnc._runner._in_order``), on one thread per usable CPU when one trial of
+that graph holds at least ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph)
+or has at least ``_THREADED_BUILD_STUBS`` stubs (regenerating), and in turn
+on the caller's thread otherwise. A regenerating range builds its graphs where it runs,
+and a build runs its stub-matching attempts in turn on that thread. Results
+are written back in trial order, so outputs do not depend on k or on the
+thread count.
 """
 from __future__ import annotations
 
@@ -615,13 +614,12 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
     ``_THREADED_BUILD_STUBS`` stubs, 2m (regenerating), and k is then cut
     so that the number of ranges is a multiple of the thread count.
-    Otherwise, or on one of the runner's own threads, the ranges run in
-    turn on this thread. A regenerating range draws its own graphs where it
+    Otherwise the ranges run in turn on this thread. A regenerating range draws its own graphs where it
     runs, each first on its trial's own stream. Every trial has its own
     stream and the results are written back in trial order, so no output
     depends on k or on the thread count. A range's exception is raised when
     its turn comes, so the first failing range's is raised, and no range
-    starts after it.
+    is submitted after it.
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from nnc import graphs
+from nnc._runner import _in_order
 from nnc.graphs import (
     EdgeListError,
     Graph,
@@ -382,74 +383,85 @@ def test_configuration_chunked_stream_is_pinned():
 
 def test_configuration_simple_chunked_stream_is_pinned():
     # ZTP(1.3) at n = 2e4: about 2.6e4 stubs, and at this seed the fourth
-    # chunked attempt is the first simple one, so the graph is what that
-    # attempt's own stream draws, chunks and shuffled rest. Recorded as the
-    # test above; a declared change of the stream updates them
+    # lazy attempt is the first simple one, so the graph is what that
+    # attempt's own stream draws, hub-first groups and shuffled rest.
+    # Recorded as the test above; a declared change of the stream updates them
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
     assert degrees.sum() > 2 * graphs._MATCH_CHUNK
-    rng = make_rng(7)
+    rng = make_rng(10)
     g = build_graph_configuration(degrees, rng)
     assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
-        "90adc348fe7b8dd2104d0141d961ca332fe38a341dc4299b376bb26e007cbe32")
-    assert g.meta == {"odd_repair_node": 7057, "matching_attempts": 4,
+        "54fdf6831d998a21828a8a0f8b2462909ee2a14d998b627af29e29ab6912ba6d")
+    assert g.meta == {"odd_repair_node": 792, "matching_attempts": 4,
                       "erased_stub_count": 0}
-    assert rng.integers(2**62) == 3031336035241103477
+    assert rng.integers(2**62) == 2424291371565667190
 
 
 @pytest.mark.parametrize("mean, n, seed, attempts", [(10.0, 3000, 6, 100),
                                                      (10.0, 20_000, 6, 100),
-                                                     (1.3, 20_000, 7, 4)])
+                                                     (1.3, 20_000, 10, 4)])
 def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, seed, attempts):
-    # builds on the lazy path, their attempts on 1, 2 and 3 threads (the
-    # size from which they use threads lowered to 0): ZTP(10) builds reject
-    # all 99 chunked attempts, and the ZTP(1.3) one takes its fourth though
-    # later ones may finish first. The codes, meta and the generator's next
-    # draw are those of one thread, the attempts leave this thread exactly
-    # when there are several CPUs, and no thread is left
+    # builds on the lazy path, made on this thread and as the items of an
+    # in-order runner on 2 and 3 threads, as a regenerating run's ranges
+    # make them: the ZTP(10) builds reject all 99 lazy attempts, and the
+    # ZTP(1.3) one takes its fourth. The codes, meta and the generator's
+    # next draw are the same everywhere, each build runs its lazy attempts
+    # on its own thread, and no thread is left
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(mean), n, make_rng(8))
     assert degrees.sum() > 2 * graphs._MATCH_CHUNK
     real_attempt = graphs._lazy_attempt
-    ran_on = set()
+    ran_on = collections.Counter()
 
     def watched(*args):
-        ran_on.add(threading.current_thread().name)
+        ran_on[threading.current_thread().name] += 1
         return real_attempt(*args)
 
-    monkeypatch.setattr(graphs, "_THREADED_MATCH_STUBS", 0)
+    def build(_):
+        rng = make_rng(seed)
+        g = build_graph_configuration(degrees, rng)
+        return (g.codes.tobytes(), g.meta, rng.integers(2**62)), threading.current_thread().name
+
     monkeypatch.setattr(graphs, "_lazy_attempt", watched)
     start = threading.active_count()
     outputs = []
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
         ran_on.clear()
-        rng = make_rng(seed)
-        g = build_graph_configuration(degrees, rng)
+        with _in_order(build, range(cpus), cpus) as results:
+            built = list(results)
         assert threading.active_count() == start
-        assert (ran_on == {threading.current_thread().name}) == (cpus == 1)
-        outputs.append((g.codes.tobytes(), g.meta, rng.integers(2**62)))
+        builders = collections.Counter(name for _, name in built)
+        assert (set(builders) == {threading.current_thread().name}) == (cpus == 1)
+        # the lazy attempts: the simple one, or the 99 before the last
+        assert ran_on == {name: min(attempts, 99) * count for name, count in builders.items()}
+        outputs.extend(output for output, _ in built)
+    assert all(output == outputs[0] for output in outputs)
     assert outputs[0][1]["matching_attempts"] == attempts
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_configuration_raises_a_failing_attempts_error(monkeypatch, cpus):
-    # attempt 6 of a ZTP(10) build raises (attempts 7 and 10 too): its error
-    # is raised, as on one thread, and no thread is left
+    # attempt 6 of a ZTP(10) build raises (attempts 7 and 10 would too):
+    # the attempts run in turn, so its error is raised and no later attempt
+    # runs, whether the build runs on this thread or on a runner of 2 or 3
+    # threads, and no thread is left
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(5))
     real_attempt = graphs._lazy_attempt
+    calls = []
 
-    def failing(stubs, n, words, k):
-        if k + 1 in (6, 7, 10):
-            raise RuntimeError(f"attempt {k + 1}")
-        return real_attempt(stubs, n, words, k)
+    def failing(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) in (6, 7, 10):
+            raise RuntimeError(f"attempt {len(calls)}")
+        return real_attempt(*args)
 
-    monkeypatch.setattr(graphs, "_THREADED_MATCH_STUBS", 0)
     monkeypatch.setattr(graphs, "_lazy_attempt", failing)
-    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="^attempt 6$"):
-        build_graph_configuration(degrees, make_rng(6))
+        with _in_order(lambda seed: build_graph_configuration(degrees, make_rng(seed)),
+                       [6], cpus) as results:
+            list(results)
     assert threading.active_count() == start
+    assert len(calls) == 6 and len(set(calls)) == 1
 
 
 def _outcome_counts(build, degrees, max_attempts, seeds):
@@ -465,64 +477,109 @@ def _built(degrees, rng, max_attempts):
     return g.codes, g.meta
 
 
+def _watch_reveal(monkeypatch):
+    # forces the lazy path for every matching of more than 2 stubs and a
+    # first group of one vertex, and counts what the lazy attempts do: the
+    # groups each attempt reveals, the groups that pair some of their stubs
+    # with each other, the completions (the rest shuffled), and the
+    # positions drawn again because a batch drew one twice
+    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
+    monkeypatch.setattr(graphs, "_FIRST_GROUP", 10**9)
+    seen = collections.Counter(groups=[])
+    real = {name: getattr(graphs, name)
+            for name in ("_lazy_attempt", "_slot_pairs", "_rest_codes", "_sorted_unique")}
+
+    def attempt(*args):
+        seen["groups"].append(0)
+        return real["_lazy_attempt"](*args)
+
+    def slot_pairs(*args):
+        seen["groups"][-1] += 1
+        seen["drawing"] = True
+        k = real["_slot_pairs"](*args)
+        seen["drawing"] = False
+        seen["inner"] += k > 0
+        return k
+
+    def rest_codes(*args):
+        seen["rests"] += 1
+        return real["_rest_codes"](*args)
+
+    def sorted_unique(values):
+        out = real["_sorted_unique"](values)
+        seen["redraws"] += seen["drawing"] and out.size < values.size
+        return out
+
+    for name, fn in (("_lazy_attempt", attempt), ("_slot_pairs", slot_pairs),
+                     ("_rest_codes", rest_codes), ("_sorted_unique", sorted_unique)):
+        monkeypatch.setattr(graphs, name, fn)
+    return seen
+
+
+def _assert_same_law(got, want):
+    # two-sample chi-square, cells seen fewer than 10 times in both samples
+    # pooled; fails below p = 1e-3
+    cells = got.keys() | want.keys()
+    common = [c for c in cells if got[c] + want[c] >= 10]
+    rare = [c for c in cells if got[c] + want[c] < 10]
+    table = [[counts[c] for c in common] + ([sum(counts[c] for c in rare)] if rare else [])
+             for counts in (got, want)]
+    assert len(common) > 1
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("max_attempts", [1, 4])
 @pytest.mark.parametrize("degrees", [[1, 2, 2, 2, 3, 2], [3, 3, 3, 3]])
 def test_chunked_matching_has_the_reference_law(monkeypatch, degrees, max_attempts):
-    # chunks of 1, 2, 4, ... stubs: tiny matchings take the lazy path, with
-    # filtered draws and an odd stub carried into the next chunk, and must
-    # give (graph, matching_attempts, erased_stub_count) the law of redrawing
-    # whole matchings. Two-sample chi-square over 5000 draws each, cells
-    # seen fewer than 10 times in both samples pooled; fails below p = 1e-3
-    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
+    # tiny matchings take the lazy path, one vertex in the first group, and
+    # must give (graph, matching_attempts, erased_stub_count) the law of
+    # redrawing whole matchings, over 5000 draws each. At 4 attempts some
+    # group pairs stubs with each other and some attempt completes with the
+    # shuffled rest; [1, 2, 2, 2, 3, 2] also has attempts that reveal
+    # several groups (for [3, 3, 3, 3] a second group is only reached
+    # after its first has repeated a pair)
+    seen = _watch_reveal(monkeypatch)
     draws = 5000
     got = _outcome_counts(_built, degrees, max_attempts, range(draws))
     want = _outcome_counts(_reference_configuration, degrees, max_attempts,
                            range(draws, 2 * draws))
-    cells = got.keys() | want.keys()
-    common = [c for c in cells if got[c] + want[c] >= 10]
-    rare = [c for c in cells if got[c] + want[c] < 10]
-    table = [[counts[c] for c in common] + ([sum(counts[c] for c in rare)] if rare else [])
-             for counts in (got, want)]
-    assert len(common) > 1
-    assert stats.chi2_contingency(table).pvalue > 1e-3
+    _assert_same_law(got, want)
+    if max_attempts > 1:
+        assert seen["inner"] and seen["rests"]
+        assert (max(seen["groups"]) > 1) == (degrees[0] == 1)
 
 
-@pytest.mark.parametrize("degrees", [[1, 2, 2, 2, 3, 2], [3, 3, 3, 3]])
+@pytest.mark.parametrize("degrees", [[2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 2, 2, 2, 2]])
 def test_chunked_matching_with_repeated_draws_has_the_reference_law(monkeypatch, degrees):
-    # chunks of two draws over 12 stubs: a chunk draws the same stub twice in
-    # one of 12 chunks, and both draws are dropped. The law of (graph,
-    # matching_attempts, erased_stub_count) at 4 attempts must still be that
-    # of redrawing whole matchings; chi-square as in the test above
-    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 4)
+    # the test above at 4 attempts on two more degree sequences, whose
+    # attempts also reveal several groups, counting the batches of positions
+    # that draw one twice and are drawn again: over 12 stubs most do, and
+    # the law of (graph, matching_attempts, erased_stub_count) must still
+    # be that of redrawing whole matchings
+    seen = _watch_reveal(monkeypatch)
     draws = 5000
     got = _outcome_counts(_built, degrees, 4, range(draws))
     want = _outcome_counts(_reference_configuration, degrees, 4, range(draws, 2 * draws))
-    cells = got.keys() | want.keys()
-    common = [c for c in cells if got[c] + want[c] >= 10]
-    rare = [c for c in cells if got[c] + want[c] < 10]
-    table = [[counts[c] for c in common] + ([sum(counts[c] for c in rare)] if rare else [])
-             for counts in (got, want)]
-    assert len(common) > 1
-    assert stats.chi2_contingency(table).pvalue > 1e-3
+    _assert_same_law(got, want)
+    assert seen["redraws"] > draws // 10
+    assert max(seen["groups"]) > 1 and seen["inner"] and seen["rests"]
 
 
-def test_lazy_stub_order_starts_as_a_uniform_permutation(monkeypatch):
-    # eight distinct one-stub vertices never form a loop or a repeated pair,
-    # so every draw completes. Chunks of one draw each (a stub drawn before
-    # is dropped) draw the first 3 entries, the shuffled rest follows, and
-    # the first three must be a uniform ordered triple:
-    # chi-square over the 336 triples, 50 expected per triple, fails below
-    # p = 1e-3
-    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
-    stubs = np.arange(8, dtype=np.int64)
-    rng = make_rng(31)
+def test_lazy_attempt_draws_every_perfect_matching_uniformly(monkeypatch):
+    # eight one-stub vertices never form a loop or a repeated pair, so the
+    # first lazy attempt of every build is simple, and its matching must be
+    # uniform over the 105 perfect matchings of 8 stubs: chi-square, 50
+    # expected per matching, fails below p = 1e-3. Groups of 1, 2 and 4
+    # stubs reveal some pairs before the shuffled rest
+    seen = _watch_reveal(monkeypatch)
     counts = collections.Counter()
-    for _ in range(336 * 50):
-        assert (out := graphs._shuffle_stubs(stubs, 8, rng)) is not None
-        assert np.array_equal(np.sort(out), stubs)
-        counts[tuple(out[:3])] += 1
-    assert len(counts) == 336
+    for seed in range(105 * 50):
+        g = build_graph_configuration([1] * 8, make_rng(seed))
+        assert g.meta["matching_attempts"] == 1 and g.n_edges == 4
+        counts[g.codes.tobytes()] += 1
+    assert len(counts) == 105
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+    assert max(seen["groups"]) > 1 and seen["rests"]
 
 
 def test_chunked_matching_attempts_match_reference_above_one_permutation():
@@ -546,7 +603,10 @@ def test_configuration_memory_on_100k_vertices():
     # ZTP(10), n = 1e5: about 1e6 stubs, all 100 attempts run. Drawing every
     # attempt as a full permutation and building its codes from four
     # half-length temporaries peaked at 41.3 MB here; the lazy attempts (a
-    # used mask and growing chunks) must not add to that
+    # flag per stub and their groups) must not add to that. The 99 lazy
+    # attempts are rejected, so the graph is the last attempt's, drawn from
+    # the build's generator right after the attempts' seed: the values are
+    # pinned, and held before the lazy attempts were revealed hub first
     rng = make_rng(0)
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 100_000, rng)
     tracemalloc.start()
@@ -556,17 +616,12 @@ def test_configuration_memory_on_100k_vertices():
     finally:
         tracemalloc.stop()
     assert peak < 41.3e6, peak
-    assert g.meta["matching_attempts"] == 100
+    assert g.meta == {"odd_repair_node": None, "matching_attempts": 100,
+                      "erased_stub_count": 72}
     assert g.degrees.sum() == degrees.sum() - g.meta["erased_stub_count"]
-
-
-@pytest.mark.parametrize("cpus", [8, 16])
-def test_configuration_memory_does_not_grow_with_the_cpu_count(monkeypatch, cpus):
-    # the build above, its lazy attempts offered 8 or 16 threads, under the
-    # same bound: at most _MATCH_THREADS attempts hold memory at once.
-    # Without that cap the traced peak read 37-39 MB at 8 and 46-54 MB at 16
-    monkeypatch.setattr(graphs, "_usable_cpus", lambda: cpus)
-    test_configuration_memory_on_100k_vertices()
+    assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
+        "3ad161996123f9034269b06bf403204e201b2e485cae94cd599c2bbad25d363e")
+    assert rng.integers(2**62) == 2831006457268451507
 
 
 # -- edge-list ingestion ----------------------------------------------------

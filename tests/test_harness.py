@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import importlib.util
@@ -913,8 +914,8 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
 def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_path,
                                                            monkeypatch):
     # a regenerating run's one-trial ranges on two threads, each slowed, so
-    # that most have not started when range 2 raises: its exception is
-    # raised, those ranges never start, so they never build their graphs,
+    # that most have not been submitted when range 2 raises: its exception
+    # is raised, those ranges never start, so they never build their graphs,
     # also after the run returns, and no thread is left
     kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
                   master_seed=777)
@@ -952,42 +953,40 @@ def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_pat
 
 def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
     # a regenerating run whose ZTP(10) graphs (n = 2000, about 2e4 stubs)
-    # take the lazy path, with the size from which a build's attempts use
-    # threads lowered to 0: trial 0's attempts run on the build's own pool,
-    # and the later builds run their attempts in turn on the run's builder
-    # threads. At 2 usable CPUs no more than 2 runner threads are ever alive,
-    # and the CSV and sidecar are those of the 1-CPU run
+    # take the lazy path: every build runs its attempts in turn on the
+    # thread that builds, trial 0's on this thread and the later ones on the
+    # run's range threads. At 2 usable CPUs no more than 2 runner threads
+    # are ever alive, and the CSV and sidecar are those of the 1-CPU run
     kwargs = dict(graph={"source": "generate", "kind": "ztp", "n_v": 2000, "mean_degree": 10.0,
                          "seed": 12345},
                   alpha=0.005, beta=0.10, p=0.1, trials=6, bootstrap_b=20, master_seed=777,
                   noise_known=True, regenerate_graph=True)
     real_attempt = graphs_mod._lazy_attempt
-    alive, ran_on, lock = [], set(), threading.Lock()
+    alive, ran_on, lock = [], collections.Counter(), threading.Lock()
 
     def watched(*args):
         with lock:
             alive.append(sum(t.name.startswith(runner_mod._THREAD_PREFIX)
                              for t in threading.enumerate()))
-            ran_on.add(threading.current_thread().name)
+            ran_on[threading.current_thread().name] += 1
         return real_attempt(*args)
 
-    monkeypatch.setattr(graphs_mod, "_THREADED_MATCH_STUBS", 0)
     monkeypatch.setattr(graphs_mod, "_lazy_attempt", watched)
     start = threading.active_count()
+    here = threading.current_thread().name
     outputs = []
     for cpus in (1, 2):
         monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(graphs_mod, "_usable_cpus", lambda: cpus)
         alive.clear()
         ran_on.clear()
         summary = run_experiment(ExperimentConfig(**kwargs))
         assert threading.active_count() == start
         assert len(alive) == 6 * 99
         if cpus == 1:
-            assert max(alive) == 0 and ran_on == {threading.current_thread().name}
+            assert max(alive) == 0 and ran_on == {here: 6 * 99}
         else:
-            assert 0 < max(alive) <= 2
-            assert all(name.startswith(runner_mod._THREAD_PREFIX) for name in ran_on)
+            assert 0 < max(alive) <= 2 and ran_on[here] == 99
+            assert all(name.startswith(runner_mod._THREAD_PREFIX) for name in ran_on if name != here)
         csv_path = tmp_path / f"run_{cpus}.csv"
         emit_results(summary, csv_path)
         outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
