@@ -242,9 +242,9 @@ def sample_degree_sequence(
 # -- graph construction --------------------------------------------------
 
 
-# a matching of at most 2 * _MATCH_CHUNK stubs is drawn as one permutation;
-# a larger one's attempts but the last are revealed lazily, hub first
-_MATCH_CHUNK = 2**13
+# a matching of more than _LAZY_PAIRS pairs has its attempts but the last
+# revealed lazily, hub first; a smaller one's are each one permutation
+_LAZY_PAIRS = 2**13
 # a lazy attempt's first group of vertices holds at least N // _FIRST_GROUP
 # of the N stubs (and at least one vertex), and each later group at least
 # twice as many as the one before. Rejected ZTP(10) attempts at 2e5 and 1e6
@@ -430,7 +430,7 @@ def build_graph_configuration(
     The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
     or the school Pareto essentially never yield one: all attempts run and
-    the last one is erased. Above ``2 * _MATCH_CHUNK`` stubs each attempt
+    the last one is erased. Above ``2 * _LAZY_PAIRS`` stubs each attempt
     before the last runs on its own generator, seeded from one draw of
     ``rng`` (``seeding.derive_seeds`` over the attempt indices), and is
     revealed lazily, hub first (``_lazy_attempt``): the partners of whole
@@ -444,7 +444,7 @@ def build_graph_configuration(
     draws, and only an attempt without a self-loop, or the last one, builds
     its pair codes. Attempts stay independent uniform matchings accepted iff
     simple, so the graph and ``meta`` have the law of redrawing whole
-    matchings, though above ``2 * _MATCH_CHUNK`` stubs not the same stream.
+    matchings, though above ``2 * _LAZY_PAIRS`` stubs not the same stream.
     There a build whose lazy attempts are all rejected, as ZTP(10) and
     Pareto builds essentially always are, draws its last attempt from
     ``rng`` right after the seed, so its graph, ``meta`` and the
@@ -470,8 +470,8 @@ def build_graph_configuration(
 
     n_pairs = int(d.sum()) // 2
     codes = None
-    # attempts on their own streams: all but the last above 2 * _MATCH_CHUNK stubs
-    lazy = max_attempts - 1 if n_pairs > _MATCH_CHUNK else 0
+    # attempts on their own streams: all but the last above 2 * _LAZY_PAIRS stubs
+    lazy = max_attempts - 1 if n_pairs > _LAZY_PAIRS else 0
     if lazy:
         seed = int(rng.integers(2**64, dtype=np.uint64))
         words = seed_words(derive_seeds(seed, last=np.arange(lazy)))

@@ -12,18 +12,21 @@ Every run is cut into ranges of one size k, fixed up front from the fixed
 graph or from trial 0's graph, and each range is one block: a short
 per-trial loop makes each trial's draws (its graph first, when every trial
 draws its own), and everything after the draws runs once per block on
-arrays keyed by (trial, replicate). The ranges run on one in-order runner
-(``nnc._runner._in_order``), on one thread per usable CPU when one trial of
-that graph holds at least ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph)
-or has at least ``_THREADED_BUILD_STUBS`` stubs (regenerating), and in turn
-on the caller's thread otherwise. A regenerating range builds its graphs where it runs,
-and a build runs its stub-matching attempts in turn on that thread. Results
-are written back in trial order, so outputs do not depend on k or on the
+arrays keyed by (trial, replicate). The ranges run through the standard
+library's ``ThreadPoolExecutor.map``, on one thread per usable CPU, when
+one trial of that graph holds at least ``_THREADED_TRIAL_ENTRIES`` entries
+(fixed graph) or has at least ``_THREADED_BUILD_STUBS`` stubs
+(regenerating), and through the builtin ``map`` on the caller's thread
+otherwise. A regenerating range builds its graphs where it runs, and a
+build runs its stub-matching attempts in turn on that thread. Results are
+written back in trial order, so outputs do not depend on k or on the
 thread count.
 """
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -31,7 +34,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._runner import _in_order, _usable_cpus
 from .estimators import (
     MixingRule,
     OutcomeTable,
@@ -118,6 +120,16 @@ _THREADED_TRIAL_ENTRIES = 2**16
 # (12/12 each) at 1,637, 2,176 and 2,724 (n = 200 ... 500, the benchmark's
 # Pareto law)
 _THREADED_BUILD_STUBS = 1000
+# the names of the range threads start with this
+_THREAD_PREFIX = "nnc-range"
+
+
+def _usable_cpus() -> int:
+    # the CPUs this process may run on; all of them where there is no
+    # affinity mask (macOS)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class ExperimentError(RuntimeError):
@@ -608,18 +620,24 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     fixed graph or, when every trial draws its own graph, from trial 0's
     graph, which is drawn here and taken by block 0: as many trials as fit
     ``_BLOCK_ENTRIES`` entries, 3 (m + n) per trial, and at least one. The
-    ranges run through the in-order runner (``_runner._in_order``), which
-    yields their results in order. It gets ``min(_usable_cpus(), trials)``
-    threads when one trial of that graph holds at least
+    ranges run through ``ThreadPoolExecutor.map`` on ``min(_usable_cpus(),
+    trials)`` threads when one trial of that graph holds at least
     ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
     ``_THREADED_BUILD_STUBS`` stubs, 2m (regenerating), and k is then cut
-    so that the number of ranges is a multiple of the thread count.
-    Otherwise the ranges run in turn on this thread. A regenerating range draws its own graphs where it
-    runs, each first on its trial's own stream. Every trial has its own
-    stream and the results are written back in trial order, so no output
-    depends on k or on the thread count. A range's exception is raised when
-    its turn comes, so the first failing range's is raised, and no range
-    is submitted after it.
+    so that the number of ranges is a multiple of the thread count;
+    otherwise through the builtin ``map`` on this thread. A regenerating
+    range draws its own graphs where it runs, each first on its trial's own
+    stream. Every trial has its own stream and the results are written back
+    in trial order, so no output depends on k or on the thread count. A
+    range's exception is raised when its turn comes, so the first failing
+    range's is raised. No later range starts after any exit: ``map``
+    cancels the ranges it has not handed out when one raises, and the pool
+    is shut down with its queued ranges cancelled, so that the loop raising
+    or an interrupt between results stop them too; the running ranges
+    finish and the threads are joined. ``map`` queues every range up front,
+    but a queued range holds only its start index, and a finished one
+    waiting for its turn only its results (k x estimators x 4 estimates and
+    k fit entries).
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
@@ -630,8 +648,8 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     made from them (the treatment flags until replicate 0's levels are
     known), those changes until replicate 0's treated counts are taken, what
     is estimated from them, and, when every trial regenerates its graph, the
-    block's layout. All of it is released when the block returns, so as many
-    blocks' arrays live at once as there are threads: one block on a single
+    block's layout. All of it is released when the block returns, so at most
+    as many blocks' arrays live at once as there are threads: one block on a single
     thread, two on two (at n = 1e5, a block's traced peak is about 12 MiB
     above the layout's 8.4 MiB). ``graph`` and ``table`` are None when every
     trial regenerates its graph.
@@ -645,8 +663,6 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         sample = made[0][0]
         table = OutcomeTable.constant(sample.n_v, cfg.outcomes)
         threaded = 2 * sample.n_edges >= _THREADED_BUILD_STUBS
-    elif graph.n_v < 1:
-        raise ValueError("need at least one unit")
     else:
         sample = graph
         threaded = 3 * (graph.n_edges + graph.n_v) >= _THREADED_TRIAL_ENTRIES
@@ -673,13 +689,18 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     rule_counts = np.zeros(3, dtype=np.int64)
     reached = np.zeros((len(cfg.estimators), 4), dtype=np.int64)
     starts = range(0, n_trials, k)
-    with _in_order(block, starts, threads) as blocks:
+    pool = ThreadPoolExecutor(threads, thread_name_prefix=_THREAD_PREFIX) if threads > 1 else None
+    try:
+        blocks = map(block, starts) if pool is None else pool.map(block, starts)
         for t0, (est, block_fits, counts, block_reached) in zip(starts, blocks):
             estimates[t0 : t0 + k] = est
             for whole, part in zip(fits, block_fits):
                 whole[t0 : t0 + k] = part
             rule_counts += counts
             reached += block_reached
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     failed = fits.status >= FIT_DEGENERATE
     counts = dict(zip(("corrected", "rule_fallback", "singular_fallback"),
                       (int(c) for c in rule_counts)))
@@ -833,6 +854,11 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
         truth = OutcomeTable.constant(1, cfg.outcomes).truth()
     else:
         graph = resolve_graph(cfg.graph)
+        if graph.n_v < 1:
+            raise ValueError("need at least one unit")
+        if graph.n_v < 2 and not cfg.noise_known:
+            raise ValueError("fitting the noise rates needs at least two vertices; "
+                             "set noise_known to use alpha and beta as given")
         table = _resolve_outcomes(cfg, graph.n_v)
         truth = table.truth()
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from nnc import graphs
-from nnc._runner import _in_order
 from nnc.graphs import (
     EdgeListError,
     Graph,
@@ -317,7 +317,7 @@ def _reference_configuration(degrees, rng, max_attempts):
 
 
 def test_configuration_matches_reference_matching_bit_for_bit():
-    # at most 2 * _MATCH_CHUNK stubs every attempt is one permutation, so the
+    # at most 2 * _LAZY_PAIRS stubs every attempt is one permutation, so the
     # builder and the reference consume the same stream; ZTP(10) at n = 1000
     # (about 1e4 stubs) is the scale of acceptance criterion 7
     laws = {
@@ -330,7 +330,7 @@ def test_configuration_matches_reference_matching_bit_for_bit():
     for name, (law, n) in laws.items():
         for seed in range(20):
             degrees = sample_degree_sequence(law, n, make_rng(seed))
-            assert degrees.sum() + 1 <= 2 * graphs._MATCH_CHUNK
+            assert degrees.sum() + 1 <= 2 * graphs._LAZY_PAIRS
             for max_attempts in (1, 2, 100):
                 rng_a, rng_b = make_rng(1000 + seed), make_rng(1000 + seed)
                 g = build_graph_configuration(degrees, rng_a, max_attempts=max_attempts)
@@ -348,12 +348,12 @@ def test_configuration_matches_reference_matching_bit_for_bit():
     assert ("ztp10_n1000", False, True) in outcomes
 
 
-def test_configuration_one_permutation_above_chunks_bit_for_bit():
-    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _MATCH_CHUNK.
-    # With one attempt no chunk is drawn: the only attempt is one whole
+def test_configuration_one_permutation_above_the_lazy_threshold_bit_for_bit():
+    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _LAZY_PAIRS.
+    # With one attempt no lazy attempt is drawn: the only attempt is one whole
     # permutation, so the builder and the reference consume the same stream
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
-    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    assert degrees.sum() > 2 * graphs._LAZY_PAIRS
     for seed in range(5):
         rng_a, rng_b = make_rng(seed), make_rng(seed)
         g = build_graph_configuration(degrees, rng_a, max_attempts=1)
@@ -363,15 +363,15 @@ def test_configuration_one_permutation_above_chunks_bit_for_bit():
         assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
 
 
-def test_configuration_chunked_stream_is_pinned():
+def test_configuration_lazy_stream_is_pinned():
     # ZTP(10) at n = 3000: about 3e4 stubs, so each of the first 99 attempts
-    # is drawn in chunks on its own stream, seeded from one draw of the
+    # is revealed lazily on its own stream, seeded from one draw of the
     # build's generator, and the last is one whole permutation drawn from it
     # after that draw. The values were recorded from this stream; a change
     # that alters what the build draws fails here. A declared change of the
     # stream updates them
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(3))
-    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    assert degrees.sum() > 2 * graphs._LAZY_PAIRS
     rng = make_rng(4)
     g = build_graph_configuration(degrees, rng)
     assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
@@ -381,13 +381,13 @@ def test_configuration_chunked_stream_is_pinned():
     assert rng.integers(2**62) == 2027499558075298037
 
 
-def test_configuration_simple_chunked_stream_is_pinned():
+def test_configuration_simple_lazy_stream_is_pinned():
     # ZTP(1.3) at n = 2e4: about 2.6e4 stubs, and at this seed the fourth
     # lazy attempt is the first simple one, so the graph is what that
     # attempt's own stream draws, hub-first groups and shuffled rest.
     # Recorded as the test above; a declared change of the stream updates them
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
-    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    assert degrees.sum() > 2 * graphs._LAZY_PAIRS
     rng = make_rng(10)
     g = build_graph_configuration(degrees, rng)
     assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
@@ -397,18 +397,26 @@ def test_configuration_simple_chunked_stream_is_pinned():
     assert rng.integers(2**62) == 2424291371565667190
 
 
+def _mapped(fn, items, threads):
+    # fn over items in turn on this thread, or on a pool of that many threads
+    if threads == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
+
+
 @pytest.mark.parametrize("mean, n, seed, attempts", [(10.0, 3000, 6, 100),
                                                      (10.0, 20_000, 6, 100),
                                                      (1.3, 20_000, 10, 4)])
 def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, seed, attempts):
-    # builds on the lazy path, made on this thread and as the items of an
-    # in-order runner on 2 and 3 threads, as a regenerating run's ranges
-    # make them: the ZTP(10) builds reject all 99 lazy attempts, and the
-    # ZTP(1.3) one takes its fourth. The codes, meta and the generator's
-    # next draw are the same everywhere, each build runs its lazy attempts
-    # on its own thread, and no thread is left
+    # builds on the lazy path, made on this thread and on a pool of 2 and 3
+    # threads, as a regenerating run's ranges make them: the ZTP(10) builds
+    # reject all 99 lazy attempts, and the ZTP(1.3) one takes its fourth.
+    # The codes, meta and the generator's next draw are the same everywhere,
+    # each build runs its lazy attempts on its own thread, and no thread is
+    # left
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(mean), n, make_rng(8))
-    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    assert degrees.sum() > 2 * graphs._LAZY_PAIRS
     real_attempt = graphs._lazy_attempt
     ran_on = collections.Counter()
 
@@ -426,8 +434,7 @@ def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, se
     outputs = []
     for cpus in (1, 2, 3):
         ran_on.clear()
-        with _in_order(build, range(cpus), cpus) as results:
-            built = list(results)
+        built = _mapped(build, range(cpus), cpus)
         assert threading.active_count() == start
         builders = collections.Counter(name for _, name in built)
         assert (set(builders) == {threading.current_thread().name}) == (cpus == 1)
@@ -442,7 +449,7 @@ def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, se
 def test_configuration_raises_a_failing_attempts_error(monkeypatch, cpus):
     # attempt 6 of a ZTP(10) build raises (attempts 7 and 10 would too):
     # the attempts run in turn, so its error is raised and no later attempt
-    # runs, whether the build runs on this thread or on a runner of 2 or 3
+    # runs, whether the build runs on this thread or on a pool of 2 or 3
     # threads, and no thread is left
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(10.0), 3000, make_rng(5))
     real_attempt = graphs._lazy_attempt
@@ -457,9 +464,7 @@ def test_configuration_raises_a_failing_attempts_error(monkeypatch, cpus):
     monkeypatch.setattr(graphs, "_lazy_attempt", failing)
     start = threading.active_count()
     with pytest.raises(RuntimeError, match="^attempt 6$"):
-        with _in_order(lambda seed: build_graph_configuration(degrees, make_rng(seed)),
-                       [6], cpus) as results:
-            list(results)
+        _mapped(lambda seed: build_graph_configuration(degrees, make_rng(seed)), [6], cpus)
     assert threading.active_count() == start
     assert len(calls) == 6 and len(set(calls)) == 1
 
@@ -483,7 +488,7 @@ def _watch_reveal(monkeypatch):
     # groups each attempt reveals, the groups that pair some of their stubs
     # with each other, the completions (the rest shuffled), and the
     # positions drawn again because a batch drew one twice
-    monkeypatch.setattr(graphs, "_MATCH_CHUNK", 1)
+    monkeypatch.setattr(graphs, "_LAZY_PAIRS", 1)
     monkeypatch.setattr(graphs, "_FIRST_GROUP", 10**9)
     seen = collections.Counter(groups=[])
     real = {name: getattr(graphs, name)
@@ -582,13 +587,13 @@ def test_lazy_attempt_draws_every_perfect_matching_uniformly(monkeypatch):
     assert max(seen["groups"]) > 1 and seen["rests"]
 
 
-def test_chunked_matching_attempts_match_reference_above_one_permutation():
-    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _MATCH_CHUNK,
+def test_lazy_matching_attempts_match_reference_above_one_permutation():
+    # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _LAZY_PAIRS,
     # and a simple matching has probability ~0.7, so attempts stop early and
     # both accept and reject branches run. Mean matching_attempts over 300
     # draws each must agree within 4 standard errors
     degrees = sample_degree_sequence(ZeroTruncatedPoisson(1.3), 20_000, make_rng(8))
-    assert degrees.sum() > 2 * graphs._MATCH_CHUNK
+    assert degrees.sum() > 2 * graphs._LAZY_PAIRS
     got = np.array([_built(degrees, make_rng(seed), 100)[1]["matching_attempts"]
                     for seed in range(300)])
     want = np.array([_reference_configuration(degrees, make_rng(seed), 100)[1]["matching_attempts"]

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nnc._runner as runner_mod
 import nnc.estimators as estimators_mod
 import nnc.graphs as graphs_mod
 import nnc.harness as harness_mod
@@ -589,6 +588,28 @@ def test_known_noise_skips_fitting(small_graph):
     assert summary.n_failed == 0
 
 
+def test_a_graph_too_small_to_fit_is_refused_before_any_trial(monkeypatch):
+    # one vertex has no pairs to fit the rates from, and none has no unit:
+    # each run is refused with one line before any block runs. With known
+    # rates one vertex runs
+    real_run, calls = harness_mod._run_block, []
+
+    def counted(*args):
+        calls.append(1)
+        return real_run(*args)
+
+    monkeypatch.setattr(harness_mod, "_run_block", counted)
+    cfg = dict(alpha=0.01, beta=0.1, p=0.3, trials=3, bootstrap_b=5)
+    with pytest.raises(ValueError, match="^fitting the noise rates .* set noise_known"):
+        run_experiment(ExperimentConfig(graph=Graph(1), **cfg))
+    for noise_known in (False, True):
+        with pytest.raises(ValueError, match="^need at least one unit$"):
+            run_experiment(ExperimentConfig(graph=Graph(0), noise_known=noise_known, **cfg))
+    assert not calls
+    run_experiment(ExperimentConfig(graph=Graph(1), noise_known=True, **cfg))
+    assert calls
+
+
 def test_regenerated_graphs_vary_but_stay_deterministic():
     spec = {"source": "generate", "kind": "ztp", "n_v": 40, "mean_degree": 4.0, "seed": 1}
     cfg = dict(graph=spec, alpha=0.0, beta=0.0, p=0.1, trials=12,
@@ -914,8 +935,8 @@ def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkey
 def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_path,
                                                            monkeypatch):
     # a regenerating run's one-trial ranges on two threads, each slowed, so
-    # that most have not been submitted when range 2 raises: its exception
-    # is raised, those ranges never start, so they never build their graphs,
+    # that most have not started when range 2 raises: its exception is
+    # raised, those ranges never start, so they never build their graphs,
     # also after the run returns, and no thread is left
     kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
                   master_seed=777)
@@ -951,11 +972,48 @@ def test_a_failing_block_cancels_the_builds_not_yet_started(small_graph, tmp_pat
     assert len(built) == builds == ran
 
 
+def test_a_failing_consumer_starts_no_later_range(small_graph, tmp_path, monkeypatch):
+    # a regenerating run's one-trial ranges on two threads, each slowed:
+    # range 1 returns None, so the run's own loop raises TypeError when it
+    # takes range 1's results. That error is raised, the queued ranges never
+    # start, also after the run returns, and no thread is left
+    kwargs = dict(_budget_case("pareto_regen_known", tmp_path, small_graph), bootstrap_b=20,
+                  master_seed=777)
+    real_run, real_trial = harness_mod._run_block, harness_mod._trial
+    trial_of, started, lock = {}, [], threading.Lock()
+
+    def tagged(cfg, graph, words, t):
+        pair = real_trial(cfg, graph, words, t)
+        trial_of[id(pair[1])] = t
+        return pair
+
+    def broken(cfg, trials, layout, table, rule):
+        trials = list(trials)
+        t = trial_of[id(trials[0][1])]
+        with lock:
+            started.append(t)
+        time.sleep(0.05)
+        out = real_run(cfg, trials, layout, table, rule)
+        return None if t == 1 else out
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(harness_mod, "_trial", tagged)
+    monkeypatch.setattr(harness_mod, "_run_block", broken)
+    start = threading.active_count()
+    with pytest.raises(TypeError):
+        run_experiment(ExperimentConfig(**kwargs))
+    assert threading.active_count() == start
+    ran = len(started)
+    time.sleep(0.2)
+    assert len(started) == ran < kwargs["trials"] // 2
+
+
 def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
     # a regenerating run whose ZTP(10) graphs (n = 2000, about 2e4 stubs)
     # take the lazy path: every build runs its attempts in turn on the
     # thread that builds, trial 0's on this thread and the later ones on the
-    # run's range threads. At 2 usable CPUs no more than 2 runner threads
+    # run's range threads. At 2 usable CPUs no more than 2 range threads
     # are ever alive, and the CSV and sidecar are those of the 1-CPU run
     kwargs = dict(graph={"source": "generate", "kind": "ztp", "n_v": 2000, "mean_degree": 10.0,
                          "seed": 12345},
@@ -966,7 +1024,7 @@ def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
 
     def watched(*args):
         with lock:
-            alive.append(sum(t.name.startswith(runner_mod._THREAD_PREFIX)
+            alive.append(sum(t.name.startswith(harness_mod._THREAD_PREFIX)
                              for t in threading.enumerate()))
             ran_on[threading.current_thread().name] += 1
         return real_attempt(*args)
@@ -986,7 +1044,7 @@ def test_regenerated_lazy_graphs_nest_no_second_pool(tmp_path, monkeypatch):
             assert max(alive) == 0 and ran_on == {here: 6 * 99}
         else:
             assert 0 < max(alive) <= 2 and ran_on[here] == 99
-            assert all(name.startswith(runner_mod._THREAD_PREFIX) for name in ran_on if name != here)
+            assert all(name.startswith(harness_mod._THREAD_PREFIX) for name in ran_on if name != here)
         csv_path = tmp_path / f"run_{cpus}.csv"
         emit_results(summary, csv_path)
         outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
