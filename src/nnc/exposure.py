@@ -66,9 +66,11 @@ def exposure_levels(t: Treatment, g: Graph) -> np.ndarray:
 
 
 def _levels(z: np.ndarray, treated_counts: np.ndarray) -> np.ndarray:
-    # own treatment crossed with "any neighbor treated"
-    hit = treated_counts >= 1
-    return np.where(z, np.where(hit, 0, 1), np.where(hit, 2, 3)).astype(np.int64)
+    # own treatment crossed with "any neighbor treated": 2 for an untreated
+    # vertex, plus 1 when no neighbor is treated
+    levels = np.multiply(~z, 2, dtype=np.int64)
+    levels += treated_counts == 0
+    return levels
 
 
 # -- closed-form exposure probabilities -----------------------------------
@@ -90,11 +92,14 @@ def _level_probabilities(degrees: np.ndarray, levels: np.ndarray, p: float) -> n
 
     Each table entry is the same closed form at the same degree, so the
     gather equals the direct form bit for bit, at one power per distinct
-    degree instead of one per vertex.
+    degree instead of one per vertex. The table is read through one flat
+    index, level * (largest degree + 1) + degree.
     """
-    dmax = int(degrees.max(initial=0))
-    table = _own_level_probability(np.arange(dmax + 1), np.arange(4)[:, None], p)
-    return table[levels, degrees]
+    width = int(degrees.max(initial=0)) + 1
+    table = _own_level_probability(np.arange(width), np.arange(4)[:, None], p)
+    index = levels * width
+    index += degrees
+    return table.ravel().take(index)
 
 
 @dataclass(frozen=True)

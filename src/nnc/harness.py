@@ -12,12 +12,14 @@ Every run is cut into ranges of one size k, fixed up front from the fixed
 graph or from trial 0's graph, and each range is one block: a short
 per-trial loop makes each trial's draws (its graph first, when every trial
 draws its own), and everything after the draws runs once per block on
-arrays keyed by (trial, replicate). The ranges run through the standard
-library's ``ThreadPoolExecutor.map``, on one thread per usable CPU, when
-one trial of that graph holds at least ``_THREADED_TRIAL_ENTRIES`` entries
-(fixed graph) or has at least ``_THREADED_BUILD_STUBS`` stubs
-(regenerating), and through the builtin ``map`` on the caller's thread
-otherwise. A regenerating range builds its graphs where it runs, and a
+arrays keyed by (trial, replicate), computing only what the rate fit and
+the estimators read. A fixed graph's trials all search its one non-edge
+table; when every trial draws its own graph, each has its own table. The
+ranges run through the standard library's ``ThreadPoolExecutor.map``, on
+one thread per usable CPU, when one trial of that graph holds at least
+``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
+``_THREADED_BUILD_STUBS`` stubs (regenerating), and through the builtin
+``map`` on the caller's thread otherwise. A regenerating range builds its graphs where it runs, and a
 build runs its stub-matching attempts in turn on that thread. Results are
 written back in trial order, so outputs do not depend on k or on the
 thread count.
@@ -72,6 +74,7 @@ from .noise_fit import (
     FIT_UNCONVERGED,
     RateFits,
     _fit_rates,
+    _missed_counts,
     _replicate_moments,
 )
 from .seeding import derive_seeds, make_rng, rng_from_words, seed_words
@@ -328,9 +331,10 @@ class _Draws(NamedTuple):
 
     ``graphs`` holds each trial's true graph. Trials sit end to end:
     ``missed[r]`` flags the true edges that replicate r missed, and ``z``
-    the treated vertices, at t * n + v. ``gaps[3 * t + r]`` holds the
-    Geometric(alpha) gaps that pick the non-edges that replicate r of trial
-    t turned on (see ``noise._batch_ranks``).
+    the treated vertices, at t * n + v. ``gaps[r * T + t]``, for a block of
+    T trials, holds the Geometric(alpha) gaps that pick the non-edges that
+    replicate r of trial t turned on (see ``noise._batch_ranks``):
+    replicate 0's of every trial come first.
     """
 
     graphs: tuple
@@ -364,8 +368,9 @@ def _draw_block(cfg: ExperimentConfig, trials) -> _Draws:
     (``noise._draw_observations``), then the treatment uniforms. The pairs
     are taken first; then the block's arrays are made at their sizes, and
     the loop makes only the replicates' and treatment's generator calls,
-    writing into them. The threshold on the treatment uniforms, and
-    everything made from the gaps, run once per block.
+    writing into them. The threshold on the treatment uniforms, the gap
+    batches' regrouping by replicate, and everything made from the gaps,
+    run once per block.
     """
     graphs, rngs = zip(*trials)
     n = graphs[0].n_v
@@ -380,7 +385,7 @@ def _draw_block(cfg: ExperimentConfig, trials) -> _Draws:
                            missed[:, e : e + m], gaps)
         rng.random(out=z[t * n : (t + 1) * n])
         e += m
-    return _Draws(graphs, missed, gaps, z < cfg.p)
+    return _Draws(graphs, missed, gaps[0::3] + gaps[1::3] + gaps[2::3], z < cfg.p)
 
 
 class _Layout(NamedTuple):
@@ -388,11 +393,14 @@ class _Layout(NamedTuple):
 
     Trial t's vertex v sits at t * n + v. Its ``n_true[t]`` true edges are
     entries ``edge_start[t]`` on of ``src``/``dst`` (endpoints already at
-    t * n + v) and of ``nonedges_before`` (its graph's non-edge table,
-    ``noise._nonedges_before``, shifted by t * n(n-1)/2); ``edge_row`` names
-    each edge's trial. ``degrees`` holds the true degrees at t * n + v.
-    Trials sit one after another, so the first k trials' part is a prefix
-    of every array (``head``).
+    t * n + v); ``edge_row`` names each edge's trial. ``degrees`` holds the
+    true degrees at t * n + v. Trials sit one after another, so the first k
+    trials' part of these is a prefix (``head``). The non-edge tables
+    (``noise._nonedges_before``) are one per graph, not per trial: trials
+    that share one graph, as a fixed graph's do, share its one table, and
+    trials with graphs of their own have one table each, table t in
+    ``nonedges_before`` from ``table_start[t]`` on, shifted by
+    t * n(n-1)/2.
     """
 
     n: int
@@ -403,33 +411,36 @@ class _Layout(NamedTuple):
     dst: np.ndarray
     degrees: np.ndarray
     nonedges_before: np.ndarray
+    table_start: np.ndarray
 
     def head(self, k: int) -> "_Layout":
-        """The first ``k`` trials' part, as views."""
+        """The first ``k`` trials' part, as views; the tables are all kept."""
         e = int(self.edge_start[k - 1] + self.n_true[k - 1])
         return self._replace(
             n_true=self.n_true[:k], edge_start=self.edge_start[:k], edge_row=self.edge_row[:e],
             src=self.src[:e], dst=self.dst[:e], degrees=self.degrees[: k * self.n],
-            nonedges_before=self.nonedges_before[:e],
         )
 
 
 def _block_layout(graphs: list) -> _Layout:
     """The layout of trials on ``graphs``, made from the graphs alone.
 
-    A lone trial's arrays are its graph's own, not copies.
+    A lone trial's arrays are its graph's own, not copies, and so is the
+    one table of trials that share one graph.
     """
     n = graphs[0].n_v
     n_true = np.array([g.n_edges for g in graphs], dtype=np.int64)
+    edge_start = np.cumsum(n_true) - n_true
     edge_row = np.repeat(np.arange(n_true.size), n_true)
-    # one table per distinct graph: a fixed graph's trials share one
-    tables = {key: _nonedges_before(g) for key, g in {id(g): g for g in graphs}.items()}
+    shared = all(g is graphs[0] for g in graphs)
     return _Layout(
-        n, n_true, np.cumsum(n_true) - n_true, edge_row,
+        n, n_true, edge_start, edge_row,
         _end_to_end([g.edge_i for g in graphs], edge_row, n),
         _end_to_end([g.edge_j for g in graphs], edge_row, n),
         _end_to_end([g.degrees for g in graphs]),
-        _end_to_end([tables[id(g)] for g in graphs], edge_row, _pair_count(n)),
+        _end_to_end([_nonedges_before(g) for g in (graphs[:1] if shared else graphs)],
+                    edge_row, _pair_count(n)),
+        edge_start[:1] if shared else edge_start,
     )
 
 
@@ -450,27 +461,35 @@ class _Changes(NamedTuple):
     ``lay`` is the block's part of the layout: views of the experiment's
     layout when the graph is fixed, or the block's own layout when the
     trials regenerate their graphs. Every other field is the block's own and
-    is released with it. Each replicate's missed true edges are ``missed``
-    (block edge indices, replicate 0's first, then 1's and 2's, as
-    ``miss_rep`` says), its false edges are the pairs (``false_i``,
-    ``false_j``, at t * n + v) with codes ``false`` (t * P + the non-edge's
-    rank in trial t, P = n(n-1)/2) of replicate ``false_rep``. The replicate
-    tags are int8: scale them in int64 (``np.multiply(..., dtype=np.int64)``).
+    is released with it. The true edges the replicates missed have the ends
+    (``miss_i``, ``miss_j``) and the false edges they turned on the ends
+    (``false_i``, ``false_j``), all at t * n + v, and the codes ``false``
+    (t * P + the non-edge's rank in trial t, P = n(n-1)/2). ``miss_rep`` and
+    ``false_rep`` name each entry's replicate, and are sorted: replicate 0's
+    entries come first (``first``), then 1's and 2's. The replicate tags are
+    int8, which keeps a block's peak low: scale them in int64
+    (``np.multiply(..., dtype=np.int64)``).
     """
 
     lay: _Layout
-    missed: np.ndarray
+    miss_i: np.ndarray
+    miss_j: np.ndarray
     miss_rep: np.ndarray
     false: np.ndarray
     false_rep: np.ndarray
     false_i: np.ndarray
     false_j: np.ndarray
 
+    def first(self) -> tuple[int, int]:
+        """How many missed and false edges are replicate 0's."""
+        return int(np.searchsorted(self.miss_rep, 1)), int(np.searchsorted(self.false_rep, 1))
+
 
 def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     """Missed and false edges of every replicate of a block, at once.
 
-    ``layout`` holds the block's trials first (``_Layout.head``).
+    ``layout`` holds the block's trials first (``_Layout.head``). Each false
+    edge's rank is searched in its trial's graph's non-edge table only.
     """
     n_t = len(draws.graphs)
     lay = layout.head(n_t)
@@ -478,50 +497,51 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     missed = [np.flatnonzero(flags) for flags in draws.missed]
     miss_rep = np.repeat(np.arange(3, dtype=np.int8), [part.size for part in missed])
     missed = np.concatenate(missed)
-    false, draw = _batch_ranks(draws.gaps, np.repeat(_pair_count(n) - lay.n_true, 3))
-    false_row = draw // 3
-    false_rep = (draw % 3).astype(np.int8)
+    miss_i, miss_j = lay.src[missed], lay.dst[missed]
+    del missed
+    false, draw = _batch_ranks(draws.gaps, np.tile(_pair_count(n) - lay.n_true, 3))
+    # draw r * T + t; a lone trial's draw is its replicate, and its row is 0
+    false_rep, false_row = np.divmod(draw, n_t) if n_t > 1 else (draw, 0)
+    false_rep = false_rep.astype(np.int8)
     del draw
+    # trial t searches table t, or the one table that every trial shares
     false_i, false_j = _nonedge_pairs(
-        false, false_row, lay.nonedges_before, lay.edge_start, n
+        false, false_row if lay.table_start.size > 1 else 0, lay.nonedges_before,
+        lay.table_start, n,
     )
-    shift = false_row * n
-    false_i += shift
-    false_j += shift
-    shift = false_row * _pair_count(n)
+    if n_t > 1:
+        shift = false_row * n
+        false_i += shift
+        false_j += shift
+        shift = false_row * _pair_count(n)
+        false += shift
+        del shift
     del false_row
-    false += shift
-    del shift
-    return _Changes(lay, missed, miss_rep, false, false_rep, false_i, false_j)
+    return _Changes(lay, miss_i, miss_j, miss_rep, false, false_rep, false_i, false_j)
 
 
-def _block_moments(ch: _Changes):
-    """(u1, u2, u3) of every trial of a block, from its replicates' changes."""
-    lay = ch.lay
-    miss_row = lay.edge_row[ch.missed]
-    missed = miss_row * _pair_count(lay.n)
-    missed += ch.missed
-    missed -= lay.edge_start[miss_row]
-    del miss_row
-    return _replicate_moments(lay.n_true, missed, ch.miss_rep, ch.false, ch.false_rep, lay.n)
-
-
-def _observed_degrees(ch: _Changes) -> np.ndarray:
-    """(replicate, trial, vertex) observed degrees: each true degree, less
-    the missed edges, plus the false ones."""
+def _observed_degrees(ch: _Changes) -> tuple[np.ndarray, np.ndarray]:
+    """Replicate 0's observed degrees and the sum of all three replicates',
+    at t * n + v: each true degree, less the missed edges, plus the false
+    ones. The sum is exact, so a third of it is the mean degree to the bit."""
     lay = ch.lay
     size = lay.degrees.size
-    deg = np.empty((3, size), dtype=np.int64)
-    deg[:] = lay.degrees
-    flat = deg.reshape(-1)
-    # one count per endpoint, so no concatenation of the two
-    at = np.multiply(ch.miss_rep, size, dtype=np.int64)
-    for ends in (lay.src, lay.dst):
-        flat -= np.bincount(at + ends[ch.missed], minlength=3 * size)
-    at = np.multiply(ch.false_rep, size, dtype=np.int64)
-    for ends in (ch.false_i, ch.false_j):
-        flat += np.bincount(at + ends, minlength=3 * size)
-    return deg.reshape(3, lay.n_true.size, lay.n)
+    m0, f0 = ch.first()
+
+    def change(miss: slice, false: slice) -> np.ndarray:
+        # one count per endpoint, so no concatenation of the two
+        out = np.bincount(ch.false_i[false], minlength=size)
+        out += np.bincount(ch.false_j[false], minlength=size)
+        out -= np.bincount(ch.miss_i[miss], minlength=size)
+        out -= np.bincount(ch.miss_j[miss], minlength=size)
+        return out
+
+    first = change(slice(m0), slice(f0))
+    first += lay.degrees
+    total = change(slice(m0, None), slice(f0, None))
+    total += first
+    total += 2 * lay.degrees
+    return first, total
 
 
 def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
@@ -533,29 +553,38 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     ``layout`` is the fixed graph's layout (``_block_layout``); when the
     trials regenerate their graphs it is None and the block makes its own.
     The replicates are never built as graphs: each is kept as what it
-    changed in its trial's true graph (``_replicate_changes``). HT_true
-    classifies the true graphs and AS_noisy and MME share replicate 0's
-    classification and level probabilities. Returns the block's estimates
-    (NaN for failed fits), its rate fits (``RateFits``), its summed MME
-    routing counts and, per estimator and level, how many of its kept
-    trials have a level mean with at least one term.
+    changed in its trial's true graph (``_replicate_changes``). Each kernel
+    computes only what the rate fit and the estimators read: the moments
+    count the missed edges straight from the replicates' miss flags
+    (``noise_fit._missed_counts``) and only the false edges through
+    ``_coincidences``; of the observed degrees only replicate 0's and the
+    three replicates' sum are made (``_observed_degrees``), and replicate
+    0's missed- and false-edge ends serve both its degrees and its treated
+    counts. HT_true classifies the true graphs and AS_noisy and MME share
+    replicate 0's classification and level probabilities. Returns the
+    block's estimates (NaN for failed fits), its rate fits (``RateFits``),
+    its summed MME routing counts and, per estimator and level, how many of
+    its kept trials have a level mean with at least one term.
     """
     draws = _draw_block(cfg, trials)
     if layout is None:
         layout = _block_layout(draws.graphs)
     ch = _replicate_changes(draws, layout)
+    lay = ch.lay
+    n_t, n = lay.n_true.size, lay.n
+    # the rate fit counts the missed edges from the replicates' flags, before
+    # the draws are released
+    missed = None if cfg.noise_known else _missed_counts(draws.missed, lay.edge_row, n_t)
     # of the draws only the treatment flags are used from here on
     z = draws.z
     del draws
-    lay = ch.lay
-    n_t, n = lay.n_true.size, lay.n
     if cfg.noise_known:
         fits = RateFits(
             np.full(n_t, cfg.alpha), np.full(n_t, cfg.beta), np.full(n_t, np.nan),
             np.zeros(n_t, dtype=np.int64), np.full(n_t, FIT_CONVERGED, dtype=np.int8),
         )
     else:
-        fits = _fit_rates(*_block_moments(ch))
+        fits = _fit_rates(*_replicate_moments(lay.n_true, missed, ch.false, ch.false_rep, n))
 
     estimates = np.full((n_t, len(cfg.estimators), 4), np.nan)
     rule_counts = np.zeros(3, dtype=np.int64)
@@ -565,23 +594,23 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
         return estimates, fits, rule_counts, reached
     if rows.size == n_t:
         rows = slice(None)  # every trial is kept: views, not copies
-    deg = _observed_degrees(ch)[:, rows]
+    deg, deg_sum = (d.reshape(n_t, n)[rows] for d in _observed_degrees(ch))
     treated = _treated_counts(z, lay.src, lay.dst)
     lv_true = _levels(z, treated).reshape(n_t, n)[rows]
     # replicate 0: the true graph, less its missed edges, plus its false ones
-    first = ch.missed[: np.searchsorted(ch.miss_rep, 1)]
-    treated -= _treated_counts(z, lay.src[first], lay.dst[first])
-    first = ch.false_rep == 0
-    treated += _treated_counts(z, ch.false_i[first], ch.false_j[first])
+    m0, f0 = ch.first()
+    treated -= _treated_counts(z, ch.miss_i[:m0], ch.miss_j[:m0])
+    treated += _treated_counts(z, ch.false_i[:f0], ch.false_j[:f0])
     # the replicates' changes are spent
-    del ch, first
+    del ch
     lv_obs = _levels(z, treated).reshape(n_t, n)[rows]
     del z, treated
-    values = table.values[np.arange(n), lv_true]
-    pr_obs = _level_probabilities(deg[0], lv_obs, cfg.p)
+    # vertex v's outcome at level l is entry 4 v + l of the table
+    values = table.values.ravel().take(lv_true + np.arange(0, 4 * n, 4))
+    pr_obs = _level_probabilities(deg, lv_obs, cfg.p)
     if "MME" in cfg.estimators:
-        d_mean = (deg[0] + deg[1] + deg[2]) / 3.0
-    del deg
+        d_mean = deg_sum / 3.0
+    del deg, deg_sum
     for e, name in enumerate(cfg.estimators):
         if name == "HT_true":
             d_true = lay.degrees.reshape(n_t, n)[rows]
@@ -641,18 +670,19 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
-    fixed graph's block layout (``_block_layout``: edge endpoints, degrees
-    and non-edge table, laid out for k trials), made once here, of which
-    each block uses a prefix. What lives for one block: its trials'
-    generators and graphs, its draws, until its replicates' changes are
-    made from them (the treatment flags until replicate 0's levels are
-    known), those changes until replicate 0's treated counts are taken, what
-    is estimated from them, and, when every trial regenerates its graph, the
+    fixed graph's block layout (``_block_layout``: edge endpoints and
+    degrees laid out for k trials, of which each block uses a prefix, and
+    the graph's one non-edge table, which every trial searches), made once
+    here. What lives for one block: its trials' generators and graphs, its
+    draws, until its replicates' changes and missed-edge counts are made
+    from them (the treatment flags until replicate 0's levels are known),
+    those changes until replicate 0's treated counts are taken, what is
+    estimated from them, and, when every trial regenerates its graph, the
     block's layout. All of it is released when the block returns, so at most
-    as many blocks' arrays live at once as there are threads: one block on a single
-    thread, two on two (at n = 1e5, a block's traced peak is about 12 MiB
-    above the layout's 8.4 MiB). ``graph`` and ``table`` are None when every
-    trial regenerates its graph.
+    as many blocks' arrays live at once as there are threads: one block on a
+    single thread, two on two (at n = 1e5, a block's traced peak is about
+    12.3 MiB above the layout's 7.6 MiB). ``graph`` and ``table`` are None
+    when every trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     words = _trial_words(cfg)
@@ -770,9 +800,13 @@ def _bootstrap_columns(
     ``_BOOT_BLOCK_ENTRIES`` entries (or one resample), so the resampled sums
     are ``C @ X`` and ``C @ X**2``. X is centred per column first, so the
     SD's difference of sums does not cancel away the digits of a column far
-    from zero. Returns two (b, k) arrays; the SDs are NaN when n < 2.
+    from zero, and scaled per column by ``_square_scale``, so its squares
+    and their sums stay finite. Returns two (b, k) arrays; the SDs are NaN
+    when n < 2.
     """
     n, k = x.shape
+    scale = _square_scale(x)
+    x = x * scale
     centre = x.mean(axis=0)
     xc = x - centre
     xc2 = xc * xc
@@ -795,8 +829,27 @@ def _bootstrap_columns(
         sds = np.full((b, k), np.nan)
     else:
         var = (sq_sums - n * means * means) / (n - 1)
-        sds = np.sqrt(np.maximum(var, 0.0))
-    return means + centre, sds
+        sds = np.sqrt(np.maximum(var, 0.0)) / scale
+    return (means + centre) / scale, sds
+
+
+# the largest |value| that ``_square_scale`` leaves unscaled is below 2**this:
+# the sum of up to 2**60 such squares is below float64's largest number
+_SQUARE_EXPONENT = 480
+
+
+def _square_scale(x: np.ndarray) -> np.ndarray:
+    """Per column of ``x``, the power of two 2**-e (e >= 0) that brings its
+    largest |value| below ``2**_SQUARE_EXPONENT``; 1 for ordinary data.
+
+    A means-and-SD computation on the scaled column, divided back by the
+    scale, gives the same bits as on the column itself wherever that one
+    stays finite: multiplying by a power of two is exact, and so is every
+    sum, product, quotient and square root of scaled operands. Only the
+    squares change, from overflowing to finite.
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=0, initial=0.0))
+    return np.ldexp(1.0, -np.maximum(exponent - _SQUARE_EXPONENT, 0))
 
 
 def _percentile_interval(stats: np.ndarray, level: float) -> np.ndarray:
@@ -880,12 +933,15 @@ def run_experiment(cfg: ExperimentConfig) -> EstimateSummary:
     mean_ci = _percentile_interval(boot_means, cfg.bootstrap_level)
     sd_ci = _percentile_interval(boot_sds.reshape(boot_means.shape), cfg.bootstrap_level)
 
+    scale = _square_scale(data.reshape(n_ok, 4 * n_est)).reshape(n_est, 4)
     rows = []
     for e, name in enumerate(cfg.estimators):
         for k in range(4):
             samples = data[:, e, k]
             mean = float(samples.mean())
-            sd = float(samples.std(ddof=1)) if n_ok > 1 else float("nan")
+            # the SD of the column scaled as the bootstrap scales it
+            sd = (float((samples * scale[e, k]).std(ddof=1) / scale[e, k]) if n_ok > 1
+                  else float("nan"))
             rows.append(
                 LevelSummary(
                     estimator=name,

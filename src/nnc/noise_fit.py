@@ -69,34 +69,59 @@ def _moments(e1, e2, in_1_and_2, once, n_v):
     return u1, u2, u3
 
 
-def _replicate_moments(n_true, missed, missed_rep, false, false_rep, n_v):
+def _replicate_moments(n_true, missed_counts, false, false_rep, n_v):
     """Moment statistics of many trials' three observations of known graphs.
 
     Trial t's observations are noisy copies of its own true graph, which
     has ``n_true[t]`` edges. Each observation is described by what it
-    changed: the true edges it missed (``missed``: t * P + k for the
-    trial's k-th edge, with P = n_v (n_v - 1) / 2) and the false edges it
-    turned on (``false``: t * P + the non-edge's rank), and ``*_rep`` says
-    which observation (0, 1, 2) each entry belongs to. A missed edge is
+    changed: the true edges it missed, counted per trial by
+    ``_missed_counts``, and the false edges it turned on (``false``: t * P
+    + the non-edge's rank, with P = n_v (n_v - 1) / 2, and ``false_rep``
+    says which observation, 0, 1 or 2, each belongs to). A missed edge is
     never a false one, so the two kinds are counted apart. Returns (u1,
     u2, u3), one entry per trial, equal to ``moment_stats`` on the same
     observations.
     """
     n_trials = n_true.size
     pairs = n_v * (n_v - 1) // 2
+    lost, m_pairs, m_triples, m_01 = missed_counts
     # the tags may be int8, so they are scaled in int64
-    lost = np.bincount(np.multiply(missed_rep, n_trials, dtype=np.int64) + missed // pairs,
-                       minlength=3 * n_trials)
     gained = np.bincount(np.multiply(false_rep, n_trials, dtype=np.int64) + false // pairs,
-                         minlength=3 * n_trials)
-    lost, gained = lost.reshape(3, n_trials), gained.reshape(3, n_trials)
+                         minlength=3 * n_trials).reshape(3, n_trials)
     n_edges = n_true - lost + gained
-    m_pairs, m_triples, m_01 = _coincidences(missed, missed_rep, n_trials, pairs)
     f_pairs, f_triples, f_01 = _coincidences(false, false_rep, n_trials, pairs)
     # a true edge is in exactly one observation when two of them missed it
     once = m_pairs - 2 * m_triples + gained.sum(axis=0) - 2 * f_pairs + f_triples
     in_1_and_2 = n_true - lost[0] - lost[1] + m_01 + f_01
     return _moments(n_edges[0], n_edges[1], in_1_and_2, once, n_v)
+
+
+def _missed_counts(flags, edge_row, n_trials: int):
+    """Per trial, what its three observations' missed true edges count.
+
+    ``flags[r]`` flags the true edges that observation r missed, and
+    ``edge_row`` names each edge's trial. Each edge's miss pattern (bit r
+    set when observation r missed it) is counted per trial: by
+    ``count_nonzero`` for a lone trial, by one ``bincount`` of 8 * trial +
+    pattern otherwise, so an edgeless trial counts 0. Returns, one entry per
+    trial, the (3, trials) edges each observation missed, then the counts
+    that ``_coincidences`` gives of the same edges as items: the adjacent
+    equal pairs (an edge missed twice adds one, thrice two), the triples,
+    and the edges missed by observations 0 and 1.
+    """
+    pattern = flags[2].view(np.uint8) << 2
+    pattern |= flags[1].view(np.uint8) << 1
+    pattern |= flags[0]
+    if n_trials == 1:
+        counts = np.array([[np.count_nonzero(pattern == p) for p in range(8)]])
+    else:
+        key = edge_row << 3
+        key |= pattern
+        counts = np.bincount(key, minlength=8 * n_trials).reshape(n_trials, 8)
+    triples = counts[:, 7]
+    lost = np.stack([counts[:, np.arange(8) & bit > 0].sum(axis=1) for bit in (1, 2, 4)])
+    both_01 = counts[:, 3] + triples
+    return lost, both_01 + counts[:, 5] + counts[:, 6] + triples, triples, both_01
 
 
 def _coincidences(items, rep, n_trials: int, pairs: int):

@@ -535,7 +535,7 @@ def _assert_same_law(got, want):
 
 @pytest.mark.parametrize("max_attempts", [1, 4])
 @pytest.mark.parametrize("degrees", [[1, 2, 2, 2, 3, 2], [3, 3, 3, 3]])
-def test_chunked_matching_has_the_reference_law(monkeypatch, degrees, max_attempts):
+def test_lazy_matching_has_the_reference_law(monkeypatch, degrees, max_attempts):
     # tiny matchings take the lazy path, one vertex in the first group, and
     # must give (graph, matching_attempts, erased_stub_count) the law of
     # redrawing whole matchings, over 5000 draws each. At 4 attempts some
@@ -555,7 +555,7 @@ def test_chunked_matching_has_the_reference_law(monkeypatch, degrees, max_attemp
 
 
 @pytest.mark.parametrize("degrees", [[2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 2, 2, 2, 2]])
-def test_chunked_matching_with_repeated_draws_has_the_reference_law(monkeypatch, degrees):
+def test_lazy_matching_with_repeated_draws_has_the_reference_law(monkeypatch, degrees):
     # the test above at 4 attempts on two more degree sequences, whose
     # attempts also reveal several groups, counting the batches of positions
     # that draw one twice and are drawn again: over 12 stubs most do, and

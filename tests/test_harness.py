@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,14 @@ import nnc.estimators as estimators_mod
 import nnc.graphs as graphs_mod
 import nnc.harness as harness_mod
 from nnc.estimators import MixingRule, ht_estimate, mme_estimate, realize_outcomes
-from nnc.exposure import LEVEL_NAMES, assign_treatment, exposure_levels
+from nnc.exposure import (
+    LEVEL_NAMES,
+    _level_probabilities,
+    _levels,
+    _own_level_probability,
+    assign_treatment,
+    exposure_levels,
+)
 from nnc.graphs import (
     Graph,
     ZeroTruncatedPoisson,
@@ -30,11 +38,11 @@ from nnc.harness import (
     _BOOT_STREAM,
     _TRIAL_STREAM,
     ESTIMATOR_NAMES,
+    MIXING_MODES,
     ExperimentConfig,
     ExperimentError,
     _block_layout,
     _bootstrap_columns,
-    _block_moments,
     _draw_block,
     _observed_degrees,
     _percentile_interval,
@@ -110,6 +118,44 @@ def test_bootstrap_validation():
         bootstrap_ci([1.0], 0, 0.95, make_rng(0))
     with pytest.raises(ValueError):
         bootstrap_ci([1.0], 10, 1.0, make_rng(0))
+
+
+def test_bootstrap_of_columns_too_large_to_square_is_exactly_scaled():
+    # columns whose squares overflow float64 are scaled by a power of two:
+    # their resampled means and SDs are the ordinary columns' times 2**600,
+    # bit for bit, and an ordinary column's scale is 1
+    x = make_rng(3).normal(size=(200, 3)) * np.array([1.0, 1e3, 1e-3]) + 5.0
+    assert np.array_equal(harness_mod._square_scale(x), np.ones(3))
+    big = x * 2.0**600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        means, sds = _bootstrap_columns(x, 300, make_rng(9))
+        big_means, big_sds = _bootstrap_columns(big, 300, make_rng(9))
+    assert np.array_equal(big_means, means * 2.0**600)
+    assert np.array_equal(big_sds, sds * 2.0**600)
+
+
+@pytest.mark.parametrize("mixing", MIXING_MODES)
+@pytest.mark.parametrize("large", [1e200, 1e300, -1e300])
+def test_outcomes_too_large_to_square_give_finite_results(mixing, large, tmp_path):
+    # constant outcomes (large, 1, 1, 1) on a 50-vertex ZTP(4) graph: the
+    # estimates are near 1e200 or 1e300, whose squares overflow; the run
+    # completes under warnings as errors, with finite means, SDs and intervals
+    g = resolve_graph({"source": "generate", "kind": "ztp", "n_v": 50, "mean_degree": 4.0,
+                       "seed": 3})
+    cfg = ExperimentConfig(graph=g, alpha=0.01, beta=0.1, p=0.1, outcomes=(large, 1, 1, 1),
+                           trials=200, bootstrap_b=200, mixing=mixing, master_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_experiment(cfg)
+        emit_results(summary, tmp_path / "out.csv")
+    assert summary.n_failed == 0
+    for row in summary.rows:
+        values = [getattr(row, f.name) for f in dataclasses.fields(row)][2:]
+        assert all(math.isfinite(v) for v in values), row
+    c11 = [row for row in summary.rows if row.level == "c11"]
+    assert all(abs(row.mean_estimate) > abs(large) / 10 and row.sd > abs(large) / 10
+               for row in c11)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
@@ -494,17 +540,21 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     assert [ref() is None for ref in held] == [True] * len(held)
 
 
-def _laid_end_to_end(graphs):
-    # the layout of a block of trials on ``graphs``, concatenated afresh
+def _laid_end_to_end(graphs, tables):
+    # the layout of a block of trials on ``graphs``, concatenated afresh, with
+    # the non-edge tables of the graphs ``tables``
     n, pairs = graphs[0].n_v, graphs[0].n_v * (graphs[0].n_v - 1) // 2
     m = np.array([g.n_edges for g in graphs])
     rows = np.repeat(np.arange(len(graphs)), m)
+    sizes = np.array([g.n_edges for g in tables])
     return dict(
         n_true=m, edge_start=np.cumsum(m) - m, edge_row=rows,
         src=np.concatenate([g.edge_i for g in graphs]) + rows * n,
         dst=np.concatenate([g.edge_j for g in graphs]) + rows * n,
         degrees=np.concatenate([g.degrees for g in graphs]),
-        nonedges_before=np.concatenate([_nonedges_before(g) for g in graphs]) + rows * pairs,
+        nonedges_before=np.concatenate([_nonedges_before(g) for g in tables])
+        + np.repeat(np.arange(len(tables)), sizes) * pairs,
+        table_start=np.cumsum(sizes) - sizes,
     )
 
 
@@ -513,8 +563,10 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
                                                            monkeypatch):
     # one-trial blocks, then blocks of three trials with a partial last one:
     # each block's part of the layout is its trials' graphs laid end to end,
-    # its trial count is the one fixed by the fixed graph's or trial 0's
-    # graph's size, and its missed-edge flags hold exactly its true edges
+    # with one non-edge table per graph (the fixed graph's own, or one per
+    # regenerated trial), its trial count is the one fixed by the
+    # fixed graph's or trial 0's graph's size, and its missed-edge flags hold
+    # exactly its true edges
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
     cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.01, beta=0.1,
                            p=0.1, trials=7, master_seed=23, regenerate_graph=regenerate)
@@ -540,7 +592,8 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
         for graphs, lay, missed_edges in blocks:
             assert lay.n == graphs[0].n_v
             assert missed_edges == sum(g.n_edges for g in graphs)
-            for name, want in _laid_end_to_end(graphs).items():
+            tables = list(graphs) if regenerate else [graph]
+            for name, want in _laid_end_to_end(graphs, tables).items():
                 got = getattr(lay, name)
                 assert got.dtype == np.int64 and np.array_equal(got, want), name
             if len(graphs) == 1 and (regenerate or budget == per_trial):
@@ -549,6 +602,9 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
                 for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j),
                                  (lay.degrees, g.degrees)):
                     assert np.shares_memory(got, own)
+            if not regenerate:
+                # the fixed graph's trials search its one m-entry table
+                assert lay.nonedges_before.size == graph.n_edges
         if regenerate:
             # the graphs differ in size, yet every full block holds k trials
             assert len({g.n_edges for graphs, _, _ in blocks for g in graphs}) > 1
@@ -610,6 +666,30 @@ def test_a_graph_too_small_to_fit_is_refused_before_any_trial(monkeypatch):
     assert calls
 
 
+def test_levels_cover_every_treatment_and_count():
+    # own treatment crossed with "any neighbor treated", as int64 codes in
+    # LEVEL_NAMES order, for treated-neighbor counts of 0, 1 and more
+    z = np.array([True, True, True, False, False, False])
+    counts = np.array([1, 3, 0, 2, 1, 0])
+    levels = _levels(z, counts)
+    assert levels.dtype == np.int64
+    assert [LEVEL_NAMES[lv] for lv in levels] == ["c11", "c11", "c10", "c01", "c01", "c00"]
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.97])
+def test_level_probabilities_equal_the_closed_form_at_every_degree(p):
+    # the table gather gives the closed form's bits at every degree from 0
+    # to the largest and every level, for a (trials, vertices) array
+    degrees = np.repeat(np.arange(301), 4).reshape(4, -1)
+    levels = np.tile(np.arange(4), degrees.size // 4).reshape(degrees.shape)
+    got = _level_probabilities(degrees, levels, p)
+    assert got.shape == degrees.shape
+    assert np.array_equal(got, _own_level_probability(degrees, levels, p))
+    edgeless = np.zeros(5, dtype=np.int64)
+    assert np.array_equal(_level_probabilities(edgeless, np.arange(5) % 4, p),
+                          _own_level_probability(edgeless, np.arange(5) % 4, p))
+
+
 def test_regenerated_graphs_vary_but_stay_deterministic():
     spec = {"source": "generate", "kind": "ztp", "n_v": 40, "mean_degree": 4.0, "seed": 1}
     cfg = dict(graph=spec, alpha=0.0, beta=0.0, p=0.1, trials=12,
@@ -621,32 +701,72 @@ def test_regenerated_graphs_vary_but_stay_deterministic():
 
 @pytest.mark.parametrize("regenerate", [False, True])
 def test_block_degrees_and_moments_equal_the_per_graph_path(small_graph, regenerate):
-    # heavy noise, so that replicates share missed and false edges; a
-    # regenerating config gives every trial its own graph and non-edge table
+    # nine trials of the fixed graph in one block, or, regenerating, nine
+    # trials that each have their own graph and non-edge table
+    _check_block_degrees_and_moments(small_graph, "regenerating" if regenerate else "fixed")
+
+
+@pytest.mark.parametrize("case", ["fixed_blocks", "edgeless"])
+def test_block_degrees_and_moments_hold_across_blocks_and_without_edges(small_graph, case):
+    # the fixed graph's nine trials cut into blocks of three that share one
+    # layout and one non-edge table, as ``_run_trials`` does; and a graph
+    # with no edges, whose replicates have only false edges
+    _check_block_degrees_and_moments(small_graph, case)
+
+
+def _check_block_degrees_and_moments(small_graph, case):
+    # heavy noise, so that replicates share missed and false edges: replicate
+    # 0's degrees, the three replicates' degree sum, the moments and the
+    # missed-edge counts of each trial equal those of its replicates drawn by
+    # hand through ``replicate``
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
-    cfg = ExperimentConfig(graph=spec if regenerate else small_graph, alpha=0.05, beta=0.3,
+    regenerate = case == "regenerating"
+    graph = {"regenerating": None, "edgeless": Graph(30)}.get(case, small_graph)
+    cfg = ExperimentConfig(graph=spec if regenerate else graph, alpha=0.05, beta=0.3,
                            p=0.1, trials=9, master_seed=41, regenerate_graph=regenerate)
-    graph = None if regenerate else small_graph
-    trials = _trial_source(cfg, graph)
-    draws = _draw_block(cfg, trials)
-    assert len(draws.graphs) == cfg.trials and next(trials, None) is None
-    changes = _replicate_changes(draws, _block_layout(draws.graphs))
-    degrees = _observed_degrees(changes)
-    u1, u2, u3 = _block_moments(changes)
-    shared = 0
-    for t in range(cfg.trials):
+    size = 3 if case == "fixed_blocks" else cfg.trials
+    layout = None if regenerate else _block_layout([graph] * size)
+    blocks = []
+    for t0 in range(0, cfg.trials, size):
+        trials = _trial_source(cfg, graph, t0, t0 + size)
+        draws = _draw_block(cfg, trials)
+        assert len(draws.graphs) == size and next(trials, None) is None
+        changes = _replicate_changes(draws, layout or _block_layout(draws.graphs))
+        lay = changes.lay
+        missed = harness_mod._missed_counts(draws.missed, lay.edge_row, size)
+        moments = harness_mod._replicate_moments(lay.n_true, missed, changes.false,
+                                                 changes.false_rep, lay.n)
+        blocks += zip(draws.graphs, *np.reshape(_observed_degrees(changes), (2, size, -1)),
+                      *moments, np.transpose(missed[0]), *missed[1:])
+    missed_thrice = shared = 0
+    for t, (block_g, deg, deg_sum, *block_moments, lost, pairs, triples, both_01) in (
+            enumerate(blocks)):
         # trial t's graph and replicates, drawn by hand from its own stream
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
-        g = harness_mod._build_generated_graph(spec, rng) if regenerate else small_graph
-        assert g == draws.graphs[t]
+        g = harness_mod._build_generated_graph(spec, rng) if regenerate else graph
+        assert g == block_g
         reps = replicate(g, cfg.noise, 3, rng)
-        for r in range(3):
-            assert np.array_equal(degrees[r, t], reps[r].degrees)
+        assert np.array_equal(deg, reps[0].degrees)
+        assert np.array_equal(deg_sum, sum(r.degrees for r in reps))
+        assert deg_sum.dtype == np.int64
+        # a third of the exact sum is the replicates' mean degree to the bit
+        assert np.array_equal(deg_sum / 3.0, np.mean([r.degrees for r in reps], axis=0))
         m = moment_stats(*reps)
-        assert (u1[t], u2[t], u3[t]) == (m.u1, m.u2, m.u3)
+        assert tuple(block_moments) == (m.u1, m.u2, m.u3)
+        kept = [np.isin(g.codes, r.codes) for r in reps]
+        assert list(lost) == [np.count_nonzero(~k) for k in kept]
+        times = 3 - sum(kept)
+        assert (pairs, triples) == (np.count_nonzero(times >= 2) + np.count_nonzero(times == 3),
+                                    np.count_nonzero(times == 3))
+        assert both_01 == np.count_nonzero(~kept[0] & ~kept[1])
+        missed_thrice += triples
         both = np.intersect1d(reps[1].codes, reps[2].codes)
         shared += np.setdiff1d(both, g.codes).size
     assert shared > 0  # some false edges coincide across replicates
+    if case == "edgeless":
+        assert all(np.count_nonzero(np.hstack(b[6:])) == 0 for b in blocks)
+    else:
+        assert missed_thrice > 0  # some true edges are missed by all three replicates
 
 
 class _EditedGaps:
@@ -680,15 +800,16 @@ def _block_path(cfg, graph, size):
     for t0 in range(0, cfg.trials, size):
         draws = _draw_block(cfg, _trial_source(cfg, graph, t0, min(t0 + size, cfg.trials)))
         ch = _replicate_changes(draws, _block_layout(draws.graphs))
-        lay, n = ch.lay, ch.lay.n
-        miss_row = lay.edge_row[ch.missed]
+        n = ch.lay.n
         for k, g in enumerate(draws.graphs):
             reps = []
             for r in range(3):
-                lost = ch.missed[(miss_row == k) & (ch.miss_rep == r)] - lay.edge_start[k]
+                on = (ch.miss_i // n == k) & (ch.miss_rep == r)
+                lost = (ch.miss_i[on] - k * n) * n + (ch.miss_j[on] - k * n)
+                assert np.isin(lost, g.codes).all()
                 on = (ch.false // (n * (n - 1) // 2) == k) & (ch.false_rep == r)
                 false = (ch.false_i[on] - k * n) * n + (ch.false_j[on] - k * n)
-                reps.append(np.sort(np.concatenate([np.delete(g.codes, lost), false])))
+                reps.append(np.sort(np.concatenate([np.setdiff1d(g.codes, lost), false])))
             out.append((g, reps, draws.z[k * n : (k + 1) * n]))
     return out
 
