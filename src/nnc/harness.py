@@ -464,43 +464,45 @@ class _Changes(NamedTuple):
     is released with it. The true edges the replicates missed have the ends
     (``miss_i``, ``miss_j``) and the false edges they turned on the ends
     (``false_i``, ``false_j``), all at t * n + v, and the codes ``false``
-    (t * P + the non-edge's rank in trial t, P = n(n-1)/2). ``miss_rep`` and
-    ``false_rep`` name each entry's replicate, and are sorted: replicate 0's
-    entries come first (``first``), then 1's and 2's. The replicate tags are
-    int8, which keeps a block's peak low: scale them in int64
-    (``np.multiply(..., dtype=np.int64)``).
+    (t * P + the non-edge's rank in trial t, P = n(n-1)/2). Both kinds come
+    replicate by replicate: replicate 0's missed edges are the first
+    ``missed_0``, and its false edges the first ``gained[0].sum()``, where
+    ``gained[r, t]`` counts replicate r's false edges in trial t.
+    ``false_rep`` names each false edge's replicate, in int8, which keeps a
+    block's peak low.
     """
 
     lay: _Layout
     miss_i: np.ndarray
     miss_j: np.ndarray
-    miss_rep: np.ndarray
+    missed_0: int
     false: np.ndarray
     false_rep: np.ndarray
     false_i: np.ndarray
     false_j: np.ndarray
-
-    def first(self) -> tuple[int, int]:
-        """How many missed and false edges are replicate 0's."""
-        return int(np.searchsorted(self.miss_rep, 1)), int(np.searchsorted(self.false_rep, 1))
+    gained: np.ndarray
 
 
 def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     """Missed and false edges of every replicate of a block, at once.
 
     ``layout`` holds the block's trials first (``_Layout.head``). Each false
-    edge's rank is searched in its trial's graph's non-edge table only.
+    edge's rank is searched in its trial's graph's non-edge table only. Each
+    count is taken where it is drawn: replicate 0's missed edges from its
+    flags, and the false edges per replicate and trial from the draw that
+    ``_batch_ranks`` names for each.
     """
     n_t = len(draws.graphs)
     lay = layout.head(n_t)
     n = lay.n
     missed = [np.flatnonzero(flags) for flags in draws.missed]
-    miss_rep = np.repeat(np.arange(3, dtype=np.int8), [part.size for part in missed])
+    missed_0 = missed[0].size
     missed = np.concatenate(missed)
     miss_i, miss_j = lay.src[missed], lay.dst[missed]
     del missed
     false, draw = _batch_ranks(draws.gaps, np.tile(_pair_count(n) - lay.n_true, 3))
     # draw r * T + t; a lone trial's draw is its replicate, and its row is 0
+    gained = np.bincount(draw, minlength=3 * n_t).reshape(3, n_t)
     false_rep, false_row = np.divmod(draw, n_t) if n_t > 1 else (draw, 0)
     false_rep = false_rep.astype(np.int8)
     del draw
@@ -517,7 +519,7 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
         false += shift
         del shift
     del false_row
-    return _Changes(lay, miss_i, miss_j, miss_rep, false, false_rep, false_i, false_j)
+    return _Changes(lay, miss_i, miss_j, missed_0, false, false_rep, false_i, false_j, gained)
 
 
 def _observed_degrees(ch: _Changes) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +528,7 @@ def _observed_degrees(ch: _Changes) -> tuple[np.ndarray, np.ndarray]:
     ones. The sum is exact, so a third of it is the mean degree to the bit."""
     lay = ch.lay
     size = lay.degrees.size
-    m0, f0 = ch.first()
+    m0, f0 = ch.missed_0, ch.gained[0].sum()
 
     def change(miss: slice, false: slice) -> np.ndarray:
         # one count per endpoint, so no concatenation of the two
@@ -556,7 +558,8 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     changed in its trial's true graph (``_replicate_changes``). Each kernel
     computes only what the rate fit and the estimators read: the moments
     count the missed edges straight from the replicates' miss flags
-    (``noise_fit._missed_counts``) and only the false edges through
+    (``noise_fit._missed_counts``) and the false edges per replicate and
+    trial from their draws, and only the false edges go through
     ``_coincidences``; of the observed degrees only replicate 0's and the
     three replicates' sum are made (``_observed_degrees``), and replicate
     0's missed- and false-edge ends serve both its degrees and its treated
@@ -584,7 +587,8 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
             np.zeros(n_t, dtype=np.int64), np.full(n_t, FIT_CONVERGED, dtype=np.int8),
         )
     else:
-        fits = _fit_rates(*_replicate_moments(lay.n_true, missed, ch.false, ch.false_rep, n))
+        fits = _fit_rates(*_replicate_moments(lay.n_true, missed, ch.gained, ch.false,
+                                              ch.false_rep, n))
 
     estimates = np.full((n_t, len(cfg.estimators), 4), np.nan)
     rule_counts = np.zeros(3, dtype=np.int64)
@@ -598,7 +602,7 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     treated = _treated_counts(z, lay.src, lay.dst)
     lv_true = _levels(z, treated).reshape(n_t, n)[rows]
     # replicate 0: the true graph, less its missed edges, plus its false ones
-    m0, f0 = ch.first()
+    m0, f0 = ch.missed_0, ch.gained[0].sum()
     treated -= _treated_counts(z, ch.miss_i[:m0], ch.miss_j[:m0])
     treated += _treated_counts(z, ch.false_i[:f0], ch.false_j[:f0])
     # the replicates' changes are spent

@@ -69,30 +69,26 @@ def _moments(e1, e2, in_1_and_2, once, n_v):
     return u1, u2, u3
 
 
-def _replicate_moments(n_true, missed_counts, false, false_rep, n_v):
+def _replicate_moments(n_true, missed_counts, gained, false, false_rep, n_v):
     """Moment statistics of many trials' three observations of known graphs.
 
     Trial t's observations are noisy copies of its own true graph, which
     has ``n_true[t]`` edges. Each observation is described by what it
     changed: the true edges it missed, counted per trial by
-    ``_missed_counts``, and the false edges it turned on (``false``: t * P
-    + the non-edge's rank, with P = n_v (n_v - 1) / 2, and ``false_rep``
-    says which observation, 0, 1 or 2, each belongs to). A missed edge is
-    never a false one, so the two kinds are counted apart. Returns (u1,
-    u2, u3), one entry per trial, equal to ``moment_stats`` on the same
-    observations.
+    ``_missed_counts``, and the false edges it turned on, ``gained[r, t]``
+    of them for observation r (``false``: t * P + the non-edge's rank, with
+    P = n_v (n_v - 1) / 2, and ``false_rep`` says which observation, 0, 1
+    or 2, each belongs to). A missed edge is never a false one, so the two
+    kinds are counted apart. Returns (u1, u2, u3), one entry per trial,
+    equal to ``moment_stats`` on the same observations.
     """
-    n_trials = n_true.size
-    pairs = n_v * (n_v - 1) // 2
-    lost, m_pairs, m_triples, m_01 = missed_counts
-    # the tags may be int8, so they are scaled in int64
-    gained = np.bincount(np.multiply(false_rep, n_trials, dtype=np.int64) + false // pairs,
-                         minlength=3 * n_trials).reshape(3, n_trials)
+    lost, missed_twice, missed_01 = missed_counts
     n_edges = n_true - lost + gained
-    f_pairs, f_triples, f_01 = _coincidences(false, false_rep, n_trials, pairs)
+    f_pairs, f_triples, f_01 = _coincidences(false, false_rep, n_true.size,
+                                             n_v * (n_v - 1) // 2)
     # a true edge is in exactly one observation when two of them missed it
-    once = m_pairs - 2 * m_triples + gained.sum(axis=0) - 2 * f_pairs + f_triples
-    in_1_and_2 = n_true - lost[0] - lost[1] + m_01 + f_01
+    once = missed_twice + gained.sum(axis=0) - 2 * f_pairs + f_triples
+    in_1_and_2 = n_true - lost[0] - lost[1] + missed_01 + f_01
     return _moments(n_edges[0], n_edges[1], in_1_and_2, once, n_v)
 
 
@@ -104,10 +100,9 @@ def _missed_counts(flags, edge_row, n_trials: int):
     set when observation r missed it) is counted per trial: by
     ``count_nonzero`` for a lone trial, by one ``bincount`` of 8 * trial +
     pattern otherwise, so an edgeless trial counts 0. Returns, one entry per
-    trial, the (3, trials) edges each observation missed, then the counts
-    that ``_coincidences`` gives of the same edges as items: the adjacent
-    equal pairs (an edge missed twice adds one, thrice two), the triples,
-    and the edges missed by observations 0 and 1.
+    trial, the (3, trials) edges each observation missed, the edges missed
+    by exactly two observations, and the edges missed by observations 0 and
+    1.
     """
     pattern = flags[2].view(np.uint8) << 2
     pattern |= flags[1].view(np.uint8) << 1
@@ -118,10 +113,8 @@ def _missed_counts(flags, edge_row, n_trials: int):
         key = edge_row << 3
         key |= pattern
         counts = np.bincount(key, minlength=8 * n_trials).reshape(n_trials, 8)
-    triples = counts[:, 7]
     lost = np.stack([counts[:, np.arange(8) & bit > 0].sum(axis=1) for bit in (1, 2, 4)])
-    both_01 = counts[:, 3] + triples
-    return lost, both_01 + counts[:, 5] + counts[:, 6] + triples, triples, both_01
+    return lost, counts[:, 3] + counts[:, 5] + counts[:, 6], counts[:, 3] + counts[:, 7]
 
 
 def _coincidences(items, rep, n_trials: int, pairs: int):
@@ -130,17 +123,17 @@ def _coincidences(items, rep, n_trials: int, pairs: int):
     # Each item is tagged with its observation in the two low bits (items
     # stay below 2**61), and one sort, a merge when each observation's
     # items come sorted, leaves an item's copies adjacent, in observation
-    # order
+    # order. Only the positions whose item equals the next one's are read
     keys = (items << 2) | rep
     keys.sort(kind="stable")
     tags = keys & 3
     keys >>= 2
-    same = keys[1:] == keys[:-1]
-    row = keys[1:] // pairs
+    at = np.flatnonzero(keys[1:] == keys[:-1])
+    row = keys[at] // pairs
     return (
-        np.bincount(row[same], minlength=n_trials),
-        np.bincount(row[1:][same[1:] & same[:-1]], minlength=n_trials),
-        np.bincount(row[same & (tags[:-1] == 0) & (tags[1:] == 1)], minlength=n_trials),
+        np.bincount(row, minlength=n_trials),
+        np.bincount(row[1:][at[1:] == at[:-1] + 1], minlength=n_trials),
+        np.bincount(row[(tags[at] == 0) & (tags[at + 1] == 1)], minlength=n_trials),
     )
 
 

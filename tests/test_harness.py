@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import nnc.estimators as estimators_mod
 import nnc.graphs as graphs_mod
@@ -64,6 +66,8 @@ from nnc.noise_fit import (
     moment_stats,
 )
 from nnc.seeding import make_rng
+
+from dense_oracle import random_graph
 
 DILATED = (10.0, 7.0, 5.0, 1.0)
 
@@ -666,6 +670,102 @@ def test_a_graph_too_small_to_fit_is_refused_before_any_trial(monkeypatch):
     assert calls
 
 
+_PROBE_RATES = (0.0, 1e-12, 0.01, 0.3, 0.9, 1.0 - 1e-12, 1.0)
+
+
+@st.composite
+def _probe_configs(draw):
+    # small configs at the robustness probe's ranges: a fixed graph of 2 to
+    # 19 vertices, or a regenerating ZTP or Pareto law of 4 to 19
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 19))
+        if draw(st.booleans()):
+            graph = {"source": "generate", "kind": "ztp", "n_v": n,
+                     "mean_degree": draw(st.floats(1.5, 6.0)), "seed": seed}
+        else:
+            graph = {"source": "generate", "kind": "pareto", "n_v": n,
+                     "rate": draw(st.floats(0.1, 1.0)), "shape": draw(st.floats(0.5, 2.0)),
+                     "lower": draw(st.integers(1, 2)), "seed": seed}
+    else:
+        graph = random_graph(draw(st.integers(2, 19)), draw(st.floats(0.0, 1.0)), seed)
+    return dict(
+        graph=graph, regenerate_graph=isinstance(graph, dict),
+        alpha=draw(st.sampled_from(_PROBE_RATES)), beta=draw(st.sampled_from(_PROBE_RATES)),
+        p=draw(st.floats(1e-9, 1.0 - 1e-9)), noise_known=draw(st.booleans()),
+        mixing=draw(st.sampled_from(harness_mod.MIXING_MODES)),
+        estimators=draw(st.lists(st.sampled_from(harness_mod.ESTIMATOR_NAMES), unique=True)),
+        outcomes=draw(st.sampled_from([DILATED, (1, 2, 3, 4), (1e200, 1.0, 1.0, 1.0)])),
+        trials=draw(st.integers(1, 5)), bootstrap_b=draw(st.integers(1, 30)),
+        master_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def _probe_run(kwargs, cpus, tmp):
+    # the run's output bytes, or its exception's type and message, and
+    # whether any block ran; on two usable CPUs the ranges run on the pool
+    blocks = []
+    real_run = harness_mod._run_block
+
+    def counted(*args):
+        blocks.append(1)
+        return real_run(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_mod, "_run_block", counted)
+        mp.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+        mp.setattr(harness_mod, "_THREADED_TRIAL_ENTRIES", 0)
+        mp.setattr(harness_mod, "_THREADED_BUILD_STUBS", 0)
+        try:
+            summary = run_experiment(ExperimentConfig(**kwargs))
+        except (ValueError, ExperimentError) as exc:
+            return (type(exc), str(exc)), None, bool(blocks)
+    csv_path = tmp / f"run_{cpus}.csv"
+    emit_results(summary, csv_path)
+    return (csv_path.read_bytes(), csv_path.with_suffix(".json").read_text()), summary, True
+
+
+_PROBE_TINY = dict(alpha=0.01, beta=0.1, p=0.5, trials=3, bootstrap_b=5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_probe_configs())
+@example(dict(_PROBE_TINY, graph=Graph(0)))  # no unit: refused
+@example(dict(_PROBE_TINY, graph=Graph(1)))  # no pair to fit from: refused
+@example(dict(_PROBE_TINY, graph=Graph(1), noise_known=True))  # runs
+def test_small_runs_return_or_fail_cleanly_and_alike_on_one_and_two_cpus(kwargs):
+    # under -W error, every run returns or raises ExperimentError; a
+    # ValueError comes from the config, graph or outcome checks before any
+    # block runs. A returned run's sidecar re-reads equal, its unattained
+    # levels read 0 (and, the outcomes being positive, HT_true's and
+    # AS_noisy's other levels read above 0), and its bytes, or its error,
+    # are the same on one usable CPU and on two, where its ranges run on
+    # the pool
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("error")
+        try:
+            ExperimentConfig(**kwargs)
+        except ValueError:
+            return
+        out, summary, ran = _probe_run(kwargs, 1, Path(tmp))
+        assert _probe_run(kwargs, 2, Path(tmp))[0] == out
+    if summary is None:
+        assert out[0] is ExperimentError or not ran, out
+        return
+    sidecar = json.loads(out[1])
+    assert json.dumps(sidecar, indent=2, sort_keys=True) + "\n" == out[1]
+    assert sidecar["config"] == summary.config
+    assert (sidecar["n_trials"], sidecar["n_failed"]) == (summary.n_trials, summary.n_failed)
+    assert sidecar.get("unattained_levels", []) == list(summary.unattained_levels)
+    unattained = {(u["estimator"], u["level"]) for u in summary.unattained_levels}
+    for row in summary.rows:
+        if (row.estimator, row.level) in unattained:
+            assert row.mean_estimate == 0.0
+        elif row.estimator != "MME":
+            # positive outcomes: a level with a term somewhere reads above 0
+            assert row.mean_estimate > 0.0
+
+
 def test_levels_cover_every_treatment_and_count():
     # own treatment crossed with "any neighbor treated", as int64 codes in
     # LEVEL_NAMES order, for treated-neighbor counts of 0, 1 and more
@@ -734,12 +834,14 @@ def _check_block_degrees_and_moments(small_graph, case):
         changes = _replicate_changes(draws, layout or _block_layout(draws.graphs))
         lay = changes.lay
         missed = harness_mod._missed_counts(draws.missed, lay.edge_row, size)
-        moments = harness_mod._replicate_moments(lay.n_true, missed, changes.false,
-                                                 changes.false_rep, lay.n)
+        assert changes.missed_0 == missed[0][0].sum()
+        moments = harness_mod._replicate_moments(lay.n_true, missed, changes.gained,
+                                                 changes.false, changes.false_rep, lay.n)
         blocks += zip(draws.graphs, *np.reshape(_observed_degrees(changes), (2, size, -1)),
-                      *moments, np.transpose(missed[0]), *missed[1:])
+                      *moments, np.transpose(missed[0]), *missed[1:],
+                      np.transpose(changes.gained))
     missed_thrice = shared = 0
-    for t, (block_g, deg, deg_sum, *block_moments, lost, pairs, triples, both_01) in (
+    for t, (block_g, deg, deg_sum, *block_moments, lost, twice, both_01, gained) in (
             enumerate(blocks)):
         # trial t's graph and replicates, drawn by hand from its own stream
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
@@ -756,15 +858,15 @@ def _check_block_degrees_and_moments(small_graph, case):
         kept = [np.isin(g.codes, r.codes) for r in reps]
         assert list(lost) == [np.count_nonzero(~k) for k in kept]
         times = 3 - sum(kept)
-        assert (pairs, triples) == (np.count_nonzero(times >= 2) + np.count_nonzero(times == 3),
-                                    np.count_nonzero(times == 3))
+        assert twice == np.count_nonzero(times == 2)
         assert both_01 == np.count_nonzero(~kept[0] & ~kept[1])
-        missed_thrice += triples
+        assert list(gained) == [np.setdiff1d(r.codes, g.codes).size for r in reps]
+        missed_thrice += np.count_nonzero(times == 3)
         both = np.intersect1d(reps[1].codes, reps[2].codes)
         shared += np.setdiff1d(both, g.codes).size
     assert shared > 0  # some false edges coincide across replicates
     if case == "edgeless":
-        assert all(np.count_nonzero(np.hstack(b[6:])) == 0 for b in blocks)
+        assert all(np.count_nonzero(np.hstack(b[6:9])) == 0 for b in blocks)
     else:
         assert missed_thrice > 0  # some true edges are missed by all three replicates
 
@@ -801,13 +903,18 @@ def _block_path(cfg, graph, size):
         draws = _draw_block(cfg, _trial_source(cfg, graph, t0, min(t0 + size, cfg.trials)))
         ch = _replicate_changes(draws, _block_layout(draws.graphs))
         n = ch.lay.n
+        # the missed edges come replicate by replicate, as flagged
+        per_rep = np.count_nonzero(draws.missed, axis=1)
+        assert ch.missed_0 == per_rep[0]
+        miss_rep = np.repeat(np.arange(3), per_rep)
         for k, g in enumerate(draws.graphs):
             reps = []
             for r in range(3):
-                on = (ch.miss_i // n == k) & (ch.miss_rep == r)
+                on = (ch.miss_i // n == k) & (miss_rep == r)
                 lost = (ch.miss_i[on] - k * n) * n + (ch.miss_j[on] - k * n)
                 assert np.isin(lost, g.codes).all()
                 on = (ch.false // (n * (n - 1) // 2) == k) & (ch.false_rep == r)
+                assert np.count_nonzero(on) == ch.gained[r, k]
                 false = (ch.false_i[on] - k * n) * n + (ch.false_j[on] - k * n)
                 reps.append(np.sort(np.concatenate([np.setdiff1d(g.codes, lost), false])))
             out.append((g, reps, draws.z[k * n : (k + 1) * n]))
@@ -919,6 +1026,11 @@ def _budget_case(case, tmp_path, small_graph):
                   "shape": 1.2, "lower": 3, "seed": 12345}
         return dict(graph=pareto, alpha=0.005, beta=0.10, p=0.1, trials=30, noise_known=True,
                     mixing="order_of_magnitude", regenerate_graph=True)
+    if case == "pareto_regen_fitted":
+        # the same law with fitted rates: per-trial non-edge tables meet the
+        # coincidence rows of several trials
+        return dict(_budget_case("pareto_regen_known", tmp_path, small_graph), trials=60,
+                    noise_known=False)
     if case == "vertex_outcomes":
         outcomes = tmp_path / "outcomes.csv"
         rows = make_rng(5).normal(size=(small_graph.n_v, 4)) * 3.0 + np.array(DILATED)
@@ -935,7 +1047,8 @@ def _budget_case(case, tmp_path, small_graph):
 
 
 @pytest.mark.parametrize("case", ["school_dense", "ztp_sparse", "pareto_regen_known",
-                                  "vertex_outcomes", "criterion_5", "criterion_7"])
+                                  "pareto_regen_fitted", "vertex_outcomes", "criterion_5",
+                                  "criterion_7"])
 def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, monkeypatch):
     kwargs = dict(_budget_case(case, tmp_path, small_graph), bootstrap_b=200, master_seed=777)
     cfg = ExperimentConfig(**kwargs)
@@ -963,6 +1076,9 @@ def test_results_do_not_depend_on_the_block_size(case, small_graph, tmp_path, mo
         outputs.append((csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()))
     assert blocks[0] == kwargs["trials"] and blocks[1] < blocks[0]
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    if case == "pareto_regen_fitted":
+        # every trial's rates were fitted, and every fit converged
+        assert summary.n_failed == 0 and summary.noise_fit_convergence_rate == 1.0
 
 
 def test_results_do_not_depend_on_the_thread_count(small_graph, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from nnc.noise_fit import (
     DegenerateMomentsError,
     DivergedError,
     MomentStats,
+    _coincidences,
     _fit_rates,
     fit_alpha_beta,
     moment_stats,
@@ -126,6 +127,38 @@ _MASKS = st.lists(st.booleans(), min_size=1, max_size=80)
 def test_merged_moments_equal_set_operation_reference(n, m1, m2, m3):
     reps = [_graph_from_pair_mask(n, m) for m in (m1, m2, m3)]
     assert moment_stats(*reps) == _reference_moment_stats(*reps)
+
+
+@st.composite
+def _trial_items(draw):
+    # three observations' items t * pairs + k, each observation's sorted and
+    # without repeats, as the block path and ``moment_stats`` pass them
+    n_trials, pairs = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    items = st.sets(st.integers(0, n_trials * pairs - 1), max_size=3 * pairs)
+    return n_trials, pairs, [sorted(draw(items)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trial_items())
+@example((1, 1, [[], [], []]))  # empty input
+@example((3, 2, [[0, 1, 2, 4], [0, 3, 4, 5], [1, 2, 4]]))  # row 1 has no item twice
+@example((3, 4, [[1, 2, 9, 11], [1, 9], [1, 2, 11]]))  # first and last rows only
+@example((2, 3, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]]))
+@example((4, 1, [[0, 3], [1, 2], [3]]))  # observations 0 and 2, and 1 and 2
+def test_coincidences_equal_a_brute_force_count(case):
+    # per trial: the adjacent equal pairs (an item in c observations adds
+    # c - 1 of them), the triples, and the items of observation 0 also in
+    # observation 1
+    n_trials, pairs, obs = case
+    items = np.array([x for o in obs for x in o], dtype=np.int64)
+    rep = np.repeat(np.arange(3, dtype=np.int8), [len(o) for o in obs])
+    got = _coincidences(items, rep, n_trials, pairs)
+    want = np.zeros((3, n_trials), dtype=np.int64)
+    for x in range(n_trials * pairs):
+        copies = sum(x in o for o in obs)
+        want[:, x // pairs] += (max(copies - 1, 0), copies == 3, x in obs[0] and x in obs[1])
+    assert [g.shape for g in got] == [(n_trials,)] * 3
+    assert np.array_equal(np.stack(got), want)
 
 
 def test_moments_dimension_check():
