@@ -89,7 +89,7 @@ def cmd_noise_fit(args) -> int:
 
 def cmd_bias_theory(args) -> int:
     degrees = []
-    with open(args.degrees, "r", encoding="utf-8") as fh:
+    with open(args.degrees, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:

@@ -508,7 +508,8 @@ def _rows(source: Source) -> Iterator[list[str]]:
     if hasattr(source, "read"):
         yield from csv.reader(source)
     else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops a leading byte-order mark, so the header still matches
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             yield from csv.reader(fh)
 
 

@@ -16,13 +16,13 @@ arrays keyed by (trial, replicate), computing only what the rate fit and
 the estimators read. A fixed graph's trials all search its one non-edge
 table; when every trial draws its own graph, each has its own table. The
 ranges run through the standard library's ``ThreadPoolExecutor.map``, on
-one thread per usable CPU, when one trial of that graph holds at least
-``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
-``_THREADED_BUILD_STUBS`` stubs (regenerating), and through the builtin
-``map`` on the caller's thread otherwise. A regenerating range builds its graphs where it runs, and a
-build runs its stub-matching attempts in turn on that thread. Results are
-written back in trial order, so outputs do not depend on k or on the
-thread count.
+one thread per usable CPU, when one trial of the fixed graph fills a
+block of ``_BLOCK_ENTRIES`` entries, or when trial 0's graph has at least
+``_THREADED_BUILD_STUBS`` stubs (regenerating); otherwise they run through
+the builtin ``map`` on the caller's thread. A regenerating range builds
+its graphs where it runs, and a build runs its stub-matching attempts in
+turn on that thread. Results are written back in trial order, so outputs
+do not depend on k or on the thread count.
 """
 from __future__ import annotations
 
@@ -103,15 +103,14 @@ _BOOT_BLOCK_ENTRIES = 2**17
 # trials: about 75 trials of the 115-vertex school graph (a traced peak of
 # about 2.5 MiB), one of a 1e5-vertex one. On a 2-core machine a 300-trial
 # school experiment took a median 36.4 ms at 2**16, 32.6 ms at 2**17 and
-# 33.6 ms at 2**18 (80 interleaved runs each)
+# 33.6 ms at 2**18 (80 interleaved runs each). A fixed graph's blocks run on
+# several threads when one trial fills a block (holds more than 2**16
+# entries). A block's numpy kernels release the GIL, but its per-trial
+# Python loop does not. On a 2-core machine, two threads against one (median
+# of 6 alternating experiments) ran a ZTP(10) graph 0.75x as fast at 1e3
+# vertices (7 trials a block), 1.01x at 3e3 (2), 1.03x at 7e3 (1), 1.58x at
+# 2e4 and 1.98x at 1e5; the 115-vertex school graph (75 trials a block) 0.93x
 _BLOCK_ENTRIES = 2**17
-# entries of one trial from which a fixed graph's blocks run on several
-# threads. A block's numpy kernels release the GIL, but its per-trial Python
-# loop does not. On a 2-core machine, two threads against one (median of 6
-# alternating experiments) ran a ZTP(10) graph 0.75x as fast at 1e3
-# vertices (7 trials a block), 1.01x at 3e3, 1.03x at 7e3, 1.58x at 2e4 and
-# 1.98x at 1e5; the 115-vertex school graph (75 trials a block) 0.93x
-_THREADED_TRIAL_ENTRIES = 2**16
 # stubs (2m) of a regenerating run's trial 0 graph from which its ranges run
 # on several threads. Stub matching's shuffles release the GIL, but its
 # per-attempt Python code and a block's per-trial loop do not. On a 2-core
@@ -218,7 +217,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte-order mark, as some editors write
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 data = json.load(fh)
         else:
             data = dict(source)
@@ -265,6 +265,9 @@ def _spec_number(spec: dict, key: str, kind: type, default=None):
     # the key's value as an int or float; a value that is not one names the key
     value = _spec_value(spec, key) if default is None else spec.get(key, default)
     try:
+        # JSON's true and false would pass as 1 and 0
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError
         number = kind(value)
         # int() truncates, so a non-integral number is refused; 50.0 and "50" pass
         if kind is int and isinstance(value, Real) and number != value:
@@ -391,22 +394,19 @@ def _draw_block(cfg: ExperimentConfig, trials) -> _Draws:
 class _Layout(NamedTuple):
     """Where a block's trials sit in its arrays, and their true graphs there.
 
-    Trial t's vertex v sits at t * n + v. Its ``n_true[t]`` true edges are
-    entries ``edge_start[t]`` on of ``src``/``dst`` (endpoints already at
-    t * n + v); ``edge_row`` names each edge's trial. ``degrees`` holds the
-    true degrees at t * n + v. Trials sit one after another, so the first k
-    trials' part of these is a prefix (``head``). The non-edge tables
-    (``noise._nonedges_before``) are one per graph, not per trial: trials
-    that share one graph, as a fixed graph's do, share its one table, and
-    trials with graphs of their own have one table each, table t in
-    ``nonedges_before`` from ``table_start[t]`` on, shifted by
-    t * n(n-1)/2.
+    Trial t's vertex v sits at t * n + v. Its ``n_true[t]`` true edges
+    follow the earlier trials' in ``src``/``dst`` (endpoints already at
+    t * n + v), and ``degrees`` holds the true degrees at t * n + v. Trials
+    sit one after another, so the first k trials' part of these is a prefix
+    (``head``). The non-edge tables (``noise._nonedges_before``) are one per
+    graph, not per trial: trials that share one graph, as a fixed graph's
+    do, share its one table, and trials with graphs of their own have one
+    table each, table t in ``nonedges_before`` from ``table_start[t]`` on,
+    shifted by t * n(n-1)/2.
     """
 
     n: int
     n_true: np.ndarray
-    edge_start: np.ndarray
-    edge_row: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     degrees: np.ndarray
@@ -415,11 +415,9 @@ class _Layout(NamedTuple):
 
     def head(self, k: int) -> "_Layout":
         """The first ``k`` trials' part, as views; the tables are all kept."""
-        e = int(self.edge_start[k - 1] + self.n_true[k - 1])
-        return self._replace(
-            n_true=self.n_true[:k], edge_start=self.edge_start[:k], edge_row=self.edge_row[:e],
-            src=self.src[:e], dst=self.dst[:e], degrees=self.degrees[: k * self.n],
-        )
+        e = int(self.n_true[:k].sum())
+        return self._replace(n_true=self.n_true[:k], src=self.src[:e], dst=self.dst[:e],
+                             degrees=self.degrees[: k * self.n])
 
 
 def _block_layout(graphs: list) -> _Layout:
@@ -430,28 +428,26 @@ def _block_layout(graphs: list) -> _Layout:
     """
     n = graphs[0].n_v
     n_true = np.array([g.n_edges for g in graphs], dtype=np.int64)
-    edge_start = np.cumsum(n_true) - n_true
-    edge_row = np.repeat(np.arange(n_true.size), n_true)
-    shared = all(g is graphs[0] for g in graphs)
+    tables = graphs[:1] if all(g is graphs[0] for g in graphs) else graphs
+    sizes = n_true[: len(tables)]
     return _Layout(
-        n, n_true, edge_start, edge_row,
-        _end_to_end([g.edge_i for g in graphs], edge_row, n),
-        _end_to_end([g.edge_j for g in graphs], edge_row, n),
+        n, n_true,
+        _end_to_end([g.edge_i for g in graphs], n_true, n),
+        _end_to_end([g.edge_j for g in graphs], n_true, n),
         _end_to_end([g.degrees for g in graphs]),
-        _end_to_end([_nonedges_before(g) for g in (graphs[:1] if shared else graphs)],
-                    edge_row, _pair_count(n)),
-        edge_start[:1] if shared else edge_start,
+        _end_to_end([_nonedges_before(g) for g in tables], sizes, _pair_count(n)),
+        np.cumsum(sizes) - sizes,
     )
 
 
-def _end_to_end(parts: list, row=None, step: int = 0) -> np.ndarray:
-    # the parts laid end to end, each entry raised by step times its row; a
-    # lone part is used as it is
+def _end_to_end(parts: list, sizes=None, step: int = 0) -> np.ndarray:
+    # the parts laid end to end, part t's ``sizes[t]`` entries each raised by
+    # t * step; a lone part is used as it is
     if len(parts) == 1:
         return parts[0]
     out = np.concatenate(parts)
     if step:
-        out += row * step
+        out += np.repeat(np.arange(0, step * len(parts), step), sizes)
     return out
 
 
@@ -577,7 +573,7 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     n_t, n = lay.n_true.size, lay.n
     # the rate fit counts the missed edges from the replicates' flags, before
     # the draws are released
-    missed = None if cfg.noise_known else _missed_counts(draws.missed, lay.edge_row, n_t)
+    missed = None if cfg.noise_known else _missed_counts(draws.missed, lay.n_true)
     # of the draws only the treatment flags are used from here on
     z = draws.z
     del draws
@@ -654,8 +650,8 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     graph, which is drawn here and taken by block 0: as many trials as fit
     ``_BLOCK_ENTRIES`` entries, 3 (m + n) per trial, and at least one. The
     ranges run through ``ThreadPoolExecutor.map`` on ``min(_usable_cpus(),
-    trials)`` threads when one trial of that graph holds at least
-    ``_THREADED_TRIAL_ENTRIES`` entries (fixed graph) or has at least
+    trials)`` threads when one trial of the fixed graph fills a block (the
+    budget fits no second one), or when trial 0's graph has at least
     ``_THREADED_BUILD_STUBS`` stubs, 2m (regenerating), and k is then cut
     so that the number of ranges is a multiple of the thread count;
     otherwise through the builtin ``map`` on this thread. A regenerating
@@ -675,18 +671,19 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     What lives for the whole experiment: the seed words of every trial's
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
     fixed graph's block layout (``_block_layout``: edge endpoints and
-    degrees laid out for k trials, of which each block uses a prefix, and
-    the graph's one non-edge table, which every trial searches), made once
-    here. What lives for one block: its trials' generators and graphs, its
-    draws, until its replicates' changes and missed-edge counts are made
-    from them (the treatment flags until replicate 0's levels are known),
-    those changes until replicate 0's treated counts are taken, what is
-    estimated from them, and, when every trial regenerates its graph, the
-    block's layout. All of it is released when the block returns, so at most
-    as many blocks' arrays live at once as there are threads: one block on a
-    single thread, two on two (at n = 1e5, a block's traced peak is about
-    12.3 MiB above the layout's 7.6 MiB). ``graph`` and ``table`` are None
-    when every trial regenerates its graph.
+    degrees laid out for k trials, of which each block uses a prefix, or
+    the graph's own arrays when k is 1, and the graph's one non-edge table,
+    which every trial searches), made once here. What lives for one block:
+    its trials' generators and graphs, its draws, until its replicates'
+    changes and missed-edge counts are made from them (the treatment flags
+    until replicate 0's levels are known), those changes until replicate
+    0's treated counts are taken, what is estimated from them, and, when
+    every trial regenerates its graph, the block's layout. All of it is
+    released when the block returns, so at most as many blocks' arrays live
+    at once as there are threads: one block on a single thread, two on two
+    (at n = 1e5, a block's traced peak is about 12.3 MiB above the
+    layout's 3.8 MiB, which is the non-edge table alone). ``graph`` and
+    ``table`` are None when every trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     words = _trial_words(cfg)
@@ -696,11 +693,12 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
         made[0] = _trial(cfg, None, words, 0)
         sample = made[0][0]
         table = OutcomeTable.constant(sample.n_v, cfg.outcomes)
-        threaded = 2 * sample.n_edges >= _THREADED_BUILD_STUBS
     else:
         sample = graph
-        threaded = 3 * (graph.n_edges + graph.n_v) >= _THREADED_TRIAL_ENTRIES
-    k = min(n_trials, max(1, _BLOCK_ENTRIES // (3 * (sample.n_edges + sample.n_v))))
+    fit = _BLOCK_ENTRIES // (3 * (sample.n_edges + sample.n_v))
+    k = min(n_trials, max(1, fit))
+    # a fixed graph's ranges run on threads when one trial fills a block
+    threaded = fit < 2 if graph is not None else 2 * sample.n_edges >= _THREADED_BUILD_STUBS
     del sample
     threads = min(_usable_cpus(), n_trials) if threaded else 1
     if threads > 1:

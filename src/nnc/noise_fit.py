@@ -92,25 +92,26 @@ def _replicate_moments(n_true, missed_counts, gained, false, false_rep, n_v):
     return _moments(n_edges[0], n_edges[1], in_1_and_2, once, n_v)
 
 
-def _missed_counts(flags, edge_row, n_trials: int):
+def _missed_counts(flags, n_true):
     """Per trial, what its three observations' missed true edges count.
 
-    ``flags[r]`` flags the true edges that observation r missed, and
-    ``edge_row`` names each edge's trial. Each edge's miss pattern (bit r
-    set when observation r missed it) is counted per trial: by
-    ``count_nonzero`` for a lone trial, by one ``bincount`` of 8 * trial +
-    pattern otherwise, so an edgeless trial counts 0. Returns, one entry per
-    trial, the (3, trials) edges each observation missed, the edges missed
-    by exactly two observations, and the edges missed by observations 0 and
-    1.
+    ``flags[r]`` flags the true edges that observation r missed, trial by
+    trial: trial t's ``n_true[t]`` edges follow the earlier trials'. Each
+    edge's miss pattern (bit r set when observation r missed it) is counted
+    per trial: by ``count_nonzero`` for a lone trial, by one ``bincount`` of
+    8 * trial + pattern otherwise, so an edgeless trial counts 0. Returns,
+    one entry per trial, the (3, trials) edges each observation missed, the
+    edges missed by exactly two observations, and the edges missed by
+    observations 0 and 1.
     """
+    n_trials = n_true.size
     pattern = flags[2].view(np.uint8) << 2
     pattern |= flags[1].view(np.uint8) << 1
     pattern |= flags[0]
     if n_trials == 1:
         counts = np.array([[np.count_nonzero(pattern == p) for p in range(8)]])
     else:
-        key = edge_row << 3
+        key = np.repeat(np.arange(0, 8 * n_trials, 8), n_true)
         key |= pattern
         counts = np.bincount(key, minlength=8 * n_trials).reshape(n_trials, 8)
     lost = np.stack([counts[:, np.arange(8) & bit > 0].sum(axis=1) for bit in (1, 2, 4)])

@@ -226,6 +226,10 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypat
             dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50,
                               "mean_degree": "abc"}),
             "graph spec key 'mean_degree' must be a number, got 'abc'"),
+        "spec numbers as booleans": (
+            dict(good, graph={"source": "generate", "kind": "ztp", "n_v": 50,
+                              "mean_degree": True, "seed": True}),
+            "graph spec key 'seed' must be an integer, got True"),
         "NNC_SEED": (good, "NNC_SEED must be an integer, got 'abc'"),
     }
     needles = {}
@@ -244,6 +248,44 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypat
         assert len(lines) == 1 and lines[0].startswith("nnc: error: "), (name, lines)
         assert needles.get(name, "") in lines[0], (name, lines)
         assert "Traceback" not in captured.err, name
+
+
+def test_every_text_input_reads_past_a_byte_order_mark(tmp_path, capsys):
+    # an edge list, contact rounds, an outcome table, an experiment config
+    # and a degree file, each saved with a UTF-8 byte-order mark, as some
+    # editors write them, give the files they give without it
+    pairs = ("a,b", "b,c", "c,d", "a,d", "b,d")
+    texts = {
+        "edges.csv": "node_a,node_b\n" + "".join(f"{p}\n" for p in pairs),
+        "rounds.csv": "round,node_a,node_b\n" + "".join(f"{r},{p}\n" for r in (1, 2)
+                                                     for p in pairs),
+        "y.csv": "y_c11,y_c10,y_c01,y_c00\n" + "4,3,2,1\n" * 4,
+        "degrees.txt": "1\n2\n3\n",
+    }
+    outputs = []
+    for mark in ("", "\ufeff"):
+        d = tmp_path / ("marked" if mark else "plain")
+        d.mkdir()
+        for name, text in texts.items():
+            (d / name).write_text(mark + text, encoding="utf-8")
+        config = {"graph": {"source": "rounds", "path": str(d / "rounds.csv")},
+                  "outcomes": str(d / "y.csv"), "alpha": 0.01, "beta": 0.1, "p": 0.3,
+                  "trials": 20, "bootstrap_b": 20, "master_seed": 5, "noise_known": True}
+        (d / "exp.json").write_text(mark + json.dumps(config), encoding="utf-8")
+        for argv in (
+            ["perturb", "--edges", str(d / "edges.csv"), "--alpha", "0.1", "--beta", "0.2",
+             "--seed", "3", "--out", str(d / "r.csv")],
+            ["bias-theory", "--degrees", str(d / "degrees.txt"), "--alpha", "0.005",
+             "--beta", "0.1", "--p", "0.1", "--n-v", "20", "--out", str(d / "bias.csv")],
+            ["experiment", "--config", str(d / "exp.json"), "--out", str(d / "run.csv")],
+        ):
+            assert main(argv) == 0, argv
+        sidecar = json.loads((d / "run.json").read_text())
+        del sidecar["config"]  # it echoes the paths
+        outputs.append([(d / name).read_bytes() for name in ("r.csv", "bias.csv", "run.csv")]
+                       + [sidecar])
+    capsys.readouterr()
+    assert outputs[1] == outputs[0]
 
 
 def test_bias_theory_names_the_file_and_line_of_a_bad_degree(tmp_path, capsys):

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import math
+import re
 import sys
 import tempfile
 import threading
@@ -367,6 +368,29 @@ def test_resolve_graph_sources(tmp_path):
         resolve_graph({"source": "nowhere"})
 
 
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_graph_spec_numbers_refuse_booleans(tmp_path, flag):
+    # int() and float() take a JSON true or false as 1 or 0, yet it is no
+    # graph-spec number: every numeric key of every source refuses it,
+    # naming the key, where the spec as given resolves
+    rpath = tmp_path / "rounds.csv"
+    rpath.write_text("round,node_a,node_b\n1,a,b\n2,a,b\n")
+    specs = (
+        ({"source": "generate", "kind": "ztp", "n_v": 30, "mean_degree": 4.0, "seed": 2},
+         ("n_v", "seed", "mean_degree")),
+        ({"source": "generate", "kind": "pareto", "n_v": 30, "rate": 0.1, "shape": 1.2,
+          "lower": 3, "upper": 20, "seed": 2}, ("rate", "shape", "lower", "upper")),
+        ({"source": "rounds", "path": str(rpath), "min_count": 2}, ("min_count",)),
+    )
+    for spec, keys in specs:
+        resolve_graph(spec)
+        for key in keys:
+            label = "an integer" if key in ("n_v", "seed", "min_count") else "a number"
+            with pytest.raises(ValueError, match=re.escape(
+                    f"graph spec key {key!r} must be {label}, got {flag!r}") + "$"):
+                resolve_graph(dict(spec, **{key: flag}))
+
+
 # -- experiment runs ----------------------------------------------------------
 
 
@@ -552,7 +576,7 @@ def _laid_end_to_end(graphs, tables):
     rows = np.repeat(np.arange(len(graphs)), m)
     sizes = np.array([g.n_edges for g in tables])
     return dict(
-        n_true=m, edge_start=np.cumsum(m) - m, edge_row=rows,
+        n_true=m,
         src=np.concatenate([g.edge_i for g in graphs]) + rows * n,
         dst=np.concatenate([g.edge_j for g in graphs]) + rows * n,
         degrees=np.concatenate([g.degrees for g in graphs]),
@@ -612,6 +636,48 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
         if regenerate:
             # the graphs differ in size, yet every full block holds k trials
             assert len({g.n_edges for graphs, _, _ in blocks for g in graphs}) > 1
+
+
+def test_a_lone_fixed_graph_layout_allocates_only_its_non_edge_table():
+    # a one-trial layout of a fixed graph uses the graph's own endpoint and
+    # degree arrays, and holds no per-edge array but the graph's one
+    # non-edge table: what it keeps allocated is that table, plus a few
+    # one-entry arrays
+    g = resolve_graph({"source": "generate", "kind": "ztp", "n_v": 2000, "mean_degree": 10.0,
+                       "seed": 3})
+    assert g.n_edges > 9000
+    tracemalloc.start()
+    try:
+        lay = _block_layout([g])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j), (lay.degrees, g.degrees)):
+        assert np.shares_memory(got, own)
+    assert lay.nonedges_before.nbytes == 8 * g.n_edges
+    assert lay.nonedges_before.nbytes <= kept < lay.nonedges_before.nbytes + 2048
+
+
+@pytest.mark.parametrize("per_block, pooled", [(1, True), (1.9, True), (2, False)])
+def test_a_fixed_graph_runs_on_the_pool_when_one_trial_fills_a_block(
+        small_graph, monkeypatch, per_block, pooled):
+    # at 2 usable CPUs a fixed graph's ranges run on the pool when the block
+    # budget fits one trial, and on this thread when it fits two
+    per_trial = 3 * (small_graph.n_edges + small_graph.n_v)
+    real_run = harness_mod._run_block
+    ran_here = []
+
+    def watched(*args):
+        ran_here.append(threading.current_thread() is threading.main_thread())
+        return real_run(*args)
+
+    monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_mod, "_BLOCK_ENTRIES", int(per_block * per_trial))
+    monkeypatch.setattr(harness_mod, "_run_block", watched)
+    cfg = ExperimentConfig(graph=small_graph, alpha=0.01, beta=0.1, p=0.1, trials=4,
+                           master_seed=5)
+    _run_trials(cfg, small_graph, _resolve_outcomes(cfg, small_graph.n_v))
+    assert ran_here == [not pooled] * (4 if per_block < 2 else 2)
 
 
 def test_too_many_failures_abort_run(small_graph, monkeypatch):
@@ -703,7 +769,9 @@ def _probe_configs(draw):
 
 def _probe_run(kwargs, cpus, tmp):
     # the run's output bytes, or its exception's type and message, and
-    # whether any block ran; on two usable CPUs the ranges run on the pool
+    # whether any block ran; on one usable CPU the blocks hold as many
+    # trials as the budget fits, and on two the ranges hold one trial each
+    # and run on the pool
     blocks = []
     real_run = harness_mod._run_block
 
@@ -714,7 +782,8 @@ def _probe_run(kwargs, cpus, tmp):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness_mod, "_run_block", counted)
         mp.setattr(harness_mod, "_usable_cpus", lambda: cpus)
-        mp.setattr(harness_mod, "_THREADED_TRIAL_ENTRIES", 0)
+        if cpus > 1:
+            mp.setattr(harness_mod, "_BLOCK_ENTRIES", 1)
         mp.setattr(harness_mod, "_THREADED_BUILD_STUBS", 0)
         try:
             summary = run_experiment(ExperimentConfig(**kwargs))
@@ -833,7 +902,7 @@ def _check_block_degrees_and_moments(small_graph, case):
         assert len(draws.graphs) == size and next(trials, None) is None
         changes = _replicate_changes(draws, layout or _block_layout(draws.graphs))
         lay = changes.lay
-        missed = harness_mod._missed_counts(draws.missed, lay.edge_row, size)
+        missed = harness_mod._missed_counts(draws.missed, lay.n_true)
         assert changes.missed_0 == missed[0][0].sum()
         moments = harness_mod._replicate_moments(lay.n_true, missed, changes.gained,
                                                  changes.false, changes.false_rep, lay.n)

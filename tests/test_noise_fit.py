@@ -14,6 +14,7 @@ from nnc.noise_fit import (
     MomentStats,
     _coincidences,
     _fit_rates,
+    _missed_counts,
     fit_alpha_beta,
     moment_stats,
 )
@@ -159,6 +160,41 @@ def test_coincidences_equal_a_brute_force_count(case):
         want[:, x // pairs] += (max(copies - 1, 0), copies == 3, x in obs[0] and x in obs[1])
     assert [g.shape for g in got] == [(n_trials,)] * 3
     assert np.array_equal(np.stack(got), want)
+
+
+@st.composite
+def _miss_flags(draw):
+    # 1-5 trials of 0-6 true edges each, laid end to end, and per edge the
+    # three observations' miss flags
+    n_true = np.array(draw(st.lists(st.integers(0, 6), min_size=1, max_size=5)),
+                      dtype=np.int64)
+    bits = draw(st.lists(st.integers(0, 7), min_size=int(n_true.sum()),
+                         max_size=int(n_true.sum())))
+    flags = (np.array(bits, dtype=np.int64)[None, :] >> np.arange(3)[:, None]) & 1 > 0
+    return n_true, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(_miss_flags())
+@example((np.array([4]), np.array([[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1]]) > 0))  # one trial
+@example((np.array([0]), np.zeros((3, 0), dtype=bool)))  # one edgeless trial
+@example((np.array([0, 3, 0]), np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]]) > 0))  # edgeless ends
+@example((np.array([1, 5, 2]), np.ones((3, 8), dtype=bool)))  # unequal sizes, all missed
+def test_missed_counts_equal_a_brute_force_count(case):
+    # per trial: the edges each observation missed, those missed by exactly
+    # two observations, and those missed by observations 0 and 1
+    n_true, flags = case
+    lost, twice, both_01 = _missed_counts(flags, n_true)
+    want = np.zeros((5, n_true.size), dtype=np.int64)
+    start = 0
+    for t, m in enumerate(n_true):
+        part = flags[:, start : start + m]
+        start += m
+        want[:3, t] = part.sum(axis=1)
+        want[3, t] = np.count_nonzero(part.sum(axis=0) == 2)
+        want[4, t] = np.count_nonzero(part[0] & part[1])
+    assert lost.shape == (3, n_true.size) and twice.shape == both_01.shape == (n_true.size,)
+    assert np.array_equal(np.vstack([lost, twice, both_01]), want)
 
 
 def test_moments_dimension_check():
