@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from numbers import Real
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .exposure import (
     NoiseParams,
     Treatment,
     DET_FLOOR,
+    _gather,
     _level_probabilities,
     _s_inverse_entries,
     exposure_levels,
@@ -166,6 +168,7 @@ def degree_estimate(d_obs, alpha_hat, beta_hat, n_v: int):
 
 
 _SQRT10 = math.sqrt(10.0)
+MIXING_MODES = ("sparse_fallback", "order_of_magnitude")
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,17 @@ class MixingRule:
     c1: float | None = None
     c2: float | None = None
 
+    def __post_init__(self):
+        if self.mode not in MIXING_MODES:
+            raise ValueError(f"mixing mode must be one of {MIXING_MODES}, not {self.mode!r}")
+        cuts = (self.c1, self.c2)
+        if self.mode == "sparse_fallback":
+            if cuts != (None, None):
+                raise ValueError("sparse_fallback takes no cuts")
+        elif not (all(isinstance(c, Real) and math.isfinite(c) for c in cuts)
+                  and 0.0 < self.c1 < self.c2):
+            raise ValueError("order_of_magnitude needs finite cuts 0 < c1 < c2")
+
     @classmethod
     def sparse_fallback(cls) -> "MixingRule":
         return cls("sparse_fallback")
@@ -191,6 +205,9 @@ class MixingRule:
     def order_of_magnitude(cls, p: float) -> "MixingRule":
         if not (0.0 < p < 1.0):
             raise ValueError("treatment probability must lie in (0, 1)")
+        # the upper cut is at most 10 / p
+        if not math.isfinite(10.0 / p):
+            raise ValueError(f"treatment probability {p!r} is too small for order_of_magnitude")
         inv = 1.0 / p
         b = math.floor(math.log10(inv) + 0.5)
         a = inv / 10.0 ** b
@@ -204,9 +221,7 @@ class MixingRule:
         d = np.asarray(d_hat, dtype=np.float64)
         if self.mode == "sparse_fallback":
             return d >= 1.0
-        if self.mode == "order_of_magnitude":
-            return (d >= self.c1) & (d < self.c2)
-        raise ValueError(f"unknown mixing mode {self.mode!r}")
+        return (d >= self.c1) & (d < self.c2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +260,9 @@ def mme_estimate(
     degrees to zero) get the inverse-confusion reweighting; the rest, and
     any vertex whose confusion block is numerically singular, keep their
     plain inverse-probability term. This is the one-trial case of
-    ``_mme_means``.
+    ``_mme_means``: the default degrees are their own codes, and the codes
+    of a given ``d_obs`` are the indices of its distinct values
+    (``np.unique``), so each distinct degree is corrected once.
     """
     if not noise_hat.identifiable:
         raise ValueError("need alpha + beta < 1 for the correction")
@@ -256,13 +273,16 @@ def mme_estimate(
     if lv.shape != (n,):
         raise ValueError("exposure levels do not match vertex count")
     if d_obs is None:
-        d_obs = g_obs.degrees
+        codes, degree_of = g_obs.degrees, np.asarray
     elif np.shape(d_obs) != (n,):
         raise ValueError("observed degrees do not match vertex count")
+    else:
+        distinct, codes = np.unique(np.asarray(d_obs), return_inverse=True)
+        degree_of = distinct.take
     lv = lv[None]
     pr = _level_probabilities(g_obs.degrees[None], lv, p)
     means, _, counts = _mme_means(
-        lv, realized.values[None], pr, np.asarray(d_obs)[None], p,
+        lv, realized.values[None], pr, codes.reshape(1, n), degree_of, p,
         np.array([noise_hat.alpha]), np.array([noise_hat.beta]), rule,
     )
     corrected, rule_fallback, singular_fallback = (int(c) for c in counts[0])
@@ -278,7 +298,8 @@ def _mme_means(
     levels: np.ndarray,
     values: np.ndarray,
     pr: np.ndarray,
-    d_obs: np.ndarray,
+    codes: np.ndarray,
+    degree_of: Callable[[np.ndarray], np.ndarray],
     p: float,
     alpha: np.ndarray,
     beta: np.ndarray,
@@ -286,31 +307,53 @@ def _mme_means(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Confusion-corrected level means of T trials at once.
 
-    ``levels``, ``values``, ``pr`` (as in ``_ht_means``) and ``d_obs`` are
-    (T, n); ``alpha``/``beta`` hold each trial's rates, with alpha + beta
-    < 1. Returns the (T, 4) means, the (T, 4) counts of their terms and the
+    ``levels``, ``values`` and ``pr`` are (T, n), as in ``_ht_means``.
+    ``codes`` (T, n) are non-negative integers that stand for each vertex's
+    observed degree, and ``degree_of`` maps an array of codes to the
+    degrees they stand for (the block path's codes are the exact
+    three-replicate degree sums, a third of which is the mean degree).
+    ``alpha``/``beta`` hold each trial's rates, with alpha + beta < 1.
+    Returns the (T, 4) means, the (T, 4) counts of their terms and the
     (T, 3) counts of corrected, rule-fallback and singular-fallback
     vertices. A corrected vertex adds one term to each level of its arm,
     taken from the closed-form inverse of its confusion block; every level
     sum adds its terms in vertex order.
+
+    The corrected degree, the rule, the inverse's entries and the
+    determinant check depend on a vertex only through its trial and its
+    code, so they are made once per (trial, code) key that occurs and
+    gathered per vertex (``_gather``), bit for bit as if made per vertex.
+    The keys are found with one ``bincount`` over trial * (largest code + 1)
+    + code; the entries are sized by the keys that occur.
     """
     t, n = levels.shape
-    a, b = alpha[:, None], beta[:, None]
-    d_hat = np.maximum(degree_estimate(d_obs, a, b, n), 0.0)
+    width = int(codes.max(initial=0)) + 1
+    key = codes + np.arange(0, t * width, width)[:, None]
+    slot = np.bincount(key.ravel())
+    # the keys that occur, their vertex counts, and each vertex's key's
+    # position among them
+    at = np.flatnonzero(slot)
+    held = slot[at]
+    slot[at] = np.arange(at.size)
+    index = slot.take(key)
+    del key, slot
+    trial, code = np.divmod(at, width)
+    a, b = alpha[trial], beta[trial]
+    d_hat = np.maximum(degree_estimate(degree_of(code), a, b, n), 0.0)
     want = rule.accepts(d_hat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, a, b)
-        del d_hat
         ok = np.isfinite(det) & (det > DET_FLOOR)
-        del det
-        corrected = want & ok
         # c11 and c01 vertices weigh by the inverse's first column, c10 and
-        # c00 ones by its second; each entry is released once used
-        first = levels % 2 == 0
-        top = values * np.where(first, i11, i12)
-        del i11, i12
-        bottom = values * np.where(first, i21, i22)
-        del i21, i22, first
+        # c00 ones by its second
+        top, bottom = _gather((np.stack([i11, i12]), np.stack([i21, i22])), levels & 1, index)
+        top *= values
+        bottom *= values
+    corrected = (want & ok).take(index)
+    del index
+    # each key's vertices: corrected (0), rule fallback (1) or singular (2)
+    route = np.where(want, np.where(ok, 0, 2), 1)
+    counts = np.bincount(3 * trial + route, weights=held, minlength=3 * t)
 
     keys = _level_sum_keys(levels)
     fall = ~corrected
@@ -333,7 +376,4 @@ def _mme_means(
     terms = np.bincount(fall_keys, minlength=4 * t).reshape(t, 4)
     arm = np.bincount(keys, minlength=4 * t).reshape(t, 2, 2).sum(axis=2)
     terms += np.repeat(arm, 2, axis=1)
-    counts = np.stack(
-        [arm.sum(axis=1), (~want).sum(axis=1), (want & ~ok).sum(axis=1)], axis=1
-    )
-    return est / n, terms, counts
+    return est / n, terms, counts.astype(np.int64).reshape(t, 3)

@@ -86,20 +86,26 @@ def _own_level_probability(degrees, levels, p: float) -> np.ndarray:
     return np.where(levels % 2 == 0, 1.0 - q, q) * np.where(levels < 2, p, 1.0 - p)
 
 
-def _level_probabilities(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
-    """``_own_level_probability`` of integer ``degrees``, gathered from a
-    table of it at every degree up to the largest.
+def _gather(tables, rows: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    """``table[rows, keys]`` of each (rows, keys) table, elementwise.
 
-    Each table entry is the same closed form at the same degree, so the
-    gather equals the direct form bit for bit, at one power per distinct
-    degree instead of one per vertex. The table is read through one flat
-    index, level * (largest degree + 1) + degree.
+    A table holds a closed form once per key (its columns), one row per
+    variant of the form: a level, or an entry of a matrix. Each element reads
+    the entry of its own key, so the gather equals the form evaluated per
+    element bit for bit, at one evaluation per key instead of one per
+    element. The tables share one flat index, row * (number of keys) + key.
     """
+    index = rows * tables[0].shape[1]
+    index += keys
+    return [table.ravel().take(index) for table in tables]
+
+
+def _level_probabilities(degrees: np.ndarray, levels: np.ndarray, p: float) -> np.ndarray:
+    """``_own_level_probability`` of integer ``degrees``, gathered
+    (``_gather``) from a table of it at every degree up to the largest."""
     width = int(degrees.max(initial=0)) + 1
     table = _own_level_probability(np.arange(width), np.arange(4)[:, None], p)
-    index = levels * width
-    index += degrees
-    return table.ravel().take(index)
+    return _gather([table], levels, degrees)[0]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .estimators import (
+    MIXING_MODES,
     MixingRule,
     OutcomeTable,
     _ht_means,
@@ -89,7 +90,6 @@ from .noise_fit import fit_alpha_beta, moment_stats  # noqa: F401
 
 ESTIMATOR_NAMES = ("HT_true", "AS_noisy", "MME")
 _ESTIMATOR_SET = frozenset(ESTIMATOR_NAMES)
-MIXING_MODES = ("sparse_fallback", "order_of_magnitude")
 
 # seed-mix domains
 _GRAPH_STREAM = 1
@@ -542,6 +542,12 @@ def _observed_degrees(ch: _Changes) -> tuple[np.ndarray, np.ndarray]:
     return first, total
 
 
+def _mean_of_three(deg_sum: np.ndarray) -> np.ndarray:
+    # MME's observed degree: a third of the exact three-replicate sum, which
+    # is the replicates' mean degree to the bit
+    return deg_sum / 3.0
+
+
 def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     """Draw a block of ``trials``, then estimate them all at once.
 
@@ -560,10 +566,14 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     three replicates' sum are made (``_observed_degrees``), and replicate
     0's missed- and false-edge ends serve both its degrees and its treated
     counts. HT_true classifies the true graphs and AS_noisy and MME share
-    replicate 0's classification and level probabilities. Returns the
-    block's estimates (NaN for failed fits), its rate fits (``RateFits``),
-    its summed MME routing counts and, per estimator and level, how many of
-    its kept trials have a level mean with at least one term.
+    replicate 0's classification and level probabilities. MME takes the
+    integer sum itself as each vertex's key (``_mean_of_three`` gives a
+    key's mean degree), so no per-vertex mean degree is made, and its
+    inverse-confusion entries are made once per (trial, sum) that occurs.
+    Returns the block's estimates (NaN for failed fits), its rate fits
+    (``RateFits``), its summed MME routing counts and, per estimator and
+    level, how many of its kept trials have a level mean with at least one
+    term.
     """
     draws = _draw_block(cfg, trials)
     if layout is None:
@@ -608,9 +618,7 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     # vertex v's outcome at level l is entry 4 v + l of the table
     values = table.values.ravel().take(lv_true + np.arange(0, 4 * n, 4))
     pr_obs = _level_probabilities(deg, lv_obs, cfg.p)
-    if "MME" in cfg.estimators:
-        d_mean = deg_sum / 3.0
-    del deg, deg_sum
+    del deg
     for e, name in enumerate(cfg.estimators):
         if name == "HT_true":
             d_true = lay.degrees.reshape(n_t, n)[rows]
@@ -620,8 +628,9 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
         elif name == "AS_noisy":
             means, terms = _ht_means(lv_obs, values, pr_obs)
         else:
-            means, terms, counts = _mme_means(lv_obs, values, pr_obs, d_mean, cfg.p,
-                                              fits.alpha_hat[rows], fits.beta_hat[rows], rule)
+            means, terms, counts = _mme_means(lv_obs, values, pr_obs, deg_sum, _mean_of_three,
+                                              cfg.p, fits.alpha_hat[rows], fits.beta_hat[rows],
+                                              rule)
             rule_counts += counts.sum(axis=0)
         estimates[rows, e] = means
         reached[e] = np.count_nonzero(terms, axis=0)
@@ -642,7 +651,9 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     0's classification and level probabilities. MME's corrected degree is
     the mean observed degree of all three replicates: it has the
     expectation of replicate 0's degree and a third of its variance, and
-    the inverse-confusion weights are exponential in it.
+    the inverse-confusion weights are exponential in it. It is a third of
+    the exact three-replicate degree sum, and everything MME derives from
+    it is made once per (trial, sum) that occurs (``_mme_means``).
 
     The trials are cut into ranges of k trials (the last may hold fewer),
     and each range is one block (``_run_block``). k is fixed here, from the

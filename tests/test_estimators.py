@@ -1,14 +1,17 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import binom
 
 from nnc.estimators import (
     MixingRule,
     OutcomeTable,
     RealizedOutcomes,
+    _mme_means,
     degree_estimate,
     ht_estimate,
     load_outcome_table,
@@ -19,6 +22,7 @@ from nnc.exposure import (
     DET_FLOOR,
     ExposureLevel,
     Treatment,
+    _level_probabilities,
     _own_level_probability,
     _s_inverse_entries,
     exposure_levels,
@@ -27,6 +31,8 @@ from nnc.graphs import Graph, build_graph_configuration
 from nnc.noise import NoiseParams, perturb
 from nnc.seeding import make_rng
 from nnc.theory import naive_estimator_bias
+
+from dense_oracle import random_graph
 
 DILATED = (10.0, 7.0, 5.0, 1.0)
 
@@ -229,6 +235,45 @@ def test_mixing_rule_acceptance_regions():
     assert list(oom.accepts(np.array([3.0, 3.17, 31.5, 31.63]))) == [False, True, True, False]
     sparse = MixingRule.sparse_fallback()
     assert list(sparse.accepts(np.array([0.0, 0.99, 1.0, 50.0]))) == [False, False, True, True]
+
+
+@pytest.mark.parametrize("args, match", [
+    pytest.param(("bogus",), "^mixing mode must be one of", id="unknown_mode"),
+    pytest.param(("order_of_magnitude",), "^order_of_magnitude needs", id="oom_without_cuts"),
+    pytest.param(("order_of_magnitude", 2.0, 1.0), "^order_of_magnitude needs",
+                 id="oom_reversed_cuts"),
+    pytest.param(("order_of_magnitude", 0.0, 1.0), "^order_of_magnitude needs",
+                 id="oom_zero_cut"),
+    pytest.param(("order_of_magnitude", 1.0, math.inf), "^order_of_magnitude needs",
+                 id="oom_infinite_cut"),
+    pytest.param(("order_of_magnitude", math.nan, 2.0), "^order_of_magnitude needs",
+                 id="oom_nan_cut"),
+    pytest.param(("order_of_magnitude", "1", "2"), "^order_of_magnitude needs",
+                 id="oom_text_cuts"),
+    pytest.param(("sparse_fallback", 1.0, 2.0), "^sparse_fallback takes no cuts",
+                 id="sparse_fallback_with_cuts"),
+    pytest.param(("sparse_fallback", None, 2.0), "^sparse_fallback takes no cuts",
+                 id="sparse_fallback_with_one_cut"),
+])
+def test_mixing_rule_refuses_a_rule_it_could_not_apply(args, match):
+    # each of these failed only inside the estimator (a bare TypeError for
+    # missing cuts, the unknown mode at its first use) or ran with its cuts
+    # silently ignored
+    with pytest.raises(ValueError, match=match):
+        MixingRule(*args)
+    # the factories still make valid rules
+    MixingRule.sparse_fallback()
+    for p in (1e-9, 0.01, 0.1, 0.5, 1.0 - 1e-9):
+        MixingRule.order_of_magnitude(p)
+
+
+@pytest.mark.parametrize("p", [1e-310, 5e-309, 1e-308, 5e-308])
+def test_order_of_magnitude_refuses_a_p_whose_cuts_overflow(p):
+    # 1/p overflowed math.floor (OverflowError) and 10/p gave an infinite cut
+    with pytest.raises(ValueError, match="too small for order_of_magnitude"):
+        MixingRule.order_of_magnitude(p)
+    rule = MixingRule.order_of_magnitude(1e-306)
+    assert rule.c1 <= 1e306 < rule.c2 < math.inf
 
 
 # -- full corrected estimator ---------------------------------------------------
@@ -466,3 +511,192 @@ def test_three_replicate_degree_cuts_exact_mme_bias():
     pooled = exact_mme_bias(g.degrees, y, p, noise, pooled=True)
     assert np.all(np.abs(pooled) < np.abs(single)), (single, pooled)
     assert np.all(np.abs(pooled[[1, 3]]) < 0.5 * np.abs(single[[1, 3]])), (single, pooled)
+
+
+# -- inverse-confusion entries once per (trial, code) key -----------------------
+
+
+def _per_vertex_mme_means(levels, values, pr, d_obs, p, alpha, beta, rule):
+    """Reference: ``_mme_means`` as it was before the keyed table, with every
+    vertex's corrected degree, rule, inverse-confusion entries and
+    determinant check made from its own observed degree ``d_obs`` (T, n)."""
+    t, n = levels.shape
+    a, b = alpha[:, None], beta[:, None]
+    d_hat = np.maximum(degree_estimate(d_obs, a, b, n), 0.0)
+    want = rule.accepts(d_hat)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i11, i12, i21, i22, det = _s_inverse_entries(d_hat, n, p, a, b)
+        ok = np.isfinite(det) & (det > DET_FLOOR)
+        corrected = want & ok
+        first = levels % 2 == 0
+        top = values * np.where(first, i11, i12)
+        bottom = values * np.where(first, i21, i22)
+    keys = levels + 4 * np.arange(t)[:, None]
+    fall = ~corrected
+    fall_keys, keys = keys[fall], keys[corrected]
+    est = np.zeros(4 * t)
+    est += np.bincount(fall_keys, weights=values[fall] / pr[fall], minlength=4 * t)
+    est = est.reshape(t, 4)
+    top = np.bincount(keys, weights=top[corrected], minlength=4 * t).reshape(t, 4)
+    bottom = np.bincount(keys, weights=bottom[corrected], minlength=4 * t).reshape(t, 4)
+    f = p / (1.0 - p)
+    est[:, 0] += top[:, 0]
+    est[:, 0] += top[:, 1]
+    est[:, 1] += bottom[:, 0]
+    est[:, 1] += bottom[:, 1]
+    est[:, 2] += f * top[:, 2]
+    est[:, 2] += f * top[:, 3]
+    est[:, 3] += f * bottom[:, 2]
+    est[:, 3] += f * bottom[:, 3]
+    terms = np.bincount(fall_keys, minlength=4 * t).reshape(t, 4)
+    arm = np.bincount(keys, minlength=4 * t).reshape(t, 2, 2).sum(axis=2)
+    terms += np.repeat(arm, 2, axis=1)
+    counts = np.stack(
+        [arm.sum(axis=1), (~want).sum(axis=1), (want & ~ok).sum(axis=1)], axis=1
+    )
+    return est / n, terms, counts
+
+
+# the robustness probe's rates, paired where the correction is defined
+_PROBE_RATES = (0.0, 1e-12, 0.01, 0.3, 0.9, 1.0 - 1e-12, 1.0)
+_RATE_PAIRS = tuple((a, b) for a in _PROBE_RATES for b in _PROBE_RATES if a + b < 1.0)
+
+
+def _mme_case(t, n, rates, p, seed, top, rule):
+    """One block's MME inputs: (T, n) three-replicate degree sums in [0,
+    ``top``], trial 0's vertex 0 at ``top`` itself, and one rate pair per
+    trial. ``rule`` is a mode, or "cut_low" / "cut_high" for an
+    order-of-magnitude rule whose lower / upper cut is trial 0's vertex 0's
+    corrected degree exactly (a sparse rule when that degree is 0)."""
+    rng = make_rng(seed)
+    sums = rng.integers(0, top + 1, (t, n))
+    sums[0, 0] = top
+    levels = rng.integers(0, 4, (t, n))
+    values = rng.normal(size=(t, n)) * 3.0 + 5.0
+    pr = rng.uniform(1e-3, 1.0, (t, n))
+    alpha, beta = np.array(rates, dtype=np.float64).reshape(t, 2).T
+    if rule.startswith("cut"):
+        d = max(degree_estimate(top / 3.0, alpha[0], beta[0], n), 0.0)
+        if d / 2.0 > 0.0 and math.isfinite(2.0 * d):
+            cuts = (d / 2.0, d) if rule == "cut_high" else (d, 2.0 * d)
+            rule = MixingRule("order_of_magnitude", *cuts)
+        else:
+            rule = MixingRule.sparse_fallback()
+    elif rule == "order_of_magnitude":
+        rule = MixingRule.order_of_magnitude(p)
+    else:
+        rule = MixingRule.sparse_fallback()
+    return levels, values, pr, sums, p, alpha, beta, rule
+
+
+@st.composite
+def _mme_cases(draw):
+    t = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 300))
+    return dict(
+        t=t, n=n, rates=tuple(draw(st.sampled_from(_RATE_PAIRS)) for _ in range(t)),
+        p=draw(st.floats(1e-9, 1.0 - 1e-9)), seed=draw(st.integers(0, 2**32 - 1)),
+        top=draw(st.integers(0, 3 * (n - 1))),
+        rule=draw(st.sampled_from(
+            ("sparse_fallback", "order_of_magnitude", "cut_low", "cut_high"))),
+    )
+
+
+def _same_bits(got, want):
+    means, terms, counts = got
+    ref_means, ref_terms, ref_counts = want
+    assert np.array_equal(means.view(np.int64), ref_means.view(np.int64)), (means, ref_means)
+    assert np.array_equal(terms, ref_terms)
+    assert np.array_equal(counts, ref_counts)
+    assert counts.dtype == np.int64
+
+
+_MME_EXAMPLES = (
+    # every corrected degree clamped to 0 in trial 0, routed by the rule
+    dict(t=2, n=50, rates=((0.9, 0.0), (0.3, 0.01)), p=0.1, seed=1, top=30,
+         rule="sparse_fallback"),
+    # beta_hat near 1: non-finite and singular blocks fall back
+    dict(t=1, n=13, rates=((0.0, 1.0 - 1e-12),), p=0.2, seed=2, top=36,
+         rule="sparse_fallback"),
+    # a hub of degree n - 1, and ties at an upper and at a lower cut
+    dict(t=3, n=300, rates=((0.01, 0.3), (1e-12, 0.9), (0.0, 0.0)), p=1e-9, seed=3,
+         top=897, rule="cut_high"),
+    dict(t=2, n=40, rates=((0.0, 0.0), (0.01, 0.01)), p=0.5, seed=4, top=117,
+         rule="cut_low"),
+    # four trials with their own rates, p near 1
+    dict(t=4, n=200, rates=((0.01, 0.3), (0.0, 0.01), (0.3, 0.0), (1e-12, 0.9)),
+         p=1.0 - 1e-9, seed=5, top=40, rule="order_of_magnitude"),
+)
+
+
+def _with_examples(test):
+    for case in _MME_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mme_cases())
+@_with_examples
+def test_keyed_mme_means_equal_the_per_vertex_form_bit_for_bit(case):
+    # the block path: codes are the exact three-replicate degree sums
+    levels, values, pr, sums, p, alpha, beta, rule = _mme_case(**case)
+    got = _mme_means(levels, values, pr, sums, lambda s: s / 3.0, p, alpha, beta, rule)
+    _same_bits(got, _per_vertex_mme_means(levels, values, pr, sums / 3.0, p, alpha, beta,
+                                          rule))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mme_cases())
+@_with_examples
+def test_mme_estimate_keys_a_float_d_obs_bit_for_bit(case):
+    # the per-graph path: a float d_obs that is no multiple of 1/3, with
+    # negative and repeated values, is keyed by its distinct values; the
+    # default keys are the observed graph's integer degrees
+    levels, values, pr, sums, p, alpha, beta, rule = _mme_case(**case)
+    n = levels.shape[1]
+    g = random_graph(n, 0.05, case["seed"])
+    # an isolated vertex sees no treated neighbour
+    lv, v = np.where(g.degrees == 0, levels[0] | 1, levels[0]), values[0]
+    realized = RealizedOutcomes(lv, v)
+    noise = NoiseParams(alpha[0], beta[0])
+    pr = _level_probabilities(g.degrees[None], lv[None], p)
+    for d_obs in ((sums[0] - 2) / 7.0, None):
+        res = mme_estimate(g, lv, realized, p, noise, rule, d_obs=d_obs)
+        d_ref = (g.degrees if d_obs is None else d_obs)[None]
+        means, _, counts = _per_vertex_mme_means(lv[None], v[None], pr, d_ref, p, alpha[:1],
+                                                 beta[:1], rule)
+        assert np.array_equal(res.means.values.view(np.int64), means[0].view(np.int64))
+        assert (res.n_corrected, res.n_rule_fallback, res.n_singular_fallback) == tuple(
+            counts[0])
+
+
+# the per-vertex form's traced peak on the sums below, with or without the hub
+_MME_PEAK_BOUND = int(8.5 * 2**20)
+
+
+@pytest.mark.parametrize("hub", [False, True], ids=["ztp_sums", "with_a_hub"])
+def test_keyed_mme_means_allocate_no_more_than_the_per_vertex_form(hub):
+    # one trial of n = 1e5 at ZTP(10) degrees: the per-vertex form's peak is
+    # 8.49 MiB with or without a vertex of degree n - 1, and the keyed
+    # form's 3.8 MiB in both. Entries made at every sum up to the largest,
+    # not only at those that occur, peak at 41 MiB with the hub
+    n = 100_000
+    rng = make_rng(5)
+    deg = np.maximum(rng.poisson(10.0, n), 1)
+    sums = np.clip(3 * deg + rng.integers(-3, 4, n), 0, 3 * (n - 1))[None]
+    if hub:
+        sums[0, -1] = 3 * (n - 1)
+    levels = rng.integers(0, 4, (1, n))
+    values = np.array(DILATED)[rng.integers(0, 4, (1, n))]
+    pr = rng.uniform(0.05, 1.0, (1, n))
+    args = (levels, values, pr, sums, lambda s: s / 3.0, 0.01, np.array([1e-5]),
+            np.array([0.1]), MixingRule.sparse_fallback())
+    _mme_means(*args)
+    tracemalloc.start()
+    try:
+        _mme_means(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _MME_PEAK_BOUND, peak / 2**20
