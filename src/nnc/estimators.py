@@ -260,9 +260,9 @@ def mme_estimate(
     degrees to zero) get the inverse-confusion reweighting; the rest, and
     any vertex whose confusion block is numerically singular, keep their
     plain inverse-probability term. This is the one-trial case of
-    ``_mme_means``: the default degrees are their own codes, and the codes
-    of a given ``d_obs`` are the indices of its distinct values
-    (``np.unique``), so each distinct degree is corrected once.
+    ``_mme_means``: each vertex's code is the index of its observed degree
+    among the distinct ones (``np.unique``), so each distinct degree is
+    corrected once.
     """
     if not noise_hat.identifiable:
         raise ValueError("need alpha + beta < 1 for the correction")
@@ -273,16 +273,14 @@ def mme_estimate(
     if lv.shape != (n,):
         raise ValueError("exposure levels do not match vertex count")
     if d_obs is None:
-        codes, degree_of = g_obs.degrees, np.asarray
+        d_obs = g_obs.degrees
     elif np.shape(d_obs) != (n,):
         raise ValueError("observed degrees do not match vertex count")
-    else:
-        distinct, codes = np.unique(np.asarray(d_obs), return_inverse=True)
-        degree_of = distinct.take
+    distinct, codes = np.unique(np.asarray(d_obs), return_inverse=True)
     lv = lv[None]
     pr = _level_probabilities(g_obs.degrees[None], lv, p)
     means, _, counts = _mme_means(
-        lv, realized.values[None], pr, codes.reshape(1, n), degree_of, p,
+        lv, realized.values[None], pr, codes.reshape(1, n), distinct.take, p,
         np.array([noise_hat.alpha]), np.array([noise_hat.beta]), rule,
     )
     corrected, rule_fallback, singular_fallback = (int(c) for c in counts[0])

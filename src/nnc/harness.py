@@ -619,6 +619,8 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     values = table.values.ravel().take(lv_true + np.arange(0, 4 * n, 4))
     pr_obs = _level_probabilities(deg, lv_obs, cfg.p)
     del deg
+    if "MME" not in cfg.estimators:
+        del deg_sum
     for e, name in enumerate(cfg.estimators):
         if name == "HT_true":
             d_true = lay.degrees.reshape(n_t, n)[rows]
