@@ -18,7 +18,7 @@ from .exposure import (
     _s_inverse_entries,
     exposure_levels,
 )
-from .graphs import Graph, _rows
+from .graphs import EdgeListError, Graph, _records
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,23 +57,18 @@ def load_outcome_table(source) -> OutcomeTable:
     """Read per-vertex outcomes from a CSV with header ``y_c11,y_c10,y_c01,y_c00``.
 
     Each non-empty line after the header holds one vertex's four outcomes;
-    a line with another field count or a non-number raises ``ValueError``
-    naming the line.
+    a line with another field count, a non-number or a non-finite number
+    raises ``EdgeListError`` naming the line.
     """
-    rows = _rows(source)
-    header = next(rows, None)
-    if header is None or [c.strip() for c in header] != ["y_c11", "y_c10", "y_c01", "y_c00"]:
-        raise ValueError("line 1: expected header 'y_c11,y_c10,y_c01,y_c00'")
     data = []
-    for lineno, fields in enumerate(rows, start=2):
-        if not fields:
-            continue
-        if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+    for lineno, fields in _records(source, ("y_c11", "y_c10", "y_c01", "y_c00")):
         try:
-            data.append([float(c) for c in fields])
+            row = [float(c) for c in fields]
         except ValueError:
-            raise ValueError(f"line {lineno}: outcomes must be numbers, got {fields}") from None
+            raise EdgeListError(f"line {lineno}: outcomes must be numbers, got {fields}") from None
+        if not all(map(math.isfinite, row)):
+            raise EdgeListError(f"line {lineno}: outcomes must be finite, got {fields}")
+        data.append(row)
     return OutcomeTable(np.asarray(data, dtype=np.float64).reshape(-1, 4))
 
 

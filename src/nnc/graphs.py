@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -37,7 +38,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list or contact-round input; message carries the line number."""
+    """Malformed edge-list, contact-round or outcome-table CSV; the message names the line."""
 
 
 class Graph:
@@ -504,13 +505,36 @@ def build_graph_configuration(
 Source = Union[str, Path, IO[str]]
 
 
-def _rows(source: Source) -> Iterator[list[str]]:
-    if hasattr(source, "read"):
-        yield from csv.reader(source)
-    else:
-        # utf-8-sig drops a leading byte-order mark, so the header still matches
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            yield from csv.reader(fh)
+def _rows(source: Source) -> Iterator[tuple[int, list[str]]]:
+    # (line number, fields) of each CSV record of a path or an open text
+    # stream, numbered by the line it ends on; a record the csv module refuses
+    # names its line. utf-8-sig drops a byte-order mark before the header
+    stream = hasattr(source, "read")
+    with nullcontext(source) if stream else open(source, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for fields in reader:
+                yield reader.line_num, fields
+        except csv.Error as exc:
+            raise EdgeListError(f"line {reader.line_num}: {exc}") from None
+
+
+def _records(source: Source, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-empty record of ``source`` after ``header``.
+
+    A first line other than ``header`` (each field stripped) or a line with
+    another number of fields raises ``EdgeListError`` naming the line.
+    """
+    rows = _rows(source)
+    _, first = next(rows, (1, None))
+    if first is None or [c.strip() for c in first] != list(header):
+        raise EdgeListError(f"line 1: expected header {','.join(header)!r}")
+    for lineno, fields in rows:
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            raise EdgeListError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        yield lineno, fields
 
 
 def _parse_pair(fields, labels: dict, lineno: int) -> tuple[int, int]:
@@ -519,9 +543,7 @@ def _parse_pair(fields, labels: dict, lineno: int) -> tuple[int, int]:
         raise EdgeListError(f"line {lineno}: empty node label")
     if a == b:
         raise EdgeListError(f"line {lineno}: self-edge {a!r}")
-    ia = labels.setdefault(a, len(labels))
-    ib = labels.setdefault(b, len(labels))
-    return (ia, ib) if ia < ib else (ib, ia)
+    return labels.setdefault(a, len(labels)), labels.setdefault(b, len(labels))
 
 
 def load_edge_list(source: Source) -> Graph:
@@ -530,83 +552,59 @@ def load_edge_list(source: Source) -> Graph:
     Labels map to dense indices in first-seen order; duplicate and reversed
     pairs collapse to one edge. A header-only stream yields the empty graph.
     """
-    rows = _rows(source)
-    header = next(rows, None)
-    if header is None or [c.strip() for c in header] != ["node_a", "node_b"]:
-        raise EdgeListError("line 1: expected header 'node_a,node_b'")
     labels: dict[str, int] = {}
     ei: list[int] = []
     ej: list[int] = []
-    for lineno, fields in enumerate(rows, start=2):
-        if not fields:
-            continue
-        if len(fields) != 2:
-            raise EdgeListError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+    for lineno, fields in _records(source, ("node_a", "node_b")):
         a, b = _parse_pair(fields, labels, lineno)
         ei.append(a)
         ej.append(b)
-    # Graph sorts the pairs and drops the repeats
+    # Graph orders each pair, sorts the pairs and drops the repeats
     return Graph(len(labels), ei, ej, labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class RoundedContactData:
-    """Per-round contact edge sets over a shared labelled vertex universe."""
+def load_rounds(source: Source) -> list[Graph]:
+    """Read multi-round contact data with header ``round,node_a,node_b``.
 
-    round_ids: tuple[int, ...]
-    edges_by_round: tuple[frozenset[tuple[int, int]], ...]
-    labels: tuple[str, ...]
-
-    @property
-    def n_v(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.round_ids)
-
-
-def load_rounds(source: Source) -> RoundedContactData:
-    """Read multi-round contact data with header ``round,node_a,node_b``."""
-    rows = _rows(source)
-    header = next(rows, None)
-    if header is None or [c.strip() for c in header] != ["round", "node_a", "node_b"]:
-        raise EdgeListError("line 1: expected header 'round,node_a,node_b'")
+    One ``Graph`` per round, in increasing round order, with the round id in
+    ``meta["round"]``. The rounds share one label tuple, in first-seen order
+    over the whole file, so their edge codes compare directly.
+    """
     labels: dict[str, int] = {}
-    by_round: dict[int, set[tuple[int, int]]] = {}
-    for lineno, fields in enumerate(rows, start=2):
-        if not fields:
-            continue
-        if len(fields) != 3:
-            raise EdgeListError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+    by_round: dict[int, list[tuple[int, int]]] = {}
+    for lineno, fields in _records(source, ("round", "node_a", "node_b")):
         try:
             rid = int(fields[0].strip())
         except ValueError:
             raise EdgeListError(f"line {lineno}: round {fields[0]!r} is not an integer") from None
         if rid < 1:
             raise EdgeListError(f"line {lineno}: round must be a positive integer")
-        pair = _parse_pair(fields[1:], labels, lineno)
-        by_round.setdefault(rid, set()).add(pair)
-    ids = tuple(sorted(by_round))
-    return RoundedContactData(
-        round_ids=ids,
-        edges_by_round=tuple(frozenset(by_round[r]) for r in ids),
-        labels=tuple(labels),
-    )
+        by_round.setdefault(rid, []).append(_parse_pair(fields[1:], labels, lineno))
+    names = tuple(labels)
+    return [
+        Graph(len(names), *zip(*by_round[r]), labels=names, meta={"round": r})
+        for r in sorted(by_round)
+    ]
 
 
-def build_true_graph_from_rounds(data: RoundedContactData, min_count: int = 2) -> Graph:
-    """Graph whose edges are the pairs seen in at least ``min_count`` rounds."""
+def build_true_graph_from_rounds(rounds: Sequence[Graph], min_count: int = 2) -> Graph:
+    """Graph whose edges are the pairs seen in at least ``min_count`` rounds.
+
+    ``rounds`` share one vertex count and label tuple, as ``load_rounds``'s
+    do, or are refused. A round holds each pair once, so a pair's count is
+    its run length in the sorted codes of all rounds.
+    """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    if data.n_rounds < 1:
+    if not rounds:
         raise ValueError("need at least one round")
-    counts: dict[tuple[int, int], int] = {}
-    for edges in data.edges_by_round:
-        for pair in edges:
-            counts[pair] = counts.get(pair, 0) + 1
-    kept = [pair for pair, c in counts.items() if c >= min_count]
-    return Graph(data.n_v, [i for i, _ in kept], [j for _, j in kept], labels=data.labels)
+    n_v, labels = rounds[0].n_v, rounds[0].labels
+    if any(g.n_v != n_v or g.labels != labels for g in rounds):
+        raise ValueError("rounds must share their vertex count and labels")
+    codes = np.sort(np.concatenate([g.codes for g in rounds]))
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are nonnegative
+    runs = np.diff(starts, append=codes.size)
+    return Graph._from_codes(n_v, codes[starts[runs >= min_count]], labels=labels)
 
 
 def align_on_labels(graphs: Sequence[Graph]) -> list[Graph]:

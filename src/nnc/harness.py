@@ -309,8 +309,8 @@ def resolve_graph(spec: Graph | dict) -> Graph:
     if source == "edge_list":
         return load_edge_list(_spec_value(spec, "path"))
     if source == "rounds":
-        data = load_rounds(_spec_value(spec, "path"))
-        return build_true_graph_from_rounds(data, _spec_number(spec, "min_count", int, 2))
+        rounds = load_rounds(_spec_value(spec, "path"))
+        return build_true_graph_from_rounds(rounds, _spec_number(spec, "min_count", int, 2))
     raise ValueError(f"unknown graph source {source!r}")
 
 

@@ -299,6 +299,28 @@ def test_bias_theory_names_the_file_and_line_of_a_bad_degree(tmp_path, capsys):
     assert captured.err == f"nnc: error: {degs}: line 3: degree must be an integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("command", ["perturb", "bias-theory"])
+def test_an_over_long_field_ends_in_one_line_and_status_two(tmp_path, capsys, command):
+    # a line over the csv module's field size limit of 131,072 characters,
+    # in an edge list or a degree file, is an input error, not a traceback
+    path = tmp_path / "long.txt"
+    out = str(tmp_path / "out.csv")
+    if command == "perturb":
+        path.write_text("node_a,node_b\na,b\nc," + "x" * 200_000 + "\n")
+        argv = ["perturb", "--edges", str(path), "--alpha", "0.01", "--beta", "0.1",
+                "--out", out]
+    else:
+        path.write_text("3\n5\n" + "4" * 200_000 + "\n")
+        argv = ["bias-theory", "--degrees", str(path), "--alpha", "0.005", "--beta", "0.1",
+                "--p", "0.1", "--n-v", "20", "--out", out]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "" if command == "perturb" else f"{path}: "
+    assert captured.err == (f"nnc: error: {prefix}line 3: field larger than field limit "
+                            f"(131072)\n")
+
+
 def test_runtime_imports_and_cli_pipeline_need_no_scipy(tmp_path):
     # numpy is the only runtime dependency: importing the package loads no
     # scipy module, and every subcommand runs with any scipy import failing

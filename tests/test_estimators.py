@@ -91,6 +91,12 @@ def test_load_outcome_table_reads_four_numbers_per_line():
     pytest.param("1,2,3,4,5\n", 2, id="5_fields"),
     pytest.param("1,2,3,4,5,6,7,8\n", 2, id="8_fields"),
     pytest.param("1,2,3,4\n1,2,x,4\n", 3, id="non_number"),
+    # a quoted field may hold a line break: lines are counted in the file
+    pytest.param('1,2,3,"4\n"\n1,2,x,4\n', 4, id="after_a_two_line_record"),
+    pytest.param("1,2,3,4\n1,nan,3,4\n", 3, id="nan"),
+    pytest.param("-inf,2,3,4\n", 2, id="inf"),
+    # over the csv module's default field size limit of 131,072 characters
+    pytest.param("1,2,3,4\n1,2,3," + "4" * 200_000 + "\n", 3, id="over_long_field"),
 ])
 def test_load_outcome_table_names_the_malformed_line(rows, line):
     with pytest.raises(ValueError, match=f"^line {line}: "):

@@ -1,4 +1,5 @@
 import collections
+import csv
 import hashlib
 import io
 import itertools
@@ -657,6 +658,23 @@ def test_load_edge_list_errors_carry_line_numbers():
         load_edge_list(io.StringIO("node_a,node_b\nx,x\n"))
 
 
+# over the csv module's default field size limit of 131,072 characters
+LONG_LABEL = "x" * 200_000
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_edge_list, f"node_a,node_b\na,b\nc,{LONG_LABEL}\n"),
+    (load_rounds, f"round,node_a,node_b\n1,a,b\n2,c,{LONG_LABEL}\n"),
+])
+def test_an_over_long_field_names_its_line(load, text):
+    # the csv module's refusal is the loader's error, and the process-wide
+    # field size limit is left as it was
+    limit = csv.field_size_limit()
+    with pytest.raises(EdgeListError, match=r"^line 3: field larger than field limit"):
+        load(io.StringIO(text))
+    assert csv.field_size_limit() == limit
+
+
 def test_write_edge_list_roundtrip():
     g = load_edge_list(io.StringIO("node_a,node_b\na,b\nb,c\nc,a\n"))
     buf = io.StringIO()
@@ -705,3 +723,59 @@ def test_rounds_parse_errors():
         load_rounds(io.StringIO("round,node_a,node_b\n0,a,b\n"))
     with pytest.raises(ValueError):
         build_true_graph_from_rounds(load_rounds(io.StringIO(ROUNDS_CSV)), min_count=0)
+
+
+def _counted_rounds_graph(text, min_count):
+    # the count build_true_graph_from_rounds replaced: each round a set of
+    # ordered label-index pairs, then one dict count over the rounds
+    labels, by_round = {}, {}
+    for line in text.splitlines()[1:]:
+        rid, a, b = line.split(",")
+        ia, ib = labels.setdefault(a, len(labels)), labels.setdefault(b, len(labels))
+        by_round.setdefault(int(rid), set()).add((min(ia, ib), max(ia, ib)))
+    counts = {}
+    for pairs in by_round.values():
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
+    kept = [pair for pair, c in counts.items() if c >= min_count]
+    return Graph(len(labels), [i for i, _ in kept], [j for _, j in kept], labels=tuple(labels))
+
+
+def test_rounds_true_graph_matches_a_dict_count_on_random_files():
+    # random round files with repeated and reversed pairs inside a round and
+    # rounds listed out of order: the sorted-code run count keeps exactly the
+    # pairs a dict count keeps, on the same codes, labels and vertex count
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n_labels = int(rng.integers(2, 10))
+        lines = ["round,node_a,node_b"]
+        for _ in range(int(rng.integers(1, 40))):
+            a, b = rng.choice(n_labels, 2, replace=False)
+            lines.append(f"{rng.integers(1, 6)},v{a},v{b}")
+            if rng.random() < 0.3:  # the same pair again, either way round
+                lines.append(f"{lines[-1].split(',')[0]},v{b},v{a}")
+        text = "\n".join(lines) + "\n"
+        rounds = load_rounds(io.StringIO(text))
+        ids = [g.meta["round"] for g in rounds]
+        assert ids == sorted(set(int(line.split(",")[0]) for line in lines[1:]))
+        assert all(g.labels is rounds[0].labels for g in rounds)
+        for g in rounds:
+            pairs = {frozenset(line.split(",")[1:]) for line in lines[1:]
+                     if int(line.split(",")[0]) == g.meta["round"]}
+            assert {frozenset((g.labels[i], g.labels[j]))
+                    for i, j in zip(g.edge_i, g.edge_j)} == pairs
+        for min_count in (1, 2, 3, 4):
+            got = build_true_graph_from_rounds(rounds, min_count)
+            want = _counted_rounds_graph(text, min_count)
+            assert np.array_equal(got.codes, want.codes)
+            assert got.labels == want.labels and got.n_v == want.n_v
+
+
+def test_rounds_on_different_vertex_sets_are_refused():
+    a = Graph(3, [0], [1], labels=("a", "b", "c"))
+    for other in (Graph(4, [0], [1], labels=("a", "b", "c", "d")),
+                  Graph(3, [0], [1], labels=("b", "a", "c")),
+                  Graph(3, [0], [1])):
+        with pytest.raises(ValueError, match="share their vertex count and labels"):
+            build_true_graph_from_rounds([a, other], 1)
+    assert build_true_graph_from_rounds([a, a], 2) == a
