@@ -13,7 +13,7 @@ import os
 import sys
 
 from .estimators import OutcomeTable
-from .graphs import _rows, align_on_labels, load_edge_list, write_edge_list
+from .graphs import _load_degrees, align_on_labels, load_edge_list, write_edge_list
 from .harness import (
     ExperimentConfig,
     ExperimentError,
@@ -88,17 +88,7 @@ def cmd_noise_fit(args) -> int:
 
 
 def cmd_bias_theory(args) -> int:
-    degrees = []
-    try:
-        for lineno, fields in _rows(args.degrees):
-            if text := ",".join(fields).strip():
-                try:
-                    degrees.append(int(text))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: degree must be an integer, "
-                                     f"got {text!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{args.degrees}: {exc}") from None
+    degrees = _load_degrees(args.degrees)
     table = OutcomeTable.constant(len(degrees), args.outcomes)
     pred = naive_estimator_bias(
         degrees, table, NoiseParams(args.alpha, args.beta), args.p, n_v=args.n_v

@@ -18,7 +18,7 @@ from .exposure import (
     _s_inverse_entries,
     exposure_levels,
 )
-from .graphs import EdgeListError, Graph, _records
+from .graphs import EdgeListError, Graph, _names_its_file, _records
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +53,7 @@ class OutcomeTable:
         return self.values.mean(axis=0)
 
 
+@_names_its_file
 def load_outcome_table(source) -> OutcomeTable:
     """Read per-vertex outcomes from a CSV with header ``y_c11,y_c10,y_c01,y_c00``.
 

@@ -8,6 +8,7 @@ the n^2 vertex pairs.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -38,7 +39,8 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list, contact-round or outcome-table CSV; the message names the line."""
+    """Malformed edge-list, contact-round, outcome-table or degree file; the
+    message names the line, after the file when it was read from a path."""
 
 
 class Graph:
@@ -519,6 +521,20 @@ def _rows(source: Source) -> Iterator[tuple[int, list[str]]]:
             raise EdgeListError(f"line {reader.line_num}: {exc}") from None
 
 
+def _names_its_file(load):
+    # ``load(source)``, whose EdgeListError starts "<path>: " when source is
+    # a path; a stream's keeps its message
+    @functools.wraps(load)
+    def named(source: Source):
+        try:
+            return load(source)
+        except EdgeListError as exc:
+            if hasattr(source, "read"):
+                raise
+            raise EdgeListError(f"{source}: {exc}") from None
+    return named
+
+
 def _records(source: Source, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-empty record of ``source`` after ``header``.
 
@@ -546,6 +562,7 @@ def _parse_pair(fields, labels: dict, lineno: int) -> tuple[int, int]:
     return labels.setdefault(a, len(labels)), labels.setdefault(b, len(labels))
 
 
+@_names_its_file
 def load_edge_list(source: Source) -> Graph:
     """Read an undirected edge list with header ``node_a,node_b``.
 
@@ -563,6 +580,7 @@ def load_edge_list(source: Source) -> Graph:
     return Graph(len(labels), ei, ej, labels=tuple(labels))
 
 
+@_names_its_file
 def load_rounds(source: Source) -> list[Graph]:
     """Read multi-round contact data with header ``round,node_a,node_b``.
 
@@ -585,6 +603,20 @@ def load_rounds(source: Source) -> list[Graph]:
         Graph(len(names), *zip(*by_round[r]), labels=names, meta={"round": r})
         for r in sorted(by_round)
     ]
+
+
+@_names_its_file
+def _load_degrees(source: Source) -> list[int]:
+    # the degree file of ``nnc bias-theory``: one integer per non-blank line
+    degrees = []
+    for lineno, fields in _rows(source):
+        if text := ",".join(fields).strip():
+            try:
+                degrees.append(int(text))
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: degree must be an integer, "
+                                    f"got {text!r}") from None
+    return degrees
 
 
 def build_true_graph_from_rounds(rounds: Sequence[Graph], min_count: int = 2) -> Graph:

@@ -26,6 +26,7 @@ do not depend on k or on the thread count.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -89,7 +90,10 @@ from .noise import replicate  # noqa: F401
 from .noise_fit import fit_alpha_beta, moment_stats  # noqa: F401
 
 ESTIMATOR_NAMES = ("HT_true", "AS_noisy", "MME")
-_ESTIMATOR_SET = frozenset(ESTIMATOR_NAMES)
+# every tuple of distinct estimator names, so that one lookup checks a
+# configuration's; a regenerating run's whole set-up is building one
+_ESTIMATOR_LISTS = frozenset(itertools.chain.from_iterable(
+    itertools.permutations(ESTIMATOR_NAMES, k) for k in range(len(ESTIMATOR_NAMES) + 1)))
 
 # seed-mix domains
 _GRAPH_STREAM = 1
@@ -165,9 +169,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.estimators = tuple(self.estimators)
-        if not _ESTIMATOR_SET.issuperset(self.estimators):
-            unknown = set(self.estimators) - _ESTIMATOR_SET
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if self.estimators not in _ESTIMATOR_LISTS:
+            if unknown := set(self.estimators).difference(ESTIMATOR_NAMES):
+                raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            repeated = {e for e in self.estimators if self.estimators.count(e) > 1}
+            raise ValueError(f"estimators must not repeat: {sorted(repeated)}")
         if self.mixing not in MIXING_MODES:
             raise ValueError(f"mixing must be one of {MIXING_MODES}")
         self._check_field_types()
@@ -558,17 +564,17 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
     trials regenerate their graphs it is None and the block makes its own.
     The replicates are never built as graphs: each is kept as what it
     changed in its trial's true graph (``_replicate_changes``). Each kernel
-    computes only what the rate fit and the estimators read: the moments
-    count the missed edges straight from the replicates' miss flags
-    (``noise_fit._missed_counts``) and the false edges per replicate and
-    trial from their draws, and only the false edges go through
-    ``_coincidences``; of the observed degrees only replicate 0's and the
-    three replicates' sum are made (``_observed_degrees``), and replicate
-    0's missed- and false-edge ends serve both its degrees and its treated
-    counts. HT_true classifies the true graphs and AS_noisy and MME share
-    replicate 0's classification and level probabilities. MME takes the
-    integer sum itself as each vertex's key (``_mean_of_three`` gives a
-    key's mean degree), so no per-vertex mean degree is made, and its
+    computes only what the rate fit and the estimators read: the rate
+    fit's presence table counts the true edges by miss pattern straight from
+    the replicates' miss flags (``noise_fit._missed_counts``), and only the
+    false edges go through the merge of ``noise_fit._presence_table``; of
+    the observed degrees only replicate 0's and the three replicates' sum
+    are made (``_observed_degrees``), and replicate 0's missed- and
+    false-edge ends serve both its degrees and its treated counts. HT_true
+    classifies the true graphs and AS_noisy and MME share replicate 0's
+    classification and level probabilities. MME takes the integer sum
+    itself as each vertex's key (``_mean_of_three`` gives a key's mean
+    degree), so no per-vertex mean degree is made, and its
     inverse-confusion entries are made once per (trial, sum) that occurs.
     Returns the block's estimates (NaN for failed fits), its rate fits
     (``RateFits``), its summed MME routing counts and, per estimator and
@@ -593,8 +599,7 @@ def _run_block(cfg, trials, layout, table: OutcomeTable, rule: MixingRule):
             np.zeros(n_t, dtype=np.int64), np.full(n_t, FIT_CONVERGED, dtype=np.int8),
         )
     else:
-        fits = _fit_rates(*_replicate_moments(lay.n_true, missed, ch.gained, ch.false,
-                                              ch.false_rep, n))
+        fits = _fit_rates(*_replicate_moments(missed, ch.gained, ch.false, ch.false_rep, n))
 
     estimates = np.full((n_t, len(cfg.estimators), 4), np.nan)
     rule_counts = np.zeros(3, dtype=np.int64)

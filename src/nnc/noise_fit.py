@@ -41,101 +41,101 @@ class MomentStats:
 def moment_stats(a1: Graph, a2: Graph, a3: Graph) -> MomentStats:
     """Compute the three moment statistics from replicate observations.
 
-    All three counts come from one merge of the replicates' sorted edge
-    codes, in time and memory linear in their total edge count.
+    The presence table of all three comes from one merge of the replicates'
+    sorted edge codes, in time and memory linear in their total edge count.
     """
     if not (a1.n_v == a2.n_v == a3.n_v):
         raise ValueError("replicates must share the vertex set")
     n = a1.n_v
+    sizes = [a1.n_edges, a2.n_edges, a3.n_edges]
     codes = np.concatenate([a1.codes, a2.codes, a3.codes])
-    rep = np.repeat(np.arange(3), [a1.n_edges, a2.n_edges, a3.n_edges])
+    rep = np.repeat(np.arange(3), sizes)
     # every code is below n * n, so all of them belong to "trial" 0
-    pairs, triples, in_1_and_2 = (int(c[0]) for c in _coincidences(codes, rep, 1, n * n))
-    once = codes.size - 2 * pairs + triples
-    u1, u2, u3 = _moments(a1.n_edges, a2.n_edges, in_1_and_2, once, n)
+    table = _presence_table(codes, rep, np.reshape(sizes, (3, 1)), n * n)
+    u1, u2, u3 = (float(u[0]) for u in _moments(table, n))
     return MomentStats(u1=u1, u2=u2, u3=u3, n_v=n)
 
 
-def _moments(e1, e2, in_1_and_2, once, n_v):
-    # (u1, u2, u3) from the edge counts of the first two observations, the
-    # pairs in both of them and the pairs in exactly one of the three;
-    # scalars or arrays alike
+def _moments(table, n_v):
+    """(u1, u2, u3), one entry per row of a (trials, 8) presence table.
+
+    Cell c counts the vertex pairs present in exactly the observations whose
+    bits c sets (bit r is observation r); cell 0 is never read. u1 reads the
+    pairs in observation 0, u2 those in one of observations 0 and 1, and u3
+    those in one of the three.
+    """
     if n_v < 2:
         raise ValueError("need at least two vertices")
     denom = n_v * (n_v - 1)
-    u1 = 2.0 * e1 / denom
-    u2 = (e1 + e2 - 2 * in_1_and_2) / denom
-    u3 = 2.0 * once / (3.0 * denom)
+    u1 = 2.0 * table[:, [1, 3, 5, 7]].sum(axis=1) / denom
+    u2 = table[:, [1, 2, 5, 6]].sum(axis=1) / denom
+    u3 = 2.0 * table[:, [1, 2, 4]].sum(axis=1) / (3.0 * denom)
     return u1, u2, u3
 
 
-def _replicate_moments(n_true, missed_counts, gained, false, false_rep, n_v):
+def _replicate_moments(missed, gained, false, false_rep, n_v):
     """Moment statistics of many trials' three observations of known graphs.
 
-    Trial t's observations are noisy copies of its own true graph, which
-    has ``n_true[t]`` edges. Each observation is described by what it
-    changed: the true edges it missed, counted per trial by
-    ``_missed_counts``, and the false edges it turned on, ``gained[r, t]``
-    of them for observation r (``false``: t * P + the non-edge's rank, with
-    P = n_v (n_v - 1) / 2, and ``false_rep`` says which observation, 0, 1
-    or 2, each belongs to). A missed edge is never a false one, so the two
-    kinds are counted apart. Returns (u1, u2, u3), one entry per trial,
-    equal to ``moment_stats`` on the same observations.
+    Trial t's observations are noisy copies of its own true graph, each
+    described by what it changed: the true edges it missed, tabled by miss
+    pattern in ``missed`` (``_missed_counts``), and the false edges it turned
+    on, ``gained[r, t]`` of them for observation r (``false``: t * P + the
+    non-edge's rank, with P = n_v (n_v - 1) / 2, and ``false_rep`` says which
+    observation, 0, 1 or 2, each belongs to). A missed edge is never a false
+    one, so their presence tables add. Returns (u1, u2, u3), one entry per
+    trial, equal to ``moment_stats`` on the same observations.
     """
-    lost, missed_twice, missed_01 = missed_counts
-    n_edges = n_true - lost + gained
-    f_pairs, f_triples, f_01 = _coincidences(false, false_rep, n_true.size,
-                                             n_v * (n_v - 1) // 2)
-    # a true edge is in exactly one observation when two of them missed it
-    once = missed_twice + gained.sum(axis=0) - 2 * f_pairs + f_triples
-    in_1_and_2 = n_true - lost[0] - lost[1] + missed_01 + f_01
-    return _moments(n_edges[0], n_edges[1], in_1_and_2, once, n_v)
+    # a true edge with miss pattern m is present in pattern 7 - m
+    table = missed[:, ::-1] + _presence_table(false, false_rep, gained, n_v * (n_v - 1) // 2)
+    return _moments(table, n_v)
 
 
 def _missed_counts(flags, n_true):
-    """Per trial, what its three observations' missed true edges count.
+    """(trials, 8) table: per trial, its true edges of each miss pattern.
 
     ``flags[r]`` flags the true edges that observation r missed, trial by
     trial: trial t's ``n_true[t]`` edges follow the earlier trials'. Each
     edge's miss pattern (bit r set when observation r missed it) is counted
     per trial: by ``count_nonzero`` for a lone trial, by one ``bincount`` of
-    8 * trial + pattern otherwise, so an edgeless trial counts 0. Returns,
-    one entry per trial, the (3, trials) edges each observation missed, the
-    edges missed by exactly two observations, and the edges missed by
-    observations 0 and 1.
+    8 * trial + pattern otherwise, so an edgeless trial counts 0.
     """
     n_trials = n_true.size
     pattern = flags[2].view(np.uint8) << 2
     pattern |= flags[1].view(np.uint8) << 1
     pattern |= flags[0]
     if n_trials == 1:
-        counts = np.array([[np.count_nonzero(pattern == p) for p in range(8)]])
-    else:
-        key = np.repeat(np.arange(0, 8 * n_trials, 8), n_true)
-        key |= pattern
-        counts = np.bincount(key, minlength=8 * n_trials).reshape(n_trials, 8)
-    lost = np.stack([counts[:, np.arange(8) & bit > 0].sum(axis=1) for bit in (1, 2, 4)])
-    return lost, counts[:, 3] + counts[:, 5] + counts[:, 6], counts[:, 3] + counts[:, 7]
+        return np.array([[np.count_nonzero(pattern == p) for p in range(8)]])
+    key = np.repeat(np.arange(0, 8 * n_trials, 8), n_true)
+    key |= pattern
+    return np.bincount(key, minlength=8 * n_trials).reshape(n_trials, 8)
 
 
-def _coincidences(items, rep, n_trials: int, pairs: int):
-    # per trial t (items t * pairs + k): the adjacent equal items, the
-    # adjacent equal triples, and the items of observation 0 also in 1.
-    # Each item is tagged with its observation in the two low bits (items
-    # stay below 2**61), and one sort, a merge when each observation's
-    # items come sorted, leaves an item's copies adjacent, in observation
-    # order. Only the positions whose item equals the next one's are read
+def _presence_table(items, rep, sizes, pairs: int):
+    """The (trials, 8) presence table (``_moments``) of three observations.
+
+    Observation r holds ``sizes[r, t]`` items of trial t, each t * pairs + k,
+    and ``rep`` says which observation each item belongs to. Each item is
+    tagged with it in the two low bits (items stay below 2**61), and one
+    sort, a merge when each observation's items come sorted, leaves an
+    item's copies adjacent, in observation order. Only the positions whose
+    item equals the next one's are read: such a pair is in cell
+    (1 << tag) | (1 << next tag), a triple (the pairs (0, 1) and (1, 2)) in
+    cell 7 alone, and observation r's other items in cell 1 << r.
+    """
     keys = (items << 2) | rep
     keys.sort(kind="stable")
     tags = keys & 3
     keys >>= 2
     at = np.flatnonzero(keys[1:] == keys[:-1])
-    row = keys[at] // pairs
-    return (
-        np.bincount(row, minlength=n_trials),
-        np.bincount(row[1:][at[1:] == at[:-1] + 1], minlength=n_trials),
-        np.bincount(row[(tags[at] == 0) & (tags[at + 1] == 1)], minlength=n_trials),
-    )
+    cell = (1 << tags[at]) | (1 << tags[at + 1])
+    second = np.flatnonzero(at[1:] == at[:-1] + 1) + 1
+    cell[second - 1] = 7
+    at, cell = np.delete(at, second), np.delete(cell, second)
+    table = np.bincount(keys[at] // pairs * 8 + cell, minlength=8 * sizes.shape[1])
+    table = table.reshape(-1, 8)
+    for r in range(3):
+        table[:, 1 << r] = sizes[r] - table[:, np.arange(8) & (1 << r) > 0].sum(axis=1)
+    return table
 
 
 @dataclass(frozen=True)

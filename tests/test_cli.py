@@ -211,6 +211,8 @@ def test_input_errors_end_in_one_line_and_status_two(tmp_path, capsys, monkeypat
         "graph as a path": (dict(good, graph=str(full)), "must be an object"),
         "estimators as a number": (dict(good, estimators=5), "estimators must be a list"),
         "estimators as a string": (dict(good, estimators="MME"), "estimators must be a list"),
+        "repeated estimators": (dict(good, estimators=["MME", "AS_noisy", "MME"]),
+                                "estimators must not repeat: ['MME']"),
         "n_v not an integer": (
             dict(good, graph={"source": "generate", "kind": "ztp", "n_v": "x", "mean_degree": 5.0}),
             "graph spec key 'n_v' must be an integer, got 'x'"),
@@ -316,9 +318,32 @@ def test_an_over_long_field_ends_in_one_line_and_status_two(tmp_path, capsys, co
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    prefix = "" if command == "perturb" else f"{path}: "
-    assert captured.err == (f"nnc: error: {prefix}line 3: field larger than field limit "
+    assert captured.err == (f"nnc: error: {path}: line 3: field larger than field limit "
                             f"(131072)\n")
+
+
+def test_a_bad_input_file_is_named_in_its_error(tmp_path, capsys):
+    # a short row in the second of three replicates, and in an experiment's
+    # outcome table, each ends in one line that names the file and its line
+    good = "node_a,node_b\na,b\nb,c\nc,a\n"
+    reps = [tmp_path / f"r{k}.csv" for k in (1, 2, 3)]
+    for rep, text in zip(reps, (good, "node_a,node_b\na,b\nc\n", good)):
+        rep.write_text(text)
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("y_c11,y_c10,y_c01,y_c00\n1,2,3,4\n1,2,3\n1,2,3,4\n")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"graph": {"source": "edge_list", "path": str(reps[0])},
+                                  "outcomes": str(outcomes), "alpha": 0.01, "beta": 0.1,
+                                  "p": 0.1, "trials": 5}))
+    for argv, message in (
+        (["noise-fit", *map(str, reps)], f"{reps[1]}: line 3: expected 2 fields, got 1"),
+        (["experiment", "--config", str(config), "--out", str(tmp_path / "out.csv")],
+         f"{outcomes}: line 3: expected 4 fields, got 3"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nnc: error: {message}\n"
 
 
 def test_runtime_imports_and_cli_pipeline_need_no_scipy(tmp_path):

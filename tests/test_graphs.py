@@ -675,6 +675,25 @@ def test_an_over_long_field_names_its_line(load, text):
     assert csv.field_size_limit() == limit
 
 
+@pytest.mark.parametrize("load, text", [
+    (load_edge_list, "node_a,node_b\na,b\nc\n"),
+    (load_rounds, "round,node_a,node_b\n1,a,b\n2,c\n"),
+    (graphs._load_degrees, "3\n4\nx\n"),
+])
+def test_a_loader_names_a_path_but_not_a_stream(tmp_path, load, text):
+    # the same line 3 error, after "<path>: " when the file is read from a
+    # path; a stream's message is left as it is
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(EdgeListError) as from_stream:
+        load(io.StringIO(text))
+    assert str(from_stream.value).startswith("line 3: ")
+    for source in (path, str(path)):
+        with pytest.raises(EdgeListError) as from_path:
+            load(source)
+        assert str(from_path.value) == f"{path}: {from_stream.value}"
+
+
 def test_write_edge_list_roundtrip():
     g = load_edge_list(io.StringIO("node_a,node_b\na,b\nb,c\nc,a\n"))
     buf = io.StringIO()

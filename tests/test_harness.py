@@ -58,11 +58,12 @@ from nnc.harness import (
     resolve_graph,
     run_experiment,
 )
-from nnc.noise import NoiseParams, _nonedges_before, replicate
+from nnc.noise import NoiseParams, _nonedges_before, _pair_count, replicate
 from nnc.noise_fit import (
     FIT_DEGENERATE,
     FIT_DIVERGED,
     FIT_UNCONVERGED,
+    _presence_table,
     fit_alpha_beta,
     moment_stats,
 )
@@ -251,6 +252,10 @@ def test_config_validation():
     ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1, trials=10)
     with pytest.raises(ValueError):
         ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1, estimators=("bogus",))
+    # an estimator named twice would run twice and write its rows twice
+    with pytest.raises(ValueError, match=r"^estimators must not repeat: \['MME'\]$"):
+        ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1,
+                         estimators=["MME", "AS_noisy", "MME"])
     with pytest.raises(ValueError):
         ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1, trials=0)
     with pytest.raises(ValueError):
@@ -886,7 +891,7 @@ def test_block_degrees_and_moments_hold_across_blocks_and_without_edges(small_gr
 def _check_block_degrees_and_moments(small_graph, case):
     # heavy noise, so that replicates share missed and false edges: replicate
     # 0's degrees, the three replicates' degree sum, the moments and the
-    # missed-edge counts of each trial equal those of its replicates drawn by
+    # presence tables of each trial equal those of its replicates drawn by
     # hand through ``replicate``
     spec = {"source": "generate", "kind": "ztp", "n_v": 60, "mean_degree": 5.0, "seed": 4}
     regenerate = case == "regenerating"
@@ -903,14 +908,15 @@ def _check_block_degrees_and_moments(small_graph, case):
         changes = _replicate_changes(draws, layout or _block_layout(draws.graphs))
         lay = changes.lay
         missed = harness_mod._missed_counts(draws.missed, lay.n_true)
-        assert changes.missed_0 == missed[0][0].sum()
-        moments = harness_mod._replicate_moments(lay.n_true, missed, changes.gained,
-                                                 changes.false, changes.false_rep, lay.n)
+        assert changes.missed_0 == missed[:, 1::2].sum()
+        false = _presence_table(changes.false, changes.false_rep, changes.gained,
+                                _pair_count(lay.n))
+        moments = harness_mod._replicate_moments(missed, changes.gained, changes.false,
+                                                 changes.false_rep, lay.n)
         blocks += zip(draws.graphs, *np.reshape(_observed_degrees(changes), (2, size, -1)),
-                      *moments, np.transpose(missed[0]), *missed[1:],
-                      np.transpose(changes.gained))
+                      *moments, missed, false, np.transpose(changes.gained))
     missed_thrice = shared = 0
-    for t, (block_g, deg, deg_sum, *block_moments, lost, twice, both_01, gained) in (
+    for t, (block_g, deg, deg_sum, *block_moments, by_miss, by_presence, gained) in (
             enumerate(blocks)):
         # trial t's graph and replicates, drawn by hand from its own stream
         rng = make_rng(cfg.master_seed, _TRIAL_STREAM, t)
@@ -924,18 +930,20 @@ def _check_block_degrees_and_moments(small_graph, case):
         assert np.array_equal(deg_sum / 3.0, np.mean([r.degrees for r in reps], axis=0))
         m = moment_stats(*reps)
         assert tuple(block_moments) == (m.u1, m.u2, m.u3)
-        kept = [np.isin(g.codes, r.codes) for r in reps]
-        assert list(lost) == [np.count_nonzero(~k) for k in kept]
-        times = 3 - sum(kept)
-        assert twice == np.count_nonzero(times == 2)
-        assert both_01 == np.count_nonzero(~kept[0] & ~kept[1])
+        # the true edges by miss pattern, and the false ones by presence
+        # pattern: bit r for replicate r
+        pattern = sum(~np.isin(g.codes, r.codes) << k for k, r in enumerate(reps))
+        assert np.array_equal(by_miss, np.bincount(pattern, minlength=8))
+        seen = np.setdiff1d(np.concatenate([r.codes for r in reps]), g.codes)
+        pattern = sum(np.isin(seen, r.codes) << k for k, r in enumerate(reps))
+        assert np.array_equal(by_presence, np.bincount(pattern, minlength=8))
         assert list(gained) == [np.setdiff1d(r.codes, g.codes).size for r in reps]
-        missed_thrice += np.count_nonzero(times == 3)
+        missed_thrice += by_miss[7]
         both = np.intersect1d(reps[1].codes, reps[2].codes)
         shared += np.setdiff1d(both, g.codes).size
     assert shared > 0  # some false edges coincide across replicates
     if case == "edgeless":
-        assert all(np.count_nonzero(np.hstack(b[6:9])) == 0 for b in blocks)
+        assert not any(np.count_nonzero(b[6]) for b in blocks)
     else:
         assert missed_thrice > 0  # some true edges are missed by all three replicates
 

@@ -12,9 +12,9 @@ from nnc.noise_fit import (
     DegenerateMomentsError,
     DivergedError,
     MomentStats,
-    _coincidences,
     _fit_rates,
     _missed_counts,
+    _presence_table,
     fit_alpha_beta,
     moment_stats,
 )
@@ -146,20 +146,20 @@ def _trial_items(draw):
 @example((3, 4, [[1, 2, 9, 11], [1, 9], [1, 2, 11]]))  # first and last rows only
 @example((2, 3, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]]))
 @example((4, 1, [[0, 3], [1, 2], [3]]))  # observations 0 and 2, and 1 and 2
-def test_coincidences_equal_a_brute_force_count(case):
-    # per trial: the adjacent equal pairs (an item in c observations adds
-    # c - 1 of them), the triples, and the items of observation 0 also in
-    # observation 1
+def test_presence_table_equals_a_brute_force_count(case):
+    # per trial, the items present in exactly the observations of each
+    # pattern (bit r for observation r), counted item by item; cell 0 is 0
     n_trials, pairs, obs = case
     items = np.array([x for o in obs for x in o], dtype=np.int64)
     rep = np.repeat(np.arange(3, dtype=np.int8), [len(o) for o in obs])
-    got = _coincidences(items, rep, n_trials, pairs)
-    want = np.zeros((3, n_trials), dtype=np.int64)
+    sizes = np.array([[sum(x // pairs == t for x in o) for t in range(n_trials)] for o in obs])
+    got = _presence_table(items, rep, sizes, pairs)
+    want = np.zeros((n_trials, 8), dtype=np.int64)
     for x in range(n_trials * pairs):
-        copies = sum(x in o for o in obs)
-        want[:, x // pairs] += (max(copies - 1, 0), copies == 3, x in obs[0] and x in obs[1])
-    assert [g.shape for g in got] == [(n_trials,)] * 3
-    assert np.array_equal(np.stack(got), want)
+        pattern = sum((x in o) << r for r, o in enumerate(obs))
+        want[x // pairs, pattern] += pattern > 0
+    assert got.shape == (n_trials, 8)
+    assert np.array_equal(got, want)
 
 
 @st.composite
@@ -181,20 +181,16 @@ def _miss_flags(draw):
 @example((np.array([0, 3, 0]), np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]]) > 0))  # edgeless ends
 @example((np.array([1, 5, 2]), np.ones((3, 8), dtype=bool)))  # unequal sizes, all missed
 def test_missed_counts_equal_a_brute_force_count(case):
-    # per trial: the edges each observation missed, those missed by exactly
-    # two observations, and those missed by observations 0 and 1
+    # per trial, the edges of each miss pattern (bit r when observation r
+    # missed the edge), counted edge by edge
     n_true, flags = case
-    lost, twice, both_01 = _missed_counts(flags, n_true)
-    want = np.zeros((5, n_true.size), dtype=np.int64)
-    start = 0
-    for t, m in enumerate(n_true):
-        part = flags[:, start : start + m]
-        start += m
-        want[:3, t] = part.sum(axis=1)
-        want[3, t] = np.count_nonzero(part.sum(axis=0) == 2)
-        want[4, t] = np.count_nonzero(part[0] & part[1])
-    assert lost.shape == (3, n_true.size) and twice.shape == both_01.shape == (n_true.size,)
-    assert np.array_equal(np.vstack([lost, twice, both_01]), want)
+    got = _missed_counts(flags, n_true)
+    want = np.zeros((n_true.size, 8), dtype=np.int64)
+    trial = np.repeat(np.arange(n_true.size), n_true)
+    for t, edge in zip(trial, flags.T):
+        want[t, sum(int(f) << r for r, f in enumerate(edge))] += 1
+    assert got.shape == (n_true.size, 8)
+    assert np.array_equal(got, want)
 
 
 def test_moments_dimension_check():
