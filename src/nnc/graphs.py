@@ -254,15 +254,41 @@ _LAZY_PAIRS = 2**13
 # stubs took 0.38 and 1.56 ms at N // 64, 0.31 and 1.23 ms at N // 128, and
 # 0.36 and 1.25 ms at N // 256 (one process, best of three passes)
 _FIRST_GROUP = 128
+# whole-permutation attempts after the first are drawn in batches, the rows
+# of one block of at most _BATCH_ENTRIES stubs (512 KiB) drawn by one
+# Generator.permuted call. Drawing each attempt on its own took four short
+# numpy calls, each of which releases and retakes the GIL. A batch that wins
+# before its last row draws its rows up to the win again, so a batch is
+# sized to hold a simple matching with a chance of at most about
+# _BATCH_WIN_SHARE
+_BATCH_ENTRIES = 2**16
+_BATCH_WIN_SHARE = 0.02
 
 
-def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def _batch_rows(d: np.ndarray, stubs: int, attempts: int) -> int:
+    # attempts drawn per batch of a matching of the degrees d (stubs of
+    # them): as many as fit _BATCH_ENTRIES, but no more than the attempts
+    # left, nor than floor(_BATCH_WIN_SHARE / q) with q = exp(-nu/2 - nu^2/4)
+    # Janson's estimate that a matching is simple, nu = sum d(d-1) / sum d.
+    # The Pareto laws of the tests and the benchmark have q below 5e-5 (50
+    # degree sequences each), so their batches are full blocks
+    cap = min(_BATCH_ENTRIES // stubs, attempts)
+    if cap < 2:
+        return 1
+    nu = float(d @ d) / stubs - 1
+    simple = math.exp(-nu / 2 - nu * nu / 4)
+    return cap if cap * simple <= _BATCH_WIN_SHARE else max(1, int(_BATCH_WIN_SHARE / simple))
+
+
+def _pair_codes(a: np.ndarray, b: np.ndarray, n: int, loops: bool) -> np.ndarray:
     # sorted distinct codes lo * n + hi of the pairs (a[k], b[k]) that are
-    # not self-loops; the matching is simple iff there are len(a) of them
+    # not self-loops (when ``loops`` is false, none is); the matching is
+    # simple iff there are len(a) of them
     codes = np.minimum(a, b)
     codes *= n
     codes += np.maximum(a, b)
-    codes = codes[a != b]  # frees the unfiltered codes before the sort
+    if loops:
+        codes = codes[a != b]  # frees the unfiltered codes before the sort
     return _sorted_unique(codes)
 
 
@@ -428,7 +454,8 @@ def build_graph_configuration(
     of matchings drawn (``meta['matching_attempts']``). An odd stub total is
     repaired by adding one stub to a uniformly chosen vertex that can still
     take it (``meta['odd_repair_node']``). ``max_attempts`` must be a
-    positive integer (not a bool).
+    positive integer (not a bool), and the degrees integers: whole floats
+    pass, but bools, strings and fractions are refused.
 
     The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
@@ -442,12 +469,20 @@ def build_graph_configuration(
     rejected after revealing a median of ~15.5k of its 1e6 stubs. The
     attempts run in turn on the calling thread, and the first simple one
     wins. Every other attempt, the last one included, is one whole
-    permutation drawn from ``rng``: the stubs are copied into one buffer and
-    shuffled in place, which draws exactly what ``rng.permutation(stubs)``
-    draws, and only an attempt without a self-loop, or the last one, builds
-    its pair codes. Attempts stay independent uniform matchings accepted iff
-    simple, so the graph and ``meta`` have the law of redrawing whole
-    matchings, though above ``2 * _LAZY_PAIRS`` stubs not the same stream.
+    permutation drawn from ``rng``, exactly what ``rng.permutation(stubs)``
+    draws. The first is drawn alone, the others in batches: each batch
+    copies the stubs into the rows of one block and draws them all with one
+    ``Generator.permuted`` call, which draws each row as a shuffle of it
+    would (``_batch_rows`` sizes the batches from Janson's estimate: full
+    blocks for heavy-tailed laws, one row for mostly simple ones). One
+    comparison finds the rows with a self-loop, and only a row without one,
+    or the last attempt, builds its pair codes. When a batch's first simple
+    matching is not its last row, the generator's state from before the
+    batch is restored and only the rows up to it are drawn again, so the
+    generator ends where drawing attempt by attempt leaves it. Attempts
+    stay independent uniform matchings accepted iff simple, so the graph
+    and ``meta`` have the law of redrawing whole matchings, though above
+    ``2 * _LAZY_PAIRS`` stubs not the same stream.
     There a build whose lazy attempts are all rejected, as ZTP(10) and
     Pareto builds essentially always are, draws its last attempt from
     ``rng`` right after the seed, so its graph, ``meta`` and the
@@ -458,12 +493,16 @@ def build_graph_configuration(
     """
     if type(max_attempts) is bool or not isinstance(max_attempts, Integral) or max_attempts < 1:
         raise ValueError("max_attempts must be an integer of at least 1")
-    d = np.asarray(degrees, dtype=np.int64).copy()
+    d = np.asarray(degrees)
     n = d.size
     if n == 0:
         raise ValueError("degree sequence is empty")
+    # int64 would truncate 2.7 to 2 and take True and "2" for numbers
+    if d.dtype.kind not in "iu" and (d.dtype.kind != "f" or (d != np.round(d)).any()):
+        raise ValueError(f"degrees must be integers, got {d.dtype} values")
     if d.min() < 1 or d.max() > n - 1:
         raise ValueError("each degree must lie in [1, n-1]")
+    d = d.astype(np.int64)
 
     meta: dict = {"odd_repair_node": None}
     if d.sum() % 2 == 1:
@@ -487,16 +526,35 @@ def build_graph_configuration(
         del hub, matched  # before the last attempt's stub buffers
     if codes is None:
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        perm = np.empty_like(stubs)
-        a, b = perm[0::2], perm[1::2]
+        block = np.empty((1, stubs.size), dtype=np.int64)
+        row = rows = 0  # the batch's rows taken, and drawn
         for attempts in range(lazy + 1, max_attempts + 1):
-            perm[:] = stubs
-            rng.shuffle(perm)
-            if attempts < max_attempts and (a == b).any():
+            if row == rows:
+                if attempts == lazy + 2:
+                    # the first attempt, drawn alone, was not simple. Most
+                    # builds of a mostly simple law end there, without the
+                    # estimate's pass over the degrees
+                    block = np.empty((_batch_rows(d, stubs.size, max_attempts + 1 - attempts),
+                                      stubs.size), dtype=np.int64)
+                rows = min(len(block), max_attempts + 1 - attempts)
+                state = rng.bit_generator.state if rows > 1 else None
+                batch = block[:rows]
+                batch[:] = stubs
+                rng.permuted(batch, axis=1, out=batch)
+                a, b = batch[:, 0::2], batch[:, 1::2]
+                loops = (a == b).any(axis=1).tolist()
+                row = 0
+            row += 1
+            if attempts < max_attempts and loops[row - 1]:
                 continue
-            codes = _pair_codes(a, b, n)
+            codes = _pair_codes(a[row - 1], b[row - 1], n, loops[row - 1])
             if codes.size == n_pairs:
                 break
+        if row < rows:
+            # a win before the batch's last row: leave the generator where
+            # drawing only up to it leaves it
+            rng.bit_generator.state = state
+            rng.permuted(block[:row], axis=1, out=block[:row])
     meta["matching_attempts"] = attempts
     meta["erased_stub_count"] = int(2 * (n_pairs - codes.size))
     return Graph._from_codes(n, codes, meta=meta)

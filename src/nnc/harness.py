@@ -117,14 +117,15 @@ _BOOT_BLOCK_ENTRIES = 2**17
 _BLOCK_ENTRIES = 2**17
 # stubs (2m) of a regenerating run's trial 0 graph from which its ranges run
 # on several threads. Stub matching's shuffles release the GIL, but its
-# per-attempt Python code and a block's per-trial loop do not. On a 2-core
-# machine, whole 61-trial experiments took this share of their in-turn time
-# on two threads (median of 12-16 alternating pairs in one process; pairs
-# where threads won): 1.25-1.76 at 224-526 mean stubs, 0.97 (7/12) and 1.19
-# (5/16) at 790, 0.82 (8/12) and 0.93 (10/16) for the 115-vertex school law
-# (956 stubs), 0.81 (12/12 and 15/16) at 1,066, and 0.77, 0.73 and 0.64
-# (12/12 each) at 1,637, 2,176 and 2,724 (n = 200 ... 500, the benchmark's
-# Pareto law)
+# Python code and a block's per-trial loop do not. On a 2-core machine,
+# whole 61-trial experiments took this share of their in-turn time on two
+# threads (median of 16 alternating pairs in one process, two passes; pairs
+# where threads won): 0.99 (10/16) and 1.02 (6/16) for the 115-vertex school
+# law (956 stubs), 0.68 (15/16) and 0.66 (16/16) at 1,637 stubs and 0.62 and
+# 0.65 (16/16 each) at 2,724 (the benchmark's Pareto law at n = 300 and
+# 500). Drawing each attempt on its own, before attempts were batched, read
+# 1.01, 0.81 and 0.77 in the same session, and earlier 1.25-1.76 at 224-526
+# mean stubs, 0.97 and 1.19 at 790 and 0.81 at 1,066
 _THREADED_BUILD_STUBS = 1000
 # the names of the range threads start with this
 _THREAD_PREFIX = "nnc-range"
@@ -169,7 +170,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.estimators = tuple(self.estimators)
-        if self.estimators not in _ESTIMATOR_LISTS:
+        try:
+            listed = self.estimators in _ESTIMATOR_LISTS
+        except TypeError:  # an unhashable name
+            listed = False
+        if not listed:
+            # the names' types are checked only here: checking them before the
+            # lookup would add ~0.6 us to a regenerating run's set-up, 1/6 of it
+            if named := [e for e in self.estimators if not isinstance(e, str)]:
+                raise ValueError(f"estimator names must be strings, got {named!r}")
             if unknown := set(self.estimators).difference(ESTIMATOR_NAMES):
                 raise ValueError(f"unknown estimators: {sorted(unknown)}")
             repeated = {e for e in self.estimators if self.estimators.count(e) > 1}

@@ -281,6 +281,13 @@ def test_configuration_rejects_bad_degrees():
         build_graph_configuration([0, 1], make_rng(0))
     with pytest.raises(ValueError):
         build_graph_configuration([2, 1], make_rng(0))
+    # int64 would truncate these to [2, 2, 2], [1, 1] and [2, 2, 2], each a graph
+    for bad in ([2.7, 2.2, 2.9], [True, True], ["2", "2", "2"], np.array([2.0, np.nan, 2.0])):
+        with pytest.raises(ValueError, match="^degrees must be integers"):
+            build_graph_configuration(bad, make_rng(0))
+    # whole numbers of any numeric type are degrees
+    for good in ([2.0, 2.0, 2.0], np.array([2, 2, 2], dtype=np.uint8)):
+        assert build_graph_configuration(good, make_rng(0)).n_edges == 3
 
 
 def test_configuration_rejects_nonpositive_max_attempts():
@@ -317,14 +324,33 @@ def _reference_configuration(degrees, rng, max_attempts):
     return codes, meta
 
 
+def _winning_row(degrees, meta, max_attempts):
+    # the row of its batch that drew the winning attempt, and the batch's
+    # row count: the first attempt is drawn alone, the others in batches of
+    # graphs._batch_rows rows, the last batch cut at max_attempts
+    attempts = meta["matching_attempts"]
+    if attempts == 1:
+        return 0, 1
+    d = np.array(degrees, dtype=np.int64)
+    if meta["odd_repair_node"] is not None:
+        d[meta["odd_repair_node"]] += 1
+    k = graphs._batch_rows(d, int(d.sum()), max_attempts - 1)
+    start = attempts - (attempts - 2) % k
+    return attempts - start, min(k, max_attempts + 1 - start)
+
+
 def test_configuration_matches_reference_matching_bit_for_bit():
     # at most 2 * _LAZY_PAIRS stubs every attempt is one permutation, so the
     # builder and the reference consume the same stream; ZTP(10) at n = 1000
-    # (about 1e4 stubs) is the scale of acceptance criterion 7
+    # (about 1e4 stubs) is the scale of acceptance criterion 7. ZTP(4) is
+    # simple about once in 200 attempts and is drawn in batches of a few
+    # rows, so some builds win before a batch's last row and must leave the
+    # generator where drawing only up to the win leaves it
     laws = {
         "ztp10": (ZeroTruncatedPoisson(10.0), 300),
         "pareto": (ParetoExpCutoff(rate=0.1, shape=1.2, lower=3.0, upper=299.0), 300),
         "ztp_sparse": (ZeroTruncatedPoisson(1.3), 300),  # nu ~ 0.56: simple matchings are common
+        "ztp4": (ZeroTruncatedPoisson(4.0), 300),
         "ztp10_n1000": (ZeroTruncatedPoisson(10.0), 1000),
     }
     outcomes = set()
@@ -339,14 +365,43 @@ def test_configuration_matches_reference_matching_bit_for_bit():
                 assert np.array_equal(g.codes, codes), (name, seed, max_attempts)
                 assert g.meta == meta, (name, seed, max_attempts)
                 assert rng_a.integers(0, 2**62) == rng_b.integers(0, 2**62)
+                row, rows = _winning_row(degrees, meta, max_attempts)
                 outcomes.add((name, meta["matching_attempts"] < max_attempts,
-                              meta["erased_stub_count"] > 0))
+                              meta["erased_stub_count"] > 0, 0 < row < rows - 1))
     # both ends of the loop are exercised: a final attempt erased, and a
-    # simple matching found before the last attempt
-    assert ("ztp10", False, True) in outcomes
-    assert ("pareto", False, True) in outcomes
-    assert ("ztp_sparse", True, False) in outcomes
-    assert ("ztp10_n1000", False, True) in outcomes
+    # simple matching found before the last attempt; ZTP(4) also wins after
+    # a batch's first row and before its last. The heavy-tailed laws draw
+    # full batches, ZTP(1.3) one attempt at a time
+    assert ("ztp10", False, True, False) in outcomes
+    assert ("pareto", False, True, False) in outcomes
+    assert ("ztp_sparse", True, False, False) in outcomes
+    assert ("ztp4", True, False, True) in outcomes
+    assert ("ztp10_n1000", False, True, False) in outcomes
+    for name, (law, n) in laws.items():
+        d = sample_degree_sequence(law, n, make_rng(0))
+        full = graphs._BATCH_ENTRIES // int(d.sum())
+        want = {"ztp_sparse": range(1, 2), "ztp4": range(2, full)}.get(name, range(full, full + 1))
+        assert graphs._batch_rows(d, int(d.sum()), 99) in want, name
+
+
+def test_permuted_rows_draw_what_row_by_row_shuffles_draw():
+    # the builder draws a batch of attempts with one Generator.permuted call
+    # on the rows of a C-contiguous int64 block; NumPy must draw each row as
+    # Generator.shuffle draws it, in row order, and leave the generator
+    # where those shuffles leave it
+    for seed in range(5):
+        for rows, size in ((1, 7), (2, 1000), (5, 2724), (24, 2723)):
+            stubs = np.repeat(np.arange(size // 3 + 1, dtype=np.int64), 3)[:size]
+            rng_a, rng_b = make_rng(seed), make_rng(seed)
+            block = np.empty((rows, size), dtype=np.int64)
+            block[:] = stubs
+            assert block.flags.c_contiguous
+            rng_a.permuted(block, axis=1, out=block)
+            for row in block:
+                want = stubs.copy()
+                rng_b.shuffle(want)
+                assert np.array_equal(row, want), (seed, rows, size)
+            assert rng_a.integers(2**62) == rng_b.integers(2**62)
 
 
 def test_configuration_one_permutation_above_the_lazy_threshold_bit_for_bit():

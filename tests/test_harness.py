@@ -256,6 +256,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"^estimators must not repeat: \['MME'\]$"):
         ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1,
                          estimators=["MME", "AS_noisy", "MME"])
+    # a name that is not a string, hashable or not, is refused by name
+    for names in ([["MME"]], [{"MME"}], [1, "MME"]):
+        with pytest.raises(ValueError, match="^estimator names must be strings"):
+            ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1, estimators=names)
     with pytest.raises(ValueError):
         ExperimentConfig(graph=g_spec, alpha=0.01, beta=0.1, p=0.1, trials=0)
     with pytest.raises(ValueError):
