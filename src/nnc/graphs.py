@@ -455,7 +455,8 @@ def build_graph_configuration(
     repaired by adding one stub to a uniformly chosen vertex that can still
     take it (``meta['odd_repair_node']``). ``max_attempts`` must be a
     positive integer (not a bool), and the degrees integers: whole floats
-    pass, but bools, strings and fractions are refused.
+    pass, but bools (one among ints in a list or tuple too), strings and
+    fractions are refused.
 
     The chance that a matching is simple falls like exp(-nu/2 - nu^2/4) with
     nu = E[d(d-1)]/E[d] (Janson, CPC 2009), so degree laws such as ZTP(10)
@@ -497,9 +498,15 @@ def build_graph_configuration(
     n = d.size
     if n == 0:
         raise ValueError("degree sequence is empty")
-    # int64 would truncate 2.7 to 2 and take True and "2" for numbers
-    if d.dtype.kind not in "iu" and (d.dtype.kind != "f" or (d != np.round(d)).any()):
-        raise ValueError(f"degrees must be integers, got {d.dtype} values")
+    # int64 would truncate 2.7 to 2 and take True and "2" for numbers; a
+    # list or tuple that mixes bools with ints converts to int64, so its
+    # elements are checked one by one
+    kind = d.dtype
+    if isinstance(degrees, (list, tuple)) and any(
+            isinstance(v, (bool, np.bool_)) for v in degrees):
+        kind = np.dtype(bool)
+    if kind.kind not in "iu" and (kind.kind != "f" or (d != np.round(d)).any()):
+        raise ValueError(f"degrees must be integers, got {kind} values")
     if d.min() < 1 or d.max() > n - 1:
         raise ValueError("each degree must lie in [1, n-1]")
     d = d.astype(np.int64)

@@ -63,11 +63,13 @@ from .graphs import (
 )
 from .noise import (
     NoiseParams,
+    _RankIndex,
     _batch_ranks,
     _draw_observations,
     _nonedge_pairs,
     _nonedges_before,
     _pair_count,
+    _rank_index,
 )
 from .noise_fit import (
     FIT_CONVERGED,
@@ -416,8 +418,9 @@ class _Layout(NamedTuple):
     (``head``). The non-edge tables (``noise._nonedges_before``) are one per
     graph, not per trial: trials that share one graph, as a fixed graph's
     do, share its one table, and trials with graphs of their own have one
-    table each, table t in ``nonedges_before`` from ``table_start[t]`` on,
-    shifted by t * n(n-1)/2.
+    table each, table t from entry ``table_start[t]`` on, shifted by
+    t * n(n-1)/2. The tables are kept only as ``nonedges``, the
+    ``noise._RankIndex`` of them laid end to end.
     """
 
     n: int
@@ -425,11 +428,11 @@ class _Layout(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     degrees: np.ndarray
-    nonedges_before: np.ndarray
+    nonedges: _RankIndex
     table_start: np.ndarray
 
     def head(self, k: int) -> "_Layout":
-        """The first ``k`` trials' part, as views; the tables are all kept."""
+        """The first ``k`` trials' part, as views; the index is all kept."""
         e = int(self.n_true[:k].sum())
         return self._replace(n_true=self.n_true[:k], src=self.src[:e], dst=self.dst[:e],
                              degrees=self.degrees[: k * self.n])
@@ -438,19 +441,20 @@ class _Layout(NamedTuple):
 def _block_layout(graphs: list) -> _Layout:
     """The layout of trials on ``graphs``, made from the graphs alone.
 
-    A lone trial's arrays are its graph's own, not copies, and so is the
-    one table of trials that share one graph.
+    A lone trial's arrays are its graph's own, not copies, and trials that
+    share one graph share the index of its one table.
     """
     n = graphs[0].n_v
     n_true = np.array([g.n_edges for g in graphs], dtype=np.int64)
     tables = graphs[:1] if all(g is graphs[0] for g in graphs) else graphs
-    sizes = n_true[: len(tables)]
+    sizes, pairs = n_true[: len(tables)], _pair_count(n)
     return _Layout(
         n, n_true,
         _end_to_end([g.edge_i for g in graphs], n_true, n),
         _end_to_end([g.edge_j for g in graphs], n_true, n),
         _end_to_end([g.degrees for g in graphs]),
-        _end_to_end([_nonedges_before(g) for g in tables], sizes, _pair_count(n)),
+        _rank_index(_end_to_end([_nonedges_before(g) for g in tables], sizes, pairs),
+                    len(tables) * pairs),
         np.cumsum(sizes) - sizes,
     )
 
@@ -498,10 +502,11 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     """Missed and false edges of every replicate of a block, at once.
 
     ``layout`` holds the block's trials first (``_Layout.head``). Each false
-    edge's rank is searched in its trial's graph's non-edge table only. Each
-    count is taken where it is drawn: replicate 0's missed edges from its
-    flags, and the false edges per replicate and trial from the draw that
-    ``_batch_ranks`` names for each.
+    edge's rank is looked up in its trial's graph's non-edge table only,
+    through the layout's one index of the tables (``noise._count_at_most``).
+    Each count is taken where it is drawn: replicate 0's missed edges from
+    its flags, and the false edges per replicate and trial from the draw
+    that ``_batch_ranks`` names for each.
     """
     n_t = len(draws.graphs)
     lay = layout.head(n_t)
@@ -517,9 +522,9 @@ def _replicate_changes(draws: _Draws, layout: _Layout) -> _Changes:
     false_rep, false_row = np.divmod(draw, n_t) if n_t > 1 else (draw, 0)
     false_rep = false_rep.astype(np.int8)
     del draw
-    # trial t searches table t, or the one table that every trial shares
+    # trial t looks up table t, or the one table that every trial shares
     false_i, false_j = _nonedge_pairs(
-        false, false_row if lay.table_start.size > 1 else 0, lay.nonedges_before,
+        false, false_row if lay.table_start.size > 1 else 0, lay.nonedges,
         lay.table_start, n,
     )
     if n_t > 1:
@@ -699,18 +704,19 @@ def _run_trials(cfg: ExperimentConfig, graph: Graph | None, table: OutcomeTable 
     stream (``_trial_words``, 32 bytes per trial), hashed once here, and a
     fixed graph's block layout (``_block_layout``: edge endpoints and
     degrees laid out for k trials, of which each block uses a prefix, or
-    the graph's own arrays when k is 1, and the graph's one non-edge table,
-    which every trial searches), made once here. What lives for one block:
-    its trials' generators and graphs, its draws, until its replicates'
-    changes and missed-edge counts are made from them (the treatment flags
-    until replicate 0's levels are known), those changes until replicate
-    0's treated counts are taken, what is estimated from them, and, when
-    every trial regenerates its graph, the block's layout. All of it is
-    released when the block returns, so at most as many blocks' arrays live
-    at once as there are threads: one block on a single thread, two on two
-    (at n = 1e5, a block's traced peak is about 12.3 MiB above the
-    layout's 3.8 MiB, which is the non-edge table alone). ``graph`` and
-    ``table`` are None when every trial regenerates its graph.
+    the graph's own arrays when k is 1, and the index of the graph's one
+    non-edge table, which every trial looks up), made once here. What lives
+    for one block: its trials' generators and graphs, its draws, until its
+    replicates' changes and missed-edge counts are made from them (the
+    treatment flags until replicate 0's levels are known), those changes
+    until replicate 0's treated counts are taken, what is estimated from
+    them, and, when every trial regenerates its graph, the block's layout.
+    All of it is released when the block returns, so at most as many
+    blocks' arrays live at once as there are threads: one block on a single
+    thread, two on two (at n = 1e5, a block's traced peak is about 10.5 MiB
+    above what it starts with, and the layout holds 2.1 MiB, which is the
+    non-edge index alone). ``graph`` and ``table`` are None when every
+    trial regenerates its graph.
     """
     rule = _mixing_rule(cfg)
     words = _trial_words(cfg)

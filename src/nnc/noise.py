@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +63,9 @@ def _pair_of_rank(r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _nonedges_before(g: Graph) -> np.ndarray:
     """How many non-edges of ``g`` precede each true edge in canonical pair
-    order, O(m): the rank of edge k's pair less the k true edges before it."""
+    order, O(m): the rank of edge k's pair less the k true edges before it.
+    Non-edge rank r is pair rank r + (entries <= r), so this table, in a
+    ``_RankIndex``, maps the ranks of false edges to pairs."""
     out = _pairs_before_row(g.edge_i, g.n_v)
     out += g.edge_j
     out -= g.edge_i
@@ -70,10 +73,96 @@ def _nonedges_before(g: Graph) -> np.ndarray:
     return out
 
 
+class _RankIndex(NamedTuple):
+    """A sorted table of non-negative integers below ``n_keys``, kept as a
+    two-level radix directory: the entries in bucket b are those whose high
+    bits ``entry >> shift`` are b, ``start[b]`` counts the entries below
+    bucket b, and ``low`` holds each entry's low ``shift`` bits in the
+    narrowest unsigned dtype. ``shift`` leaves at most one bucket per entry
+    (and one more) and more than half one, so the index takes at most 8
+    bytes per entry while shift <= 32: at n = 1e5 a ZTP(10) graph's table
+    of 8 bytes per edge is held in 4.4. Made by ``_rank_index``, read by
+    ``_count_at_most``."""
+
+    shift: int
+    start: np.ndarray
+    low: np.ndarray
+
+
+def _rank_index(table: np.ndarray, n_keys: int) -> _RankIndex:
+    """The ``_RankIndex`` of ``table``, sorted int64 entries in [0, n_keys].
+
+    ``table`` is overwritten with its entries' buckets, so that the build's
+    one transient is the bucket counts.
+    """
+    m = table.size
+    # the smallest shift that leaves at most one bucket per entry, and one
+    # more: n_keys >> shift <= m
+    shift = (n_keys // (m + 1)).bit_length()
+    n_buckets = (n_keys >> shift) + 1
+    low = table.astype(np.min_scalar_type((1 << shift) - 1))
+    low &= low.dtype.type((1 << shift) - 1)
+    table >>= shift
+    start = np.zeros(n_buckets + 1, dtype=np.int32 if m < 2**31 else np.int64)
+    np.cumsum(np.bincount(table, minlength=n_buckets), out=start[1:])
+    return _RankIndex(shift, start, low)
+
+
+def _bisect(low: np.ndarray, pos: np.ndarray, end: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # ``pos``, each pos[k] moved in place past the entries low[pos[k] :
+    # end[k]] that are at most x[k], by bisection: steps 2^(r - 1), ..., 1
+    # for buckets of fewer than 2^r entries
+    at = np.empty_like(pos)
+    ok = np.empty(pos.size, dtype=bool)
+    got = np.empty_like(x)
+    for r in range(int((end - pos).max()).bit_length() - 1, -1, -1):
+        np.add(pos, (1 << r) - 1, out=at)
+        np.less(at, end, out=ok)
+        low.take(at, mode="clip", out=got)
+        ok &= got <= x
+        # a product, not ``where=ok``: a masked add on mixed flags is slower
+        pos += np.multiply(ok, pos.dtype.type(1 << r), out=at)
+    return pos
+
+
+def _count_at_most(index: _RankIndex, keys: np.ndarray) -> np.ndarray:
+    """How many entries of the indexed table are at most each of ``keys``:
+    ``np.searchsorted(table, keys, side="right")``, in ``start``'s dtype.
+
+    A key's count starts at ``start[key >> shift]``, and a bisection over
+    its bucket's low bits adds the entries there at most its own low bits.
+    The keys of buckets of two entries or more are bisected apart, in as
+    many rounds as the longest of those buckets needs, ceil(log2(occupancy
+    + 1)), so a bucket crowded by a clique costs those keys no more than a
+    binary search of the whole table. Then one comparison for every key
+    counts a bucket of one entry; a bisected count is final, and it leaves
+    that as it is.
+    """
+    shift, start, low = index
+    bucket = keys >> shift
+    pos = start[bucket]
+    if not low.size:
+        return pos
+    end = start[1:][bucket]
+    del bucket
+    x = keys.astype(low.dtype)
+    x &= low.dtype.type((1 << shift) - 1)
+    longer = np.flatnonzero(end - pos > 1)
+    if longer.size:
+        pos[longer] = _bisect(low, pos[longer], end[longer], x[longer])
+    del longer
+    # ``end`` is freed before the gather, which copies ``pos`` to intp
+    ok = pos < end
+    del end
+    ok &= low.take(pos, mode="clip") <= x
+    pos += ok
+    return pos
+
+
 def _nonedge_pairs(
     ranks: np.ndarray,
     owner,
-    nonedges_before: np.ndarray,
+    index: _RankIndex,
     first_edge: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,13 +170,15 @@ def _nonedge_pairs(
 
     ``ranks[k]`` counts among the non-edges, in canonical pair order, of
     graph ``owner[k]`` (or ``owner``, one index for all) of several
-    ``n``-vertex graphs. ``nonedges_before`` holds their tables
+    ``n``-vertex graphs. ``index`` is the ``_RankIndex`` of their tables
     (``_nonedges_before``) laid end to end, graph t's from ``first_edge[t]``
     on and shifted by t * n(n-1)/2. A non-edge rank r maps to the pair rank
-    r + (true edges before it), so one search serves every graph.
+    r + (true edges before it), the count of graph t's entries at most
+    t * n(n-1)/2 + r less ``first_edge[t]``, so one lookup serves every
+    graph.
     """
-    pair_rank = np.searchsorted(nonedges_before, owner * _pair_count(n) + ranks, side="right")
-    pair_rank += ranks - first_edge[owner]
+    pair_rank = ranks + _count_at_most(index, owner * _pair_count(n) + ranks)
+    pair_rank -= first_edge[owner]
     return _pair_of_rank(pair_rank, n)
 
 
@@ -197,7 +288,8 @@ def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) ->
 
     Equal to ``k`` successive ``perturb`` calls on ``rng``: the draws are
     ``_draw_observations``' for ``k`` observations, and their false edges
-    are mapped to pairs through one table of ``g`` (``_nonedges_before``).
+    are mapped to pairs through one index of ``g``'s non-edge table
+    (``_rank_index`` of ``_nonedges_before``).
     """
     if k < 1:
         raise ValueError("need at least one replicate")
@@ -206,7 +298,8 @@ def replicate(g: Graph, noise: NoiseParams, k: int, rng: np.random.Generator) ->
     missed, gaps = np.empty((k, m), dtype=bool), []
     _draw_observations(rng, k, noise, nonedges, np.empty(m), missed, gaps)
     ranks, obs = _batch_ranks(gaps, np.full(k, nonedges))
-    i, j = _nonedge_pairs(ranks, 0, _nonedges_before(g), np.zeros(1, dtype=np.int64), n)
+    index = _rank_index(_nonedges_before(g), _pair_count(n))
+    i, j = _nonedge_pairs(ranks, 0, index, np.zeros(1, dtype=np.int64), n)
     false_codes = i * n + j
     ends = np.searchsorted(obs, np.arange(k + 1))
     out = []

@@ -285,6 +285,13 @@ def test_configuration_rejects_bad_degrees():
     for bad in ([2.7, 2.2, 2.9], [True, True], ["2", "2", "2"], np.array([2.0, np.nan, 2.0])):
         with pytest.raises(ValueError, match="^degrees must be integers"):
             build_graph_configuration(bad, make_rng(0))
+    # one bool among ints: as an array the sequence is int64, and [True, 2, 1]
+    # would build a path of two edges; it is refused as an all-bool array is
+    for bad in ([True, 2, 1], (2, np.True_, 1), [2, 2, False]):
+        with pytest.raises(ValueError, match="^degrees must be integers, got bool values$"):
+            build_graph_configuration(bad, make_rng(0))
+    with pytest.raises(ValueError, match="^degrees must be integers, got bool values$"):
+        build_graph_configuration(np.array([True, True]), make_rng(0))
     # whole numbers of any numeric type are degrees
     for good in ([2.0, 2.0, 2.0], np.array([2, 2, 2], dtype=np.uint8)):
         assert build_graph_configuration(good, make_rng(0)).n_edges == 3

@@ -58,7 +58,7 @@ from nnc.harness import (
     resolve_graph,
     run_experiment,
 )
-from nnc.noise import NoiseParams, _nonedges_before, _pair_count, replicate
+from nnc.noise import NoiseParams, _nonedges_before, _pair_count, _rank_index, replicate
 from nnc.noise_fit import (
     FIT_DEGENERATE,
     FIT_DIVERGED,
@@ -555,7 +555,8 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     def watching(draws, layout):
         changes = real_changes(draws, layout)
         watched.extend(weakref.ref(a) for a in changes if isinstance(a, np.ndarray))
-        layouts.append([a for a in layout if isinstance(a, np.ndarray)])
+        # the layout's arrays, the non-edge index's among them
+        layouts.append([a for a in (*layout, *layout.nonedges) if isinstance(a, np.ndarray)])
         return changes
 
     monkeypatch.setattr(harness_mod, "_draw_block", recording)
@@ -570,7 +571,9 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
     _, failed, _, _, _ = _run_trials(cfg, small_graph, table)
     assert failed.any() == bool(fail_every)
     assert alive_at_call == [0] * 4
-    assert len(layouts) == 4 and len(layouts[0]) == len(harness_mod._Layout._fields) - 1
+    # every field is an array but n, the index and the index's shift
+    n_arrays = len(harness_mod._Layout._fields) + len(harness_mod._RankIndex._fields) - 3
+    assert len(layouts) == 4 and len(layouts[0]) == n_arrays
     assert all(a is b for arrays in layouts[1:] for a, b in zip(arrays, layouts[0]))
     held = [weakref.ref(a) for a in layouts[0]]
     layouts.clear()
@@ -579,20 +582,22 @@ def test_trial_releases_its_replicates_before_the_next_draw(small_graph, monkeyp
 
 def _laid_end_to_end(graphs, tables):
     # the layout of a block of trials on ``graphs``, concatenated afresh, with
-    # the non-edge tables of the graphs ``tables``
+    # the non-edge tables of the graphs ``tables``; the tables laid end to
+    # end, as the layout's index holds them, come as "start" and "low"
     n, pairs = graphs[0].n_v, graphs[0].n_v * (graphs[0].n_v - 1) // 2
     m = np.array([g.n_edges for g in graphs])
     rows = np.repeat(np.arange(len(graphs)), m)
     sizes = np.array([g.n_edges for g in tables])
+    nonedges = _rank_index(np.concatenate([_nonedges_before(g) for g in tables])
+                           + np.repeat(np.arange(len(tables)), sizes) * pairs,
+                           len(tables) * pairs)
     return dict(
         n_true=m,
         src=np.concatenate([g.edge_i for g in graphs]) + rows * n,
         dst=np.concatenate([g.edge_j for g in graphs]) + rows * n,
         degrees=np.concatenate([g.degrees for g in graphs]),
-        nonedges_before=np.concatenate([_nonedges_before(g) for g in tables])
-        + np.repeat(np.arange(len(tables)), sizes) * pairs,
         table_start=np.cumsum(sizes) - sizes,
-    )
+    ), nonedges
 
 
 @pytest.mark.parametrize("regenerate", [False, True])
@@ -630,9 +635,13 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
             assert lay.n == graphs[0].n_v
             assert missed_edges == sum(g.n_edges for g in graphs)
             tables = list(graphs) if regenerate else [graph]
-            for name, want in _laid_end_to_end(graphs, tables).items():
+            fields, nonedges = _laid_end_to_end(graphs, tables)
+            for name, want in fields.items():
                 got = getattr(lay, name)
                 assert got.dtype == np.int64 and np.array_equal(got, want), name
+            assert lay.nonedges.shift == nonedges.shift
+            for got, want in zip(lay.nonedges[1:], nonedges[1:]):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
             if len(graphs) == 1 and (regenerate or budget == per_trial):
                 # a one-trial layout's arrays are its graph's own
                 g = graphs[0]
@@ -640,8 +649,8 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
                                  (lay.degrees, g.degrees)):
                     assert np.shares_memory(got, own)
             if not regenerate:
-                # the fixed graph's trials search its one m-entry table
-                assert lay.nonedges_before.size == graph.n_edges
+                # the fixed graph's trials search the index of its one table
+                assert lay.nonedges.low.size == graph.n_edges
         if regenerate:
             # the graphs differ in size, yet every full block holds k trials
             assert len({g.n_edges for graphs, _, _ in blocks for g in graphs}) > 1
@@ -649,8 +658,9 @@ def test_layout_prefixes_equal_the_per_block_concatenation(small_graph, regenera
 
 def test_a_lone_fixed_graph_layout_allocates_only_its_non_edge_table():
     # a one-trial layout of a fixed graph uses the graph's own endpoint and
-    # degree arrays, and holds no per-edge array but the graph's one
-    # non-edge table: what it keeps allocated is that table, plus a few
+    # degree arrays, and holds no per-edge array but the index of the
+    # graph's one non-edge table, in at most the 8 bytes per edge of the
+    # table itself: what it keeps allocated is that index, plus a few
     # one-entry arrays
     g = resolve_graph({"source": "generate", "kind": "ztp", "n_v": 2000, "mean_degree": 10.0,
                        "seed": 3})
@@ -663,8 +673,9 @@ def test_a_lone_fixed_graph_layout_allocates_only_its_non_edge_table():
         tracemalloc.stop()
     for got, own in ((lay.src, g.edge_i), (lay.dst, g.edge_j), (lay.degrees, g.degrees)):
         assert np.shares_memory(got, own)
-    assert lay.nonedges_before.nbytes == 8 * g.n_edges
-    assert lay.nonedges_before.nbytes <= kept < lay.nonedges_before.nbytes + 2048
+    index_bytes = lay.nonedges.start.nbytes + lay.nonedges.low.nbytes
+    assert index_bytes <= 8 * g.n_edges
+    assert index_bytes <= kept < index_bytes + 2048
 
 
 @pytest.mark.parametrize("per_block, pooled", [(1, True), (1.9, True), (2, False)])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from nnc.graphs import Graph, ZeroTruncatedPoisson, build_graph_configuration, sample_degree_sequence
@@ -9,10 +10,13 @@ from nnc.noise import (
     NoiseParams,
     _MAX_VERTICES,
     _batch_ranks,
+    _count_at_most,
     _draw_observations,
     _nonedges_before,
+    _pair_count,
     _pair_of_rank,
     _pairs_before_row,
+    _rank_index,
     perturb,
     replicate,
 )
@@ -357,6 +361,86 @@ def test_nonedges_before_equals_the_row_table_form(case):
     assert got.dtype == np.int64 and np.array_equal(got, want)
     if case == "complete":
         assert not got.any()
+
+
+def _index_case_graphs(kind, n, density, tables, seed):
+    # ``tables`` graphs on ``n`` vertices, as a regenerating block's trials
+    # hold them: "random" Erdos-Renyi, "edgeless", "complete", "clique" (a
+    # 60-clique, or all n vertices if fewer, on top of a sparse random
+    # graph) or "few" (three to six random pairs, made without a pass over
+    # all pairs so that n may be large)
+    graphs, rng = [], make_rng(seed)
+    for t in range(tables):
+        if kind == "random":
+            g = random_graph(n, density, seed=seed + t)
+        elif kind == "edgeless":
+            g = Graph(n)
+        elif kind == "complete":
+            g = Graph(n, *np.triu_indices(n, 1))
+        elif kind == "few":
+            i = rng.integers(0, n - 1, int(rng.integers(3, 7)))
+            g = Graph(n, i, i + 1 + rng.integers(0, n - 1 - i))
+        else:
+            size = min(60, n)
+            first = int(rng.integers(0, n - size + 1))
+            ci, cj = np.triu_indices(size, 1)
+            i = rng.integers(0, n - 1, max(1, n // 4))
+            j = i + 1 + rng.integers(0, n - 1 - i)
+            g = Graph(n, np.concatenate([ci + first, i]), np.concatenate([cj + first, j]))
+        graphs.append(g)
+    return graphs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.tuples(st.sampled_from(["random", "edgeless", "complete", "clique", "few"]),
+                 st.integers(2, 90), st.floats(0.0, 1.0), st.integers(1, 4),
+                 st.integers(0, 2**16)))
+@example(("random", 2, 1.0, 1, 0))
+@example(("edgeless", 2, 0.0, 2, 0))
+@example(("complete", 30, 0.0, 1, 0))
+@example(("random", 40, 0.9, 3, 1))
+@example(("clique", 2000, 0.0, 1, 2))
+@example(("clique", 700, 0.0, 3, 3))
+@example(("few", 200_000, 0.0, 1, 4))
+@example(("few", 200_000, 0.0, 3, 5))
+def test_rank_index_counts_what_searchsorted_counts(case):
+    # the index of non-edge tables laid end to end, graph t's shifted by
+    # t * P, counts for every key the entries at most it, as a search of
+    # the table does: on every non-edge key of each graph (or 20,000 of
+    # them when there are more), and on the last key below and the first
+    # key in every bucket
+    kind, n, density, tables, seed = case
+    graphs = _index_case_graphs(kind, n, density, tables, seed)
+    pairs = _pair_count(n)
+    table = np.concatenate([_nonedges_before(g) + t * pairs for t, g in enumerate(graphs)])
+    n_keys = tables * pairs
+    index = _rank_index(table.copy(), n_keys)
+    shift, start, low = index
+    assert low.size == table.size and low.dtype == np.min_scalar_type((1 << shift) - 1)
+    assert start.dtype == np.int32 and start.size == (n_keys >> shift) + 2
+    # the smallest shift that leaves at most one bucket per entry, and one more
+    assert n_keys >> shift <= table.size
+    assert shift == 0 or n_keys >> (shift - 1) > table.size
+    rng = make_rng(seed)
+    keys = []
+    for t, g in enumerate(graphs):
+        nonedges = pairs - g.n_edges
+        ranks = (np.arange(nonedges) if nonedges <= 20_000
+                 else rng.integers(0, nonedges, 20_000))
+        keys.append(t * pairs + ranks)
+    edges = np.arange(1, start.size - 1, dtype=np.int64) << shift
+    keys = np.concatenate(keys + [edges - 1, edges[edges < n_keys]])
+    got = _count_at_most(index, keys)
+    assert np.array_equal(got, np.searchsorted(table, keys, side="right"))
+    assert _count_at_most(index, keys[:0]).size == 0
+    if kind == "complete":
+        # no non-edge keys: only the bucket edges are counted, one key apiece
+        assert shift == 0
+    if kind == "clique" and n >= 700:
+        # the clique's first row is one run of 59 equal entries in one bucket
+        assert np.diff(start).max() >= 59
+    if n == 200_000:
+        assert shift > 16 and low.dtype == np.uint32
 
 
 def test_replicate_memory_is_linear_in_vertices():
