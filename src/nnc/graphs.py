@@ -248,6 +248,9 @@ def sample_degree_sequence(
 # a matching of more than _LAZY_PAIRS pairs has its attempts but the last
 # revealed lazily, hub first; a smaller one's are each one permutation
 _LAZY_PAIRS = 2**13
+# a lazy attempt's Generator.hypergeometric draws take fewer than 10^9 slots
+# (pairs of unmatched stubs), so its matching holds fewer than 2 * _MAX_SLOTS
+_MAX_SLOTS = 10**9
 # a lazy attempt's first group of vertices holds at least N // _FIRST_GROUP
 # of the N stubs (and at least one vertex), and each later group at least
 # twice as many as the one before. Rejected ZTP(10) attempts at 2e5 and 1e6
@@ -316,61 +319,62 @@ def _hub_first(d: np.ndarray):
     return hub, ends
 
 
-def _slot_pairs(rng: np.random.Generator, u: int, s: int, index_type) -> int:
-    # how many of the slots (2j, 2j + 1) hold two of s uniform distinct
-    # positions in [0, u). The positions are the distinct values of
-    # uniform draws, drawn s - (distinct so far) at a time until there are
-    # s: that set is the distinct values of the shortest prefix of an iid
-    # sequence that holds s of them, so it is a uniform s-subset
-    pos = _sorted_unique(rng.integers(0, u, s, dtype=index_type))
-    while pos.size < s:
-        more = rng.integers(0, u, s - pos.size, dtype=index_type)
-        pos = _sorted_unique(np.concatenate([pos, more]))
-    slots = pos >> 1
-    return int(np.count_nonzero(slots[1:] == slots[:-1]))
+def _slot_pairs(rng: np.random.Generator, u: int, s: int) -> int:
+    # how many of the h = u / 2 slots (2j, 2j + 1) hold two of s uniform
+    # distinct positions in [0, u) (u even), drawn exactly:
+    # P(k) = C(h, k) C(h - k, s - 2k) 2^(s - 2k) / C(u, s). The count e of
+    # even positions is hypergeometric, and given e the slots of the evens
+    # and of the s - e odds are independent uniform subsets, so k, the slots
+    # both hold, is hypergeometric too. numpy takes h below 10^9
+    h = u // 2
+    e = int(rng.hypergeometric(h, h, s))
+    return int(rng.hypergeometric(e, h - e, s - e)) if 0 < e < s else 0
 
 
 def _outside(rng: np.random.Generator, lo: int, size: int, count: int,
-             matched: np.ndarray, index_type) -> np.ndarray:
-    # ``count`` stubs drawn in order from the unmatched ones in [lo, size),
-    # a uniform ordered sample, each then marked in ``matched``. A batch
-    # draws the count still missing uniformly with replacement and keeps, in
-    # draw order, the unmatched stubs it draws exactly once; a sorted copy
-    # finds the repeats. Which draws are kept depends only on which of them
-    # are equal or hit a matched stub, never on their values, so the kept
-    # stubs are uniform
+             matched: np.ndarray, mark: int, index_type) -> np.ndarray:
+    # ``count`` stubs drawn in order from the unmatched ones in [lo, size)
+    # (those not marked ``mark`` in ``matched``; 0 is no attempt's mark), a
+    # uniform ordered sample, each then marked. A batch draws the count
+    # still missing uniformly with replacement and keeps, in draw order, the
+    # unmatched stubs it draws exactly once; a sorted copy finds the
+    # repeats. Which draws are kept depends only on which of them are equal
+    # or hit a matched stub, never on their values, so the kept stubs are
+    # uniform
     taken = [np.empty(0, dtype=index_type)]
     while count:
         idx = rng.integers(lo, size, count, dtype=index_type)
-        idx = idx[~matched[idx]]
-        matched[idx] = True
+        idx = idx[matched[idx] != mark]
+        matched[idx] = mark
         ordered = np.sort(idx)
         repeated = ordered[1:] == ordered[:-1]
         if repeated.any():
-            matched[ordered[1:][repeated]] = False
-            idx = idx[matched[idx]]
+            matched[ordered[1:][repeated]] = 0
+            idx = idx[matched[idx] == mark]
         taken.append(idx)
         count -= idx.size
     return np.concatenate(taken)
 
 
-def _lazy_attempt(hub: np.ndarray, ends: list, matched: np.ndarray, n: int,
+def _lazy_attempt(hub: np.ndarray, ends: list, matched: np.ndarray, mark: int, n: int,
                   rng: np.random.Generator):
     """One uniform stub matching revealed hub first: its sorted pair codes
     when it is simple, else None as soon as it shows a self-loop or a
     repeated pair.
 
     ``hub`` and ``ends`` are ``_hub_first``'s, ``n`` the vertex count, and
-    ``matched`` one flag per stub, all False, which the attempt uses as
-    scratch and leaves all False. Group by group, with u stubs unmatched,
-    the group's unmatched stubs S (s of them) get their partners: s uniform
-    distinct positions in a uniform order of the u stubs, each paired with
-    the stub at its neighbouring position (2j with 2j + 1), give the number
-    k of pairs inside S; a uniform ordered sample of 2k stubs of S is paired
-    in turn, and the other stubs of S, in order, with a uniform ordered
-    sample of the unmatched stubs outside S. That is the law of a uniform
-    matching's pairs at S given the pairs revealed before, and which stubs
-    are revealed next depends only on those, so the whole is a uniform
+    ``matched`` one entry per stub, none of them ``mark``: the attempt sets
+    each stub it draws as a partner from outside a group to ``mark`` and
+    leaves it so. Group by group, with u stubs unmatched, the group's
+    unmatched stubs S (s of them) get their partners. In a uniform order of
+    the u stubs, each paired with the stub at its neighbouring position (2j
+    with 2j + 1), S takes s uniform distinct positions, and the number k of
+    pairs inside S is the number of slots that hold two of them; k is drawn
+    from that law (``_slot_pairs``). A uniform ordered sample of 2k stubs of
+    S is paired in turn, and the other stubs of S, in order, with a uniform
+    ordered sample of the unmatched stubs outside S. That is the law of a
+    uniform matching's pairs at S given the pairs revealed before, and which
+    stubs are revealed next depends only on those, so the whole is a uniform
     matching (the pairing model: Bollobas, Eur. J. Combin. 1:311-316, 1980).
     Every pair a group reveals has an end in that group and none in an
     earlier one, so it can only repeat a pair of the same group, and each
@@ -384,39 +388,33 @@ def _lazy_attempt(hub: np.ndarray, ends: list, matched: np.ndarray, n: int,
     # rng.integers draws 16-bit values slower than 32-bit ones
     index_type = np.promote_types(np.min_scalar_type(size), np.uint32)
     parts = []  # each group's sorted pair codes
-    taken = []  # the stubs marked in ``matched``
-    try:
-        lo, u = 0, size
-        for hi in ends:
-            group = hub[lo:hi][~matched[lo:hi]]
-            s = group.size
-            if 4 * s > u:
-                break
-            if s:
-                k = _slot_pairs(rng, u, s, index_type)
-                out = _outside(rng, hi, size, s - 2 * k, matched, index_type)
-                taken.append(out)
-                a, b = group, hub[out]
-                if k:
-                    inner = rng.choice(s, 2 * k, replace=False)
-                    keep = np.ones(s, dtype=bool)
-                    keep[inner] = False
-                    a = np.concatenate([group[inner[0::2]], group[keep]])
-                    b = np.concatenate([group[inner[1::2]], b])
-                # only the pairs inside the group can be self-loops
-                if (codes := _group_codes(a, b, n, k)) is None:
-                    return None
-                parts.append(codes)
-                u -= s + out.size
-            lo = hi
-        if u:
-            if (codes := _rest_codes(hub[lo:][~matched[lo:]], n, rng)) is None:
+    lo, u = 0, size
+    for hi in ends:
+        group = hub[lo:hi][matched[lo:hi] != mark]
+        s = group.size
+        if 4 * s > u:
+            break
+        if s:
+            k = _slot_pairs(rng, u, s)
+            out = _outside(rng, hi, size, s - 2 * k, matched, mark, index_type)
+            a, b = group, hub[out]
+            if k:
+                inner = rng.choice(s, 2 * k, replace=False)
+                keep = np.ones(s, dtype=bool)
+                keep[inner] = False
+                a = np.concatenate([group[inner[0::2]], group[keep]])
+                b = np.concatenate([group[inner[1::2]], b])
+            # only the pairs inside the group can be self-loops
+            if (codes := _group_codes(a, b, n, k)) is None:
                 return None
             parts.append(codes)
-        return np.sort(np.concatenate(parts))
-    finally:
-        for out in taken:
-            matched[out] = False
+            u -= s + out.size
+        lo = hi
+    if u:
+        if (codes := _rest_codes(hub[lo:][matched[lo:] != mark], n, rng)) is None:
+            return None
+        parts.append(codes)
+    return np.sort(np.concatenate(parts))
 
 
 def _rest_codes(rest: np.ndarray, n: int, rng: np.random.Generator):
@@ -467,7 +465,10 @@ def build_graph_configuration(
     revealed lazily, hub first (``_lazy_attempt``): the partners of whole
     vertices' stubs, in groups of vertices in decreasing degree order, until
     the first self-loop or repeated pair. A ZTP(10) attempt at n = 1e5 is
-    rejected after revealing a median of ~15.5k of its 1e6 stubs. The
+    rejected after revealing a median of ~15.5k of its 1e6 stubs. Each
+    group's count of pairs inside it is drawn from its hypergeometric law,
+    and numpy's ``Generator.hypergeometric`` takes fewer than 10^9 slots, so
+    a lazy build of 2e9 stubs or more is refused with a ``ValueError``. The
     attempts run in turn on the calling thread, and the first simple one
     wins. Every other attempt, the last one included, is one whole
     permutation drawn from ``rng``, exactly what ``rng.permutation(stubs)``
@@ -522,12 +523,18 @@ def build_graph_configuration(
     # attempts on their own streams: all but the last above 2 * _LAZY_PAIRS stubs
     lazy = max_attempts - 1 if n_pairs > _LAZY_PAIRS else 0
     if lazy:
+        if n_pairs >= _MAX_SLOTS:
+            raise ValueError(f"stub matching of {2 * n_pairs} stubs is too large: "
+                             f"at most {2 * _MAX_SLOTS - 2} are drawn lazily")
         seed = int(rng.integers(2**64, dtype=np.uint64))
         words = seed_words(derive_seeds(seed, last=np.arange(lazy)))
         hub, ends = _hub_first(d)
-        matched = np.zeros(hub.size, dtype=bool)
+        # each attempt marks the stubs it draws as outside partners with its
+        # own index, 1 to lazy, so no attempt resets the marks of another
+        matched = np.zeros(hub.size, dtype=np.min_scalar_type(lazy))
         for attempts in range(1, lazy + 1):
-            codes = _lazy_attempt(hub, ends, matched, n, rng_from_words(words[attempts - 1]))
+            rng_attempt = rng_from_words(words[attempts - 1])
+            codes = _lazy_attempt(hub, ends, matched, attempts, n, rng_attempt)
             if codes is not None:
                 break
         del hub, matched  # before the last attempt's stub buffers

@@ -6,6 +6,7 @@ import itertools
 import math
 import threading
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -445,7 +446,7 @@ def test_configuration_lazy_stream_is_pinned():
 
 
 def test_configuration_simple_lazy_stream_is_pinned():
-    # ZTP(1.3) at n = 2e4: about 2.6e4 stubs, and at this seed the fourth
+    # ZTP(1.3) at n = 2e4: about 2.6e4 stubs, and at this seed the second
     # lazy attempt is the first simple one, so the graph is what that
     # attempt's own stream draws, hub-first groups and shuffled rest.
     # Recorded as the test above; a declared change of the stream updates them
@@ -454,8 +455,8 @@ def test_configuration_simple_lazy_stream_is_pinned():
     rng = make_rng(10)
     g = build_graph_configuration(degrees, rng)
     assert hashlib.sha256(g.codes.astype("<i8").tobytes()).hexdigest() == (
-        "54fdf6831d998a21828a8a0f8b2462909ee2a14d998b627af29e29ab6912ba6d")
-    assert g.meta == {"odd_repair_node": 792, "matching_attempts": 4,
+        "90ddf4399b0557728307fb8c10e991f8d2bc30fd3f5f5ac98397b3d786656e6b")
+    assert g.meta == {"odd_repair_node": 792, "matching_attempts": 2,
                       "erased_stub_count": 0}
     assert rng.integers(2**62) == 2424291371565667190
 
@@ -470,11 +471,11 @@ def _mapped(fn, items, threads):
 
 @pytest.mark.parametrize("mean, n, seed, attempts", [(10.0, 3000, 6, 100),
                                                      (10.0, 20_000, 6, 100),
-                                                     (1.3, 20_000, 10, 4)])
+                                                     (1.3, 20_000, 10, 2)])
 def test_configuration_does_not_depend_on_the_cpu_count(monkeypatch, mean, n, seed, attempts):
     # builds on the lazy path, made on this thread and on a pool of 2 and 3
     # threads, as a regenerating run's ranges make them: the ZTP(10) builds
-    # reject all 99 lazy attempts, and the ZTP(1.3) one takes its fourth.
+    # reject all 99 lazy attempts, and the ZTP(1.3) one takes its second.
     # The codes, meta and the generator's next draw are the same everywhere,
     # each build runs its lazy attempts on its own thread, and no thread is
     # left
@@ -549,13 +550,14 @@ def _watch_reveal(monkeypatch):
     # forces the lazy path for every matching of more than 2 stubs and a
     # first group of one vertex, and counts what the lazy attempts do: the
     # groups each attempt reveals, the groups that pair some of their stubs
-    # with each other, the completions (the rest shuffled), and the
-    # positions drawn again because a batch drew one twice
+    # with each other, the completions (the rest shuffled), and the batches
+    # of outside partners that draw a stub twice, whose repeats are drawn
+    # again
     monkeypatch.setattr(graphs, "_LAZY_PAIRS", 1)
     monkeypatch.setattr(graphs, "_FIRST_GROUP", 10**9)
     seen = collections.Counter(groups=[])
     real = {name: getattr(graphs, name)
-            for name in ("_lazy_attempt", "_slot_pairs", "_rest_codes", "_sorted_unique")}
+            for name in ("_lazy_attempt", "_slot_pairs", "_rest_codes", "_outside")}
 
     def attempt(*args):
         seen["groups"].append(0)
@@ -563,9 +565,7 @@ def _watch_reveal(monkeypatch):
 
     def slot_pairs(*args):
         seen["groups"][-1] += 1
-        seen["drawing"] = True
         k = real["_slot_pairs"](*args)
-        seen["drawing"] = False
         seen["inner"] += k > 0
         return k
 
@@ -573,13 +573,15 @@ def _watch_reveal(monkeypatch):
         seen["rests"] += 1
         return real["_rest_codes"](*args)
 
-    def sorted_unique(values):
-        out = real["_sorted_unique"](values)
-        seen["redraws"] += seen["drawing"] and out.size < values.size
-        return out
+    def outside(rng, *args):
+        def integers(*draw, **kwargs):
+            idx = rng.integers(*draw, **kwargs)
+            seen["redraws"] += np.unique(idx).size < idx.size
+            return idx
+        return real["_outside"](types.SimpleNamespace(integers=integers), *args)
 
     for name, fn in (("_lazy_attempt", attempt), ("_slot_pairs", slot_pairs),
-                     ("_rest_codes", rest_codes), ("_sorted_unique", sorted_unique)):
+                     ("_rest_codes", rest_codes), ("_outside", outside)):
         monkeypatch.setattr(graphs, name, fn)
     return seen
 
@@ -620,10 +622,10 @@ def test_lazy_matching_has_the_reference_law(monkeypatch, degrees, max_attempts)
 @pytest.mark.parametrize("degrees", [[2, 2, 2, 2, 2, 2], [1, 1, 1, 1, 2, 2, 2, 2]])
 def test_lazy_matching_with_repeated_draws_has_the_reference_law(monkeypatch, degrees):
     # the test above at 4 attempts on two more degree sequences, whose
-    # attempts also reveal several groups, counting the batches of positions
-    # that draw one twice and are drawn again: over 12 stubs most do, and
-    # the law of (graph, matching_attempts, erased_stub_count) must still
-    # be that of redrawing whole matchings
+    # attempts also reveal several groups, counting the batches of outside
+    # partners that draw a stub twice and draw it again, and the law of
+    # (graph, matching_attempts, erased_stub_count) must still be that of
+    # redrawing whole matchings
     seen = _watch_reveal(monkeypatch)
     draws = 5000
     got = _outcome_counts(_built, degrees, 4, range(draws))
@@ -650,6 +652,65 @@ def test_lazy_attempt_draws_every_perfect_matching_uniformly(monkeypatch):
     assert max(seen["groups"]) > 1 and seen["rests"]
 
 
+def _slot_pair_law(u, s):
+    # P(k), k = 0 .. s // 2, of the number k of slots (2j, 2j + 1) of [0, u)
+    # that hold two of s uniform distinct positions, h = u / 2 slots:
+    # C(h, k) C(h - k, s - 2k) 2^(s - 2k) / C(u, s), from log-gammas
+    h = u // 2
+
+    def log_comb(a, b):
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+    return np.array([math.exp(log_comb(h, k) + log_comb(h - k, s - 2 * k)
+                              + (s - 2 * k) * math.log(2) - log_comb(u, s))
+                     for k in range(s // 2 + 1)])
+
+
+@pytest.mark.parametrize("u, s", [(8, 0), (8, 1), (40, 1), (8, 2), (12, 3), (20, 5), (40, 10),
+                                  (400, 100), (4000, 1000), (10**5, 1000), (10**6, 3000)])
+def test_slot_pairs_draws_the_exact_law(u, s):
+    # the inner-pair count of a group of s stubs among u unmatched ones,
+    # over 20,000 draws, against the closed form: k never exceeds s / 2,
+    # and by chi-square, cells of expected count below 5 pooled, it has the
+    # law P(k) (fails below p = 1e-3). s = u / 4 is the largest group a
+    # lazy attempt reveals; s of 0 and 1 hold no pair
+    law = _slot_pair_law(u, s)
+    assert abs(law.sum() - 1) < 1e-9
+    rng = make_rng(u + s)
+    draws = 20_000
+    ks = np.array([graphs._slot_pairs(rng, u, s) for _ in range(draws)])
+    assert ks.min() >= 0 and ks.max() <= s // 2
+    if s < 2:
+        assert not ks.any()
+        return
+    observed = np.bincount(ks, minlength=law.size)
+    expected = draws * law
+    common = expected >= 5
+    assert common.sum() > 1
+    if not common.all():
+        observed = np.append(observed[common], observed[~common].sum())
+        expected = np.append(expected[common], expected[~common].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
+def test_configuration_refuses_a_lazy_matching_of_2e9_stubs():
+    # numpy's hypergeometric draws take fewer than 10^9 slots, so a lazy
+    # build of 46,000 vertices of degree 45,999 (2.1e9 stubs) is refused
+    # with a one-line error naming the stub count, before the attempts make
+    # their stub arrays: tracing finds nothing near the 2.1e9-entry arrays
+    degrees = np.full(46_000, 45_999)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            build_graph_configuration(degrees, make_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value).startswith("stub matching of 2115954000 stubs is too large")
+    assert "\n" not in str(raised.value)
+    assert peak < 10 * degrees.nbytes, peak
+
+
 def test_lazy_matching_attempts_match_reference_above_one_permutation():
     # ZTP(1.3) at n = 2e4 has about 2.6e4 stubs, more than 2 * _LAZY_PAIRS,
     # and a simple matching has probability ~0.7, so attempts stop early and
@@ -671,7 +732,7 @@ def test_configuration_memory_on_100k_vertices():
     # ZTP(10), n = 1e5: about 1e6 stubs, all 100 attempts run. Drawing every
     # attempt as a full permutation and building its codes from four
     # half-length temporaries peaked at 41.3 MB here; the lazy attempts (a
-    # flag per stub and their groups) must not add to that. The 99 lazy
+    # mark per stub and their groups) must not add to that. The 99 lazy
     # attempts are rejected, so the graph is the last attempt's, drawn from
     # the build's generator right after the attempts' seed: the values are
     # pinned, and held before the lazy attempts were revealed hub first
